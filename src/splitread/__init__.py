@@ -6,7 +6,6 @@ with Hamiltonian Monte Carlo, and ranks predictors with WAIC ablations.
 """
 
 from .cohesion import (
-    CohesionScores,
     kernel_similarity,
     overlap_coefficient,
     ted1,
@@ -82,7 +81,6 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CohesionScores",
     "ComparisonTable",
     "ComplexityScores",
     "DegenerateInputWarning",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import dataset as ds
@@ -32,49 +32,45 @@ EXIT_IO = 3
 
 REDUCED_PREDICTORS = ("grammar", "split", "ease", "fk_grade", "meaning", "fluency")
 
+# Sampler seed used when neither the config nor --seed sets one.
+DEFAULT_SEED = 20240501
+
 PROFILES = {
     "desk": {"chains": 4, "warmup": 1000, "draws": 1000},
     "paper": {"chains": 4, "warmup": 50000, "draws": 4000},
 }
 
-_DEFAULT_SAMPLER = {
-    "chains": 4,
-    "warmup": 1000,
-    "draws": 1000,
-    "seed": 20240501,
-    "target_accept": 0.8,
-    "num_steps": 32,
-    "prior_sd": 2.5,
-}
+_FEATURE_KEYS = tuple(f.name for f in fields(ds.FeatureConfig))
+# prior_sd is written in the sampler block but sets the model prior.
+_SAMPLER_KEYS = (*(f.name for f in fields(SamplerConfig)), "prior_sd")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    triples: str = ""
-    judgments: str = ""
-    word_list: str | None = None
-    out: str = "out"
-    predictors: tuple[str, ...] = ds.PREDICTORS
-    kernel_sigma: float = 1.0
-    layout: str = "long"
-    keep_punctuation: bool = True
-    sampler: dict = field(default_factory=lambda: dict(_DEFAULT_SAMPLER))
+    triples: str
+    judgments: str
+    out: str
+    keep_punctuation: bool
+    features: ds.FeatureConfig
+    sampler: SamplerConfig
+    prior_sd: float
 
     @property
     def seed(self) -> int:
-        return int(self.sampler["seed"])
+        return self.sampler.seed
 
     def as_dict(self) -> dict:
+        features = self.features
         return {
             "triples": self.triples,
             "judgments": self.judgments,
-            "word_list": self.word_list,
+            "word_list": features.word_list,
             "out": self.out,
-            "predictors": list(self.predictors),
-            "kernel_sigma": self.kernel_sigma,
-            "layout": self.layout,
+            "predictors": list(features.predictors),
+            "kernel_sigma": features.kernel_sigma,
+            "layout": features.layout,
             "keep_punctuation": self.keep_punctuation,
-            "sampler": dict(sorted(self.sampler.items())),
+            "sampler": {**asdict(self.sampler), "prior_sd": self.prior_sd},
         }
 
     def hash(self) -> str:
@@ -84,30 +80,19 @@ class RunConfig:
     def header(self) -> str:
         return f"# splitread config={self.hash()} seed={self.seed}"
 
-    def feature_config(self) -> ds.FeatureConfig:
-        return ds.FeatureConfig(
-            predictors=self.predictors,
-            kernel_sigma=self.kernel_sigma,
-            word_list=self.word_list,
-            layout=self.layout,
-        )
 
-    def sampler_config(self) -> SamplerConfig:
-        s = self.sampler
-        return SamplerConfig(
-            chains=int(s["chains"]),
-            warmup=int(s["warmup"]),
-            draws=int(s["draws"]),
-            seed=int(s["seed"]),
-            target_accept=float(s["target_accept"]),
-            num_steps=int(s["num_steps"]),
-        )
-
-    def model_spec(self, predictors: tuple[str, ...] | None = None) -> ModelSpec:
-        return ModelSpec(
-            predictors=predictors if predictors is not None else self.predictors,
-            prior_sd=float(self.sampler["prior_sd"]),
-        )
+def _with_values(defaults, values: dict):
+    """``defaults`` with ``values`` applied, each cast to its default's type."""
+    cast = {}
+    for key, value in values.items():
+        default = getattr(defaults, key)
+        try:
+            cast[key] = value if default is None else type(default)(value)
+        except (TypeError, ValueError):
+            raise SplitreadError(
+                f"config value {key}={value!r}: expected {type(default).__name__}"
+            ) from None
+    return replace(defaults, **cast)
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -120,32 +105,30 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(path.read_text("utf-8"))
         except json.JSONDecodeError as exc:
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
-    sampler = dict(_DEFAULT_SAMPLER)
-    sampler.update(data.get("sampler", {}))
+    sampler = dict(data.get("sampler", {}))
+    unknown = sorted(set(sampler) - set(_SAMPLER_KEYS))
+    if unknown:
+        raise SplitreadError(
+            f"unknown sampler keys {unknown}; allowed: {', '.join(_SAMPLER_KEYS)}"
+        )
     profile = getattr(args, "profile", None)
     if profile:
         sampler.update(PROFILES[profile])
     if getattr(args, "seed", None) is not None:
-        sampler["seed"] = int(args.seed)
-    predictors = tuple(data.get("predictors", ds.PREDICTORS))
-    cfg = RunConfig(
-        triples=data.get("triples", ""),
-        judgments=data.get("judgments", ""),
-        word_list=data.get("word_list"),
-        out=data.get("out", "out"),
-        predictors=predictors,
-        kernel_sigma=float(data.get("kernel_sigma", 1.0)),
-        layout=data.get("layout", "long"),
+        sampler["seed"] = args.seed
+    # ModelSpec supplies the default prior scale and rejects a non-positive one.
+    prior = {"prior_sd": sampler.pop("prior_sd")} if "prior_sd" in sampler else {}
+    return RunConfig(
+        triples=getattr(args, "triples", None) or data.get("triples", ""),
+        judgments=getattr(args, "judgments", None) or data.get("judgments", ""),
+        out=getattr(args, "out", None) or data.get("out", "out"),
         keep_punctuation=bool(data.get("keep_punctuation", True)),
-        sampler=sampler,
+        features=_with_values(
+            ds.FeatureConfig(), {k: data[k] for k in _FEATURE_KEYS if k in data}
+        ),
+        sampler=_with_values(SamplerConfig(seed=DEFAULT_SEED), sampler),
+        prior_sd=_with_values(ModelSpec(predictors=()), prior).prior_sd,
     )
-    if getattr(args, "triples", None):
-        cfg = replace(cfg, triples=args.triples)
-    if getattr(args, "judgments", None):
-        cfg = replace(cfg, judgments=args.judgments)
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out=args.out)
-    return cfg
 
 
 def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
@@ -158,8 +141,9 @@ def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
             raise SplitreadError("no judgments path configured")
         if not Path(cfg.judgments).exists():
             raise SplitreadError(f"judgments file not found: {cfg.judgments}")
-    if cfg.word_list is not None and not Path(cfg.word_list).exists():
-        raise SplitreadError(f"word list file not found: {cfg.word_list}")
+    word_list = cfg.features.word_list
+    if word_list is not None and not Path(word_list).exists():
+        raise SplitreadError(f"word list file not found: {word_list}")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -184,7 +168,7 @@ def _fmt(value) -> str:
 def cmd_extract(cfg: RunConfig) -> int:
     _check_paths(cfg, need_judgments=False)
     triples = ds.load_triples(cfg.triples, keep_punctuation=cfg.keep_punctuation)
-    header, rows = ds.extract_features(triples, cfg.feature_config())
+    header, rows = ds.extract_features(triples, cfg.features)
     lines = [cfg.header(), ",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -198,15 +182,14 @@ def _fit_matrix(cfg: RunConfig):
     triples, judgments = ds.ingest(
         cfg.judgments, cfg.triples, keep_punctuation=cfg.keep_punctuation
     )
-    return ds.build_design_matrix(triples, judgments, cfg.feature_config())
+    return ds.build_design_matrix(triples, judgments, cfg.features)
 
 
 def cmd_fit(cfg: RunConfig) -> int:
     _check_paths(cfg, need_judgments=True)
     matrix = _fit_matrix(cfg)
-    draws = inference.sample_posterior(
-        matrix, cfg.model_spec(), cfg.sampler_config()
-    )
+    spec = ModelSpec(cfg.features.predictors, prior_sd=cfg.prior_sd)
+    draws = inference.sample_posterior(matrix, spec, cfg.sampler)
     summary = inference.summarize(draws)
 
     lines = [
@@ -261,12 +244,12 @@ def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> i
     elif reduced:
         predictors = REDUCED_PREDICTORS
     else:
-        predictors = cfg.predictors
+        predictors = cfg.features.predictors
     missing = [p for p in predictors if p not in matrix.columns]
     if missing:
         raise SplitreadError(f"predictors not in the design matrix: {missing}")
     table = selection.ablate(
-        matrix, cfg.model_spec(predictors), cfg.sampler_config()
+        matrix, ModelSpec(predictors, prior_sd=cfg.prior_sd), cfg.sampler
     )
     out_dir = Path(cfg.out)
     _atomic_write(

@@ -10,22 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputWarning, ValidationError
 from .trees import ParseTree, is_punctuation_token, strip_token_leaves
 
 KERNEL_VARIANTS = ("subset", "subtree")
-
-
-@dataclass(frozen=True)
-class CohesionScores:
-    ted1: float
-    ted2: float
-    subset: float
-    subtree: float
-    overlap: float
 
 
 class _AnnotatedTree:
@@ -173,7 +163,7 @@ def tree_kernel(
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if prod_a.get(id(n1), _production(n1)) != prod_b.get(id(n2), _production(n2)):
+        if prod_a[id(n1)] != prod_b[id(n2)]:
             memo[key] = 0.0
             return 0.0
         if all(c.is_leaf for c in n1.children):

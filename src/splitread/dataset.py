@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import cohesion, complexity, readability
 from .errors import (
@@ -349,6 +348,9 @@ def score_summary(
     group_b: Mapping[str, Sequence[float]],
 ) -> dict[str, GroupComparison]:
     """Mean, sd and a two-sided Welch t-test per score category."""
+    # Imported here: scipy.stats costs about a second of start-up time,
+    # which every other command would pay.
+    from scipy import stats
     out: dict[str, GroupComparison] = {}
     for cat in CATEGORIES:
         a = np.asarray(group_a[cat], dtype=float)
@@ -357,7 +359,7 @@ def score_summary(
             raise ValidationError(
                 f"{cat}: need at least 2 observations per group for a t-test"
             )
-        t_stat, p_value = sstats.ttest_ind(a, b, equal_var=False)
+        t_stat, p_value = stats.ttest_ind(a, b, equal_var=False)
         out[cat] = GroupComparison(
             mean_a=float(a.mean()),
             sd_a=float(a.std(ddof=1)),
@@ -374,9 +376,6 @@ class FeatureConfig:
     predictors: tuple[str, ...] = PREDICTORS
     kernel_sigma: float = 1.0
     word_list: str | None = None
-    ted_keep_token_leaves: bool = False
-    tnodes_count_token_leaves: bool = False
-    sentence_prefixes: tuple[str, ...] = complexity.SENTENCE_LABEL_PREFIXES
     layout: str = "long"  # "long" or "diff"
 
     def __post_init__(self) -> None:
@@ -420,15 +419,10 @@ class FeatureExtractor:
         if "split" in enabled:
             feats["split"] = 1.0 if side == "a" else 0.0
         if "ted1" in enabled:
-            values = [
-                cohesion.ted1(src, trees, keep_token_leaves=cfg.ted_keep_token_leaves)
-                for src in triple.source_trees
-            ]
+            values = [cohesion.ted1(src, trees) for src in triple.source_trees]
             feats["ted1"] = sum(values) / len(values)
         if "ted2" in enabled:
-            feats["ted2"] = cohesion.ted2(
-                trees, keep_token_leaves=cfg.ted_keep_token_leaves
-            )
+            feats["ted2"] = cohesion.ted2(trees)
         for variant in ("subset", "subtree"):
             if variant in enabled:
                 feats[variant] = cohesion.kernel_similarity(
@@ -448,19 +442,10 @@ class FeatureExtractor:
             )
         if "frazier" in enabled:
             feats["frazier"] = float(
-                np.mean(
-                    [complexity.frazier_score(t, cfg.sentence_prefixes) for t in trees]
-                )
+                np.mean([complexity.frazier_score(t) for t in trees])
             )
         if "tnodes" in enabled:
-            feats["tnodes"] = float(
-                np.mean(
-                    [
-                        complexity.tnodes(t, cfg.tnodes_count_token_leaves)
-                        for t in trees
-                    ]
-                )
-            )
+            feats["tnodes"] = float(np.mean([complexity.tnodes(t) for t in trees]))
         if "dep_length" in enabled:
             if not simp.graphs:
                 raise ValidationError("dependency parses missing (dep_length enabled)")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import FormatError, ParseError, ValidationError
 
@@ -298,11 +298,3 @@ def strip_token_leaves(tree: ParseTree) -> ParseTree:
         strip_token_leaves(child) for child in tree.children if not child.is_leaf
     )
     return ParseTree(tree.label, kept)
-
-
-def tokens_of(trees: Sequence[ParseTree]) -> list[str]:
-    """Concatenated token yield of several sentence trees."""
-    out: list[str] = []
-    for tree in trees:
-        out.extend(tree.tokens())
-    return out

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,47 @@ def workspace(tmp_path_factory):
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+_MINIMAL_CONFIG = {"triples": "data/triples.jsonl", "judgments": "data/judgments.jsonl"}
+
+# Every default the README's run.json example spells out.
+_README_CONFIG = {
+    **_MINIMAL_CONFIG,
+    "out": "out",
+    "word_list": None,
+    "predictors": [
+        "bart", "ted1", "ted2", "subset", "subtree", "overlap", "frazier",
+        "yngve", "dep_length", "tnodes", "dale", "ease", "fk_grade",
+        "grammar", "meaning", "fluency", "split", "samsa",
+    ],
+    "kernel_sigma": 1.0,
+    "keep_punctuation": True,
+    "layout": "long",
+    "sampler": {
+        "chains": 4, "warmup": 1000, "draws": 1000, "seed": 20240501,
+        "target_accept": 0.8, "num_steps": 32, "prior_sd": 2.5,
+    },
+}
+
+
+class TestConfigHeader:
+    # Pinned values: the config hash must not drift when the config code
+    # is reorganized, or reruns stop matching older artifacts.
+    @pytest.mark.parametrize("data", [_MINIMAL_CONFIG, _README_CONFIG])
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], "# splitread config=624d09a23b06 seed=20240501"),
+            (["--seed", "7"], "# splitread config=686965c4c174 seed=7"),
+            (["--profile", "paper"], "# splitread config=ef732a06287b seed=20240501"),
+        ],
+    )
+    def test_golden_header(self, tmp_path, data, flags, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        args = cli.build_parser().parse_args(["fit", "--config", str(path), *flags])
+        assert cli.load_config(args).header() == expected
 
 
 class TestExtract:
@@ -293,6 +338,15 @@ class TestErrors:
         config.write_text("{", encoding="utf-8")
         assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
 
+    def test_unknown_sampler_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**_MINIMAL_CONFIG, "sampler": {"warmpu": 50}}),
+            encoding="utf-8",
+        )
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert "warmpu" in capsys.readouterr().err
+
     def test_profile_presets(self, workspace):
         tmp, triples, judgments = workspace
         args = cli.build_parser().parse_args(
@@ -300,5 +354,17 @@ class TestErrors:
              "--profile", "paper"]
         )
         cfg = cli.load_config(args)
-        assert cfg.sampler["warmup"] == 50000
-        assert cfg.sampler["draws"] == 4000
+        assert cfg.sampler.warmup == 50000
+        assert cfg.sampler.draws == 4000
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of import; only `report` needs it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, splitread.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
