@@ -14,8 +14,6 @@ from .cohesion import (
     tree_kernel,
 )
 from .complexity import (
-    ComplexityScores,
-    complexity_scores,
     dep_distance,
     frazier_costs,
     frazier_score,
@@ -75,14 +73,12 @@ from .trees import (
     ParseTree,
     parse_conllu,
     parse_ptb,
-    yield_tokens,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonTable",
-    "ComplexityScores",
     "DegenerateInputWarning",
     "DepGraph",
     "DepToken",
@@ -106,7 +102,6 @@ __all__ = [
     "ablate",
     "build_design_matrix",
     "compare",
-    "complexity_scores",
     "count_syllables",
     "dale_chall",
     "dep_distance",
@@ -134,7 +129,6 @@ __all__ = [
     "tree_edit_distance",
     "tree_kernel",
     "waic",
-    "yield_tokens",
     "yngve_costs",
     "yngve_score",
 ]

@@ -45,6 +45,26 @@ _FEATURE_KEYS = tuple(f.name for f in fields(ds.FeatureConfig))
 _SAMPLER_KEYS = (*(f.name for f in fields(SamplerConfig)), "prior_sd")
 
 
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+# Every top-level config key, with the JSON value it must hold.
+_CONFIG_KEYS = {
+    "triples": ("a string", _is_str),
+    "judgments": ("a string", _is_str),
+    "out": ("a string", _is_str),
+    "word_list": ("a string or null", lambda v: v is None or _is_str(v)),
+    "predictors": (
+        "a list of strings", lambda v: type(v) is list and all(map(_is_str, v))
+    ),
+    "kernel_sigma": ("a number", lambda v: type(v) in (int, float)),
+    "keep_punctuation": ("true or false", lambda v: type(v) is bool),
+    "layout": ("a string", _is_str),
+    "sampler": ("an object", lambda v: type(v) is dict),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     triples: str
@@ -95,6 +115,14 @@ def _with_values(defaults, values: dict):
     return replace(defaults, **cast)
 
 
+def _reject_unknown(block: str, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise SplitreadError(
+            f"unknown {block} keys {unknown}; allowed: {', '.join(allowed)}"
+        )
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if args.config:
@@ -105,12 +133,17 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(path.read_text("utf-8"))
         except json.JSONDecodeError as exc:
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
+        if type(data) is not dict:
+            raise SplitreadError("config file must hold a JSON object")
+    _reject_unknown("config", data, _CONFIG_KEYS)
+    for key, value in data.items():
+        expected, valid = _CONFIG_KEYS[key]
+        if not valid(value):
+            raise SplitreadError(
+                f"config value {key}={json.dumps(value)}: expected {expected}"
+            )
     sampler = dict(data.get("sampler", {}))
-    unknown = sorted(set(sampler) - set(_SAMPLER_KEYS))
-    if unknown:
-        raise SplitreadError(
-            f"unknown sampler keys {unknown}; allowed: {', '.join(_SAMPLER_KEYS)}"
-        )
+    _reject_unknown("sampler", sampler, _SAMPLER_KEYS)
     profile = getattr(args, "profile", None)
     if profile:
         sampler.update(PROFILES[profile])
@@ -122,7 +155,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         triples=getattr(args, "triples", None) or data.get("triples", ""),
         judgments=getattr(args, "judgments", None) or data.get("judgments", ""),
         out=getattr(args, "out", None) or data.get("out", "out"),
-        keep_punctuation=bool(data.get("keep_punctuation", True)),
+        keep_punctuation=data.get("keep_punctuation", True),
         features=_with_values(
             ds.FeatureConfig(), {k: data[k] for k in _FEATURE_KEYS if k in data}
         ),

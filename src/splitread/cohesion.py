@@ -81,32 +81,21 @@ def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
     return dist[na - 1][nb - 1]
 
 
-def _maybe_strip(tree: ParseTree, keep_token_leaves: bool) -> ParseTree:
-    return tree if keep_token_leaves else strip_token_leaves(tree)
-
-
-def ted1(
-    source: ParseTree,
-    splits: Sequence[ParseTree],
-    *,
-    keep_token_leaves: bool = False,
-) -> float:
+def ted1(source: ParseTree, splits: Sequence[ParseTree]) -> float:
     """Mean tree edit distance between a source sentence and each sentence
-    of its simplification. Token leaves are removed by default so the
+    of its simplification. Token leaves are removed first, so the
     comparison is structural rather than lexical."""
     if not splits:
         raise ValidationError("ted1 requires at least one split sentence")
-    src = _maybe_strip(source, keep_token_leaves)
-    dists = [
-        tree_edit_distance(src, _maybe_strip(s, keep_token_leaves)) for s in splits
-    ]
+    src = strip_token_leaves(source)
+    dists = [tree_edit_distance(src, strip_token_leaves(s)) for s in splits]
     return sum(dists) / len(dists)
 
 
-def ted2(splits: Sequence[ParseTree], *, keep_token_leaves: bool = False) -> float:
+def ted2(splits: Sequence[ParseTree]) -> float:
     """Mean tree edit distance over adjacent sentence pairs of a
-    simplification. A single-sentence input has no pairs and scores 0
-    (with a warning)."""
+    simplification, compared without their token leaves. A single-sentence
+    input has no pairs and scores 0 (with a warning)."""
     if not splits:
         raise ValidationError("ted2 requires at least one split sentence")
     if len(splits) == 1:
@@ -116,7 +105,7 @@ def ted2(splits: Sequence[ParseTree], *, keep_token_leaves: bool = False) -> flo
             stacklevel=2,
         )
         return 0.0
-    stripped = [_maybe_strip(s, keep_token_leaves) for s in splits]
+    stripped = [strip_token_leaves(s) for s in splits]
     dists = [
         tree_edit_distance(stripped[i], stripped[i + 1])
         for i in range(len(stripped) - 1)

@@ -7,21 +7,8 @@ linear dependency length over dependency graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 from .errors import ValidationError
 from .trees import DepGraph, ParseTree
-
-SENTENCE_LABEL_PREFIXES = ("S",)
-
-
-@dataclass(frozen=True)
-class ComplexityScores:
-    yngve: float
-    frazier: float
-    tnodes: float
-    dep_length: float
 
 
 def yngve_costs(tree: ParseTree) -> list[float]:
@@ -54,20 +41,18 @@ def yngve_score(tree: ParseTree) -> float:
     return sum(costs) / len(costs)
 
 
-def _node_weight(label: str, sentence_prefixes: Sequence[str]) -> float:
-    return 1.5 if any(label.startswith(p) for p in sentence_prefixes) else 1.0
+def _node_weight(label: str) -> float:
+    return 1.5 if label.startswith("S") else 1.0
 
 
-def frazier_costs(
-    tree: ParseTree, sentence_prefixes: Sequence[str] = SENTENCE_LABEL_PREFIXES
-) -> list[float]:
+def frazier_costs(tree: ParseTree) -> list[float]:
     """Per-word Frazier depths, in textual order.
 
     From each word, ancestors are counted upward for as long as each one
     is the leftmost child of its parent, stopping after the root; every
-    counted node scores 1, except sentence-category nodes (label matching
-    one of ``sentence_prefixes``) which score 1.5. Words that are not the
-    leftmost child of their parent score 0.
+    counted node scores 1, except sentence-category nodes (labels starting
+    with "S") which score 1.5. Words that are not the leftmost child of
+    their parent score 0.
     """
     if tree.is_leaf:
         return [0.0]
@@ -94,43 +79,31 @@ def frazier_costs(
         while True:
             info = parent.get(id(node))
             if info is None:  # reached the root
-                cost += _node_weight(node.label, sentence_prefixes)
+                cost += _node_weight(node.label)
                 break
             up, pos = info
             if pos != 0:
                 break
-            cost += _node_weight(node.label, sentence_prefixes)
+            cost += _node_weight(node.label)
             node = up
         costs.append(cost)
     return costs
 
 
-def frazier_score(
-    tree: ParseTree, sentence_prefixes: Sequence[str] = SENTENCE_LABEL_PREFIXES
-) -> float:
+def frazier_score(tree: ParseTree) -> float:
     """Mean Frazier depth over the token leaves."""
-    costs = frazier_costs(tree, sentence_prefixes)
+    costs = frazier_costs(tree)
     return sum(costs) / len(costs)
 
 
-def tnodes(tree: ParseTree, count_token_leaves: bool = False) -> float:
-    """Tree nodes per token.
-
-    Token leaves are excluded from the node count by default so the ratio
-    reflects structural size; ``count_token_leaves=True`` includes them.
-    """
-    structure = 0
-    tokens = 0
-    for node in tree.iter_nodes():
-        if node.is_leaf:
-            tokens += 1
-            if count_token_leaves:
-                structure += 1
-        else:
-            structure += 1
+def tnodes(tree: ParseTree) -> float:
+    """Nonterminal nodes per token: token leaves are not counted as nodes,
+    so the ratio reflects structural size."""
+    nodes = list(tree.iter_nodes())
+    tokens = sum(1 for node in nodes if node.is_leaf)
     if tokens == 0:
         raise ValidationError("tree has no token leaves")
-    return structure / tokens
+    return (len(nodes) - tokens) / tokens
 
 
 def dep_distance(graph: DepGraph) -> float:
@@ -142,18 +115,3 @@ def dep_distance(graph: DepGraph) -> float:
     if not arcs:
         return 0.0
     return sum(arcs) / len(arcs)
-
-
-def complexity_scores(
-    tree: ParseTree,
-    graph: DepGraph,
-    *,
-    sentence_prefixes: Sequence[str] = SENTENCE_LABEL_PREFIXES,
-    count_token_leaves: bool = False,
-) -> ComplexityScores:
-    return ComplexityScores(
-        yngve=yngve_score(tree),
-        frazier=frazier_score(tree, sentence_prefixes),
-        tnodes=tnodes(tree, count_token_leaves),
-        dep_length=dep_distance(graph),
-    )

@@ -388,29 +388,14 @@ class FeatureConfig:
             raise ValidationError(f"unknown layout {self.layout!r}")
 
 
-class FeatureExtractor:
-    """Computes the per-(triple, side) predictor columns."""
-
-    def __init__(self, config: FeatureConfig | None = None):
-        self.config = config or FeatureConfig()
-        self._easy_words = readability.load_easy_words(self.config.word_list)
-        self._cache: dict[tuple[str, str], dict[str, float]] = {}
-
-    def side_features(self, triple: Triple, side: str) -> dict[str, float]:
-        key = (triple.id, side)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            feats = self._compute(triple, side)
-        except Exception as exc:
-            raise ValidationError(f"triple {triple.id!r}, side {side}: {exc}") from exc
-        self._cache[key] = feats
-        return feats
-
-    def _compute(self, triple: Triple, side: str) -> dict[str, float]:
-        cfg = self.config
-        enabled = set(cfg.predictors)
+def side_features(
+    triple: Triple, side: str, config: FeatureConfig | None = None
+) -> dict[str, float]:
+    """The enabled side predictors of one (triple, side)."""
+    config = config or FeatureConfig()
+    easy_words = readability.load_easy_words(config.word_list)
+    try:
+        enabled = set(config.predictors)
         simp = triple.side(side)
         trees = simp.trees
         feats: dict[str, float] = {}
@@ -426,7 +411,7 @@ class FeatureExtractor:
         for variant in ("subset", "subtree"):
             if variant in enabled:
                 feats[variant] = cohesion.kernel_similarity(
-                    triple.source_trees, trees, variant, cfg.kernel_sigma
+                    triple.source_trees, trees, variant, config.kernel_sigma
                 )
         if "overlap" in enabled:
             # Content-word overlap of neighboring sentences inside the
@@ -453,9 +438,7 @@ class FeatureExtractor:
                 np.mean([complexity.dep_distance(g) for g in simp.graphs])
             )
         if enabled & {"dale", "ease", "fk_grade"}:
-            stats = readability.text_stats(
-                [t.tokens() for t in trees], self._easy_words
-            )
+            stats = readability.text_stats([t.tokens() for t in trees], easy_words)
             if "dale" in enabled:
                 feats["dale"] = readability.dale_chall(stats)
             if "ease" in enabled:
@@ -467,21 +450,21 @@ class FeatureExtractor:
                 raise ValidationError("samsa value missing (samsa enabled)")
             feats["samsa"] = float(simp.samsa)
         return feats
+    except Exception as exc:
+        raise ValidationError(f"triple {triple.id!r}, side {side}: {exc}") from exc
 
 
 def extract_features(
     triples: Sequence[Triple], config: FeatureConfig | None = None
 ) -> tuple[list[str], list[list]]:
     """Per-(triple, side) feature table in a stable column order."""
-    extractor = FeatureExtractor(config)
-    enabled = [
-        p for p in SIDE_PREDICTORS if p in set(extractor.config.predictors)
-    ]
+    config = config or FeatureConfig()
+    enabled = [p for p in SIDE_PREDICTORS if p in set(config.predictors)]
     header = ["triple_id", "side", *enabled]
     rows: list[list] = []
     for triple in sorted(triples, key=lambda t: t.id):
         for side in ("a", "b"):
-            feats = extractor.side_features(triple, side)
+            feats = side_features(triple, side, config)
             rows.append([triple.id, side, *(feats[p] for p in enabled)])
     return header, rows
 
@@ -590,8 +573,6 @@ def build_design_matrix(
     "not_sure" responses are dropped.
     """
     config = config or FeatureConfig()
-    extractor = FeatureExtractor(config)
-    by_id = {t.id: t for t in triples}
     decided = [
         (i, j)
         for i, j in enumerate(judgments)
@@ -601,17 +582,23 @@ def build_design_matrix(
         raise ValidationError("no definite A_vs_B judgments to build a matrix from")
     decided.sort(key=lambda item: (item[1].triple_id, item[1].worker_id, item[0]))
 
+    by_id = {t.id: t for t in triples}
+    referenced = {j.triple_id for _, j in decided}
+    unknown = sorted(referenced - by_id.keys())
+    if unknown:
+        raise IntegrityError(f"judgment references unknown triple {unknown[0]!r}")
+    # Only the referenced triples are featurized, each side once.
+    header, rows = extract_features([by_id[i] for i in referenced], config)
+    side_values = {(row[0], row[1]): dict(zip(header[2:], row[2:])) for row in rows}
+
     names = list(config.predictors)
     raw_rows: list[list[float]] = []
     outcomes: list[float] = []
     row_ids: list[tuple] = []
     for _, j in decided:
-        triple = by_id.get(j.triple_id)
-        if triple is None:
-            raise IntegrityError(f"judgment references unknown triple {j.triple_id!r}")
         per_side = {}
         for side in ("a", "b"):
-            feats = dict(extractor.side_features(triple, side))
+            feats = dict(side_values[j.triple_id, side])
             scores = j.scores(side)
             for cat in CATEGORIES:
                 if cat in names:

@@ -115,11 +115,6 @@ def is_punctuation_token(token: str) -> bool:
     )
 
 
-def yield_tokens(tree: ParseTree) -> list[str]:
-    """Left-to-right token leaves of the tree."""
-    return tree.tokens()
-
-
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
@@ -180,10 +175,8 @@ def _parse_group(text: str, pos: int) -> tuple[ParseTree, int]:
     return ParseTree(label, tuple(children)), pos
 
 
-def _transform(
-    node: ParseTree, keep_punctuation: bool, strip_function_tags: bool
-) -> ParseTree | None:
-    """Drop traces (and optionally punctuation leaves), normalize labels.
+def _transform(node: ParseTree, keep_punctuation: bool) -> ParseTree | None:
+    """Drop traces (and optionally punctuation leaves), strip function tags.
 
     Returns None when nothing with a terminal yield survives below node.
     """
@@ -195,26 +188,20 @@ def _transform(
         return None
     kept = []
     for child in node.children:
-        new = _transform(child, keep_punctuation, strip_function_tags)
+        new = _transform(child, keep_punctuation)
         if new is not None:
             kept.append(new)
     if not kept:
         return None
-    label = _strip_function_tag(node.label) if strip_function_tags else node.label
-    return ParseTree(label, tuple(kept))
+    return ParseTree(_strip_function_tag(node.label), tuple(kept))
 
 
-def parse_ptb(
-    text: str,
-    *,
-    keep_punctuation: bool = True,
-    strip_function_tags: bool = True,
-) -> list[ParseTree]:
+def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     """Parse whitespace-separated bracketed trees, one ParseTree per group.
 
     Unlabeled unary wrappers around a whole tree are collapsed into their
     single child, trace subtrees (-NONE-) are removed, and grammatical
-    function tags are stripped from nonterminal labels unless disabled.
+    function tags are always stripped from nonterminal labels.
     Punctuation leaves are kept by default; ``keep_punctuation=False``
     drops them together with any node left empty.
     """
@@ -226,7 +213,7 @@ def parse_ptb(
                 f"expected '(' but found {text[pos]!r}", _byte_offset(text, pos)
             )
         tree, pos = _parse_group(text, pos)
-        cleaned = _transform(tree, keep_punctuation, strip_function_tags)
+        cleaned = _transform(tree, keep_punctuation)
         if cleaned is None or cleaned.is_leaf:
             raise ValidationError("bracket group has no terminal yield after cleanup")
         # Collapse outer wrappers like "( (S ...) )" produced by treebank tools.

@@ -145,11 +145,11 @@ def naive_yngve_costs(tree: ParseTree) -> list[float]:
     return costs
 
 
-def naive_frazier_costs(tree: ParseTree, prefixes=("S",)) -> list[float]:
+def naive_frazier_costs(tree: ParseTree) -> list[float]:
     costs = []
 
     def weight(node: ParseTree) -> float:
-        return 1.5 if any(node.label.startswith(p) for p in prefixes) else 1.0
+        return 1.5 if node.label.startswith("S") else 1.0
 
     def descend(node: ParseTree, spine: list[tuple[ParseTree, int]]) -> None:
         for i, child in enumerate(node.children):
@@ -177,10 +177,10 @@ def naive_frazier_costs(tree: ParseTree, prefixes=("S",)) -> list[float]:
     return costs
 
 
-def naive_tnodes(tree: ParseTree, count_token_leaves: bool = False) -> float:
+def naive_tnodes(tree: ParseTree) -> float:
     def count(node: ParseTree) -> tuple[int, int]:
         if node.is_leaf:
-            return (1 if count_token_leaves else 0), 1
+            return 0, 1
         nodes, tokens = 1, 0
         for child in node.children:
             cn, ct = count(child)

@@ -347,6 +347,49 @@ class TestErrors:
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert "warmpu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1], "must hold a JSON object"),
+            ({**_MINIMAL_CONFIG, "sampler": None}, "sampler=null: expected an object"),
+        ],
+    )
+    def test_config_not_an_object(self, tmp_path, capsys, data, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernal_sigma": 3}), encoding="utf-8")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "kernal_sigma" in err
+        for key in _README_CONFIG:
+            assert key in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("keep_punctuation", "false"),
+            ("keep_punctuation", 0),
+            ("triples", 5),
+            ("out", None),
+            ("word_list", 5),
+            ("predictors", "split"),
+            ("predictors", ["split", 3]),
+            ("kernel_sigma", "2"),
+            ("layout", ["long"]),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        data = {**_MINIMAL_CONFIG, key: value}
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert f"config value {key}=" in capsys.readouterr().err
+
     def test_profile_presets(self, workspace):
         tmp, triples, judgments = workspace
         args = cli.build_parser().parse_args(

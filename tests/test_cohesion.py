@@ -14,7 +14,7 @@ from splitread.cohesion import (
     tree_kernel,
 )
 from splitread.errors import DegenerateInputWarning, ValidationError
-from splitread.trees import parse_ptb
+from splitread.trees import parse_ptb, strip_token_leaves
 
 
 def t(text: str):
@@ -63,17 +63,18 @@ class TestTed1:
         source = t("(A (B (C (D (E x)))))")
         near = t("(A x)")
         far = t("(Z (Y (X (W (V (U (Q x)))))))")
-        # Verify both split distances against the independent oracle before
-        # asserting on the mean (token leaves kept for direct arithmetic).
-        d1 = naive_ted(source, near)
-        d2 = naive_ted(source, far)
-        assert tree_edit_distance(source, near) == d1
-        assert tree_edit_distance(source, far) == d2
+        # ted1 compares category skeletons: verify both skeleton distances
+        # against the independent oracle before asserting on the mean.
+        src, s1, s2 = (strip_token_leaves(tree) for tree in (source, near, far))
+        d1 = naive_ted(src, s1)
+        d2 = naive_ted(src, s2)
+        assert tree_edit_distance(src, s1) == d1
+        assert tree_edit_distance(src, s2) == d2
         expected = (d1 + d2) / 2
-        assert ted1(source, [near, far], keep_token_leaves=True) == expected
+        assert ted1(source, [near, far]) == expected
 
     def test_single_relabel_split(self):
-        assert ted1(t("(A x)"), [t("(B x)")], keep_token_leaves=True) == 1.0
+        assert ted1(t("(A x)"), [t("(B x)")]) == 1.0
 
     def test_strips_token_leaves_by_default(self):
         # Same skeleton, different words: structural distance is 0.
@@ -92,10 +93,9 @@ class TestTed2:
         s1 = t("(A (B x) (C y))")
         s2 = t("(A (B x))")
         s3 = t("(D (E x))")
-        expected = (
-            tree_edit_distance(s1, s2) + tree_edit_distance(s2, s3)
-        ) / 2
-        assert ted2([s1, s2, s3], keep_token_leaves=True) == expected
+        k1, k2, k3 = (strip_token_leaves(s) for s in (s1, s2, s3))
+        expected = (tree_edit_distance(k1, k2) + tree_edit_distance(k2, k3)) / 2
+        assert ted2([s1, s2, s3]) == expected
 
     def test_single_split_warns_and_scores_zero(self, fig_tree):
         with pytest.warns(DegenerateInputWarning):

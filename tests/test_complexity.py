@@ -8,7 +8,6 @@ from helpers import (
     random_tree,
 )
 from splitread.complexity import (
-    complexity_scores,
     dep_distance,
     frazier_costs,
     frazier_score,
@@ -75,10 +74,6 @@ class TestFrazier:
         assert frazier_score(parse_ptb("(SBAR w)")[0]) == 1.5
         assert frazier_score(parse_ptb("(SQ (NP w))")[0]) == 2.5
 
-    def test_sentence_prefixes_configurable(self):
-        tree = parse_ptb("(TOP w)")[0]
-        assert frazier_score(tree, sentence_prefixes=("TOP",)) == 1.5
-
     def test_non_leftmost_word_scores_zero(self):
         costs = frazier_costs(parse_ptb("(A x y)")[0])
         assert costs == [1.0, 0.0]
@@ -94,9 +89,6 @@ class TestTnodes:
     def test_balanced_binary_four_tokens(self):
         tree = parse_ptb("(R (X (P a) (P b)) (X (P c) (P d)))")[0]
         assert tnodes(tree) == 7 / 4
-
-    def test_token_leaves_flag(self, fig_tree):
-        assert tnodes(fig_tree, count_token_leaves=True) == 8 / 3
 
 
 class TestDepDistance:
@@ -139,7 +131,6 @@ class TestAgainstNaiveTwins:
             assert yngve_costs(tree) == naive_yngve_costs(tree)
             assert frazier_costs(tree) == naive_frazier_costs(tree)
             assert tnodes(tree) == naive_tnodes(tree)
-            assert tnodes(tree, True) == naive_tnodes(tree, True)
 
     def test_dep_distance_matches_direct_sum(self, rng):
         for _ in range(50):
@@ -147,14 +138,3 @@ class TestAgainstNaiveTwins:
             arcs = [abs(t.head - t.index) for t in graph.tokens if t.head != 0]
             expected = sum(arcs) / len(arcs) if arcs else 0.0
             assert dep_distance(graph) == expected
-
-
-def test_complexity_scores_bundle(fig_tree):
-    graph = DepGraph(
-        (DepToken(1, "a", 2, "dep"), DepToken(2, "b", 0, "root"))
-    )
-    scores = complexity_scores(fig_tree, graph)
-    assert scores.yngve == 2 / 3
-    assert scores.frazier == 3.5 / 3
-    assert scores.tnodes == 5 / 3
-    assert scores.dep_length == 1.0

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from splitread import cohesion
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     PREDICTORS,
     DesignMatrix,
     FeatureConfig,
-    FeatureExtractor,
     build_design_matrix,
     extract_features,
     ingest,
@@ -18,6 +19,7 @@ from splitread.dataset import (
     load_triples,
     quality_scores,
     score_summary,
+    side_features,
     tally,
 )
 from splitread.errors import (
@@ -222,8 +224,6 @@ class TestDesignMatrix:
             if j.question == "A_vs_B" and j.choice != "not_sure"
         ]
         one = decided[0]
-        from dataclasses import replace
-
         unsure = replace(one, choice="not_sure")
         config = FeatureConfig(predictors=("split", "samsa"))
         with_unsure = build_design_matrix(triples, [one, unsure], config)
@@ -266,11 +266,10 @@ class TestDesignMatrix:
     def test_destandardization_round_trip(self, loaded):
         triples, judgments, *_ = loaded
         matrix = build_design_matrix(triples, judgments)
-        extractor = FeatureExtractor()
         raw = matrix.raw_column("tnodes")
         for row_id, value in zip(matrix.row_ids, raw):
             triple = next(t for t in triples if t.id == row_id[0])
-            expected = extractor.side_features(triple, row_id[2])["tnodes"]
+            expected = side_features(triple, row_id[2])["tnodes"]
             assert value == pytest.approx(expected, abs=1e-9)
 
     def test_zscore_hand_value(self):
@@ -305,9 +304,50 @@ class TestDesignMatrix:
         path = tmp_path / "triples.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         triples = load_triples(path)
-        extractor = FeatureExtractor(FeatureConfig(predictors=("samsa", "split")))
+        config = FeatureConfig(predictors=("samsa", "split"))
         with pytest.raises(ValidationError, match="t0"):
-            extractor.side_features(triples[0], "a")
+            side_features(triples[0], "a", config)
+
+    def test_only_referenced_triples_featurized(self, loaded):
+        # An unjudged triple without CoNLL-U cannot give dep_length, but
+        # no row needs it, so the default (dep_length) build still works.
+        triples, judgments, *_ = loaded
+        unjudged = replace(
+            triples[0],
+            id="unjudged",
+            split_a=replace(triples[0].split_a, graphs=()),
+            split_b=replace(triples[0].split_b, graphs=()),
+        )
+        with pytest.raises(ValidationError, match="unjudged"):
+            side_features(unjudged, "a")
+        matrix = build_design_matrix([*triples, unjudged], judgments)
+        reference = build_design_matrix(triples, judgments)
+        assert np.array_equal(matrix.X, reference.X)
+        assert matrix.row_ids == reference.row_ids
+
+    def test_each_side_featurized_once(self, loaded, monkeypatch):
+        triples, judgments, *_ = loaded
+        calls = {}
+        original = cohesion.ted1
+
+        def counting_ted1(source, splits):
+            calls[id(splits)] = calls.get(id(splits), 0) + 1
+            return original(source, splits)
+
+        monkeypatch.setattr(cohesion, "ted1", counting_ted1)
+        build_design_matrix(triples, judgments)
+        referenced = {
+            j.triple_id
+            for j in judgments
+            if j.question == "A_vs_B" and j.choice != "not_sure"
+        }
+        expected = {
+            id(t.side(side).trees): len(t.source_trees)
+            for t in triples
+            if t.id in referenced
+            for side in ("a", "b")
+        }
+        assert calls == expected
 
     def test_diff_layout(self, loaded):
         triples, judgments, *_ = loaded

@@ -15,7 +15,6 @@ from splitread.trees import (
     parse_conllu,
     parse_ptb,
     strip_token_leaves,
-    yield_tokens,
 )
 
 
@@ -23,7 +22,7 @@ class TestParsePtb:
     def test_worked_example_structure(self, fig_tree):
         assert fig_tree.label == "S"
         assert len(fig_tree.children) == 2
-        assert yield_tokens(fig_tree) == ["Vanya", "walks", "home"]
+        assert fig_tree.tokens() == ["Vanya", "walks", "home"]
 
     def test_unbalanced_bracket_reports_byte_offset(self):
         with pytest.raises(ParseError) as err:
@@ -57,7 +56,7 @@ class TestParsePtb:
 
     def test_trace_nodes_stripped(self):
         tree = parse_ptb("(S (NP (-NONE- *T*)) (VP (V runs)))")[0]
-        assert yield_tokens(tree) == ["runs"]
+        assert tree.tokens() == ["runs"]
 
     def test_all_trace_tree_rejected(self):
         with pytest.raises(ValidationError):
@@ -67,20 +66,14 @@ class TestParsePtb:
         tree = parse_ptb("(S (NP-SBJ-1 (NNP Vanya)) (VP-TPC=2 (VBZ walks)))")[0]
         assert [c.label for c in tree.children] == ["NP", "VP"]
 
-    def test_function_tag_stripping_can_be_disabled(self):
-        tree = parse_ptb(
-            "(S (NP-SBJ (NNP Vanya)) (VP (VBZ walks)))", strip_function_tags=False
-        )[0]
-        assert tree.children[0].label == "NP-SBJ"
-
     def test_token_labels_keep_hyphens(self):
         tree = parse_ptb("(NP (JJ well-known))")[0]
-        assert yield_tokens(tree) == ["well-known"]
+        assert tree.tokens() == ["well-known"]
 
     def test_punctuation_kept_by_default_and_droppable(self):
         text = "(S (NP (NNP Vanya)) (VP (VBZ walks)) (. .))"
-        assert yield_tokens(parse_ptb(text)[0]) == ["Vanya", "walks", "."]
-        assert yield_tokens(parse_ptb(text, keep_punctuation=False)[0]) == [
+        assert parse_ptb(text)[0].tokens() == ["Vanya", "walks", "."]
+        assert parse_ptb(text, keep_punctuation=False)[0].tokens() == [
             "Vanya",
             "walks",
         ]
@@ -161,18 +154,19 @@ class TestParseConllu:
 
 
 class TestYieldTokens:
+    # The yield of a tree is its token leaves, left to right.
     def test_single_leaf(self):
-        assert yield_tokens(parse_ptb("(X w)")[0]) == ["w"]
+        assert parse_ptb("(X w)")[0].tokens() == ["w"]
 
     def test_unary_chain(self):
-        assert yield_tokens(parse_ptb("(A (B (C w)))")[0]) == ["w"]
+        assert parse_ptb("(A (B (C w)))")[0].tokens() == ["w"]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 25))
     def test_yield_length_equals_leaf_count(self, seed, max_nodes):
         tree = random_tree(np.random.default_rng(seed), max_nodes)
         n_leaves = sum(1 for node in tree.iter_nodes() if node.is_leaf)
-        assert len(yield_tokens(tree)) == n_leaves
+        assert len(tree.tokens()) == n_leaves
 
 
 class TestRoundTrip:
