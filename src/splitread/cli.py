@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
-import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -41,27 +40,47 @@ PROFILES = {
 }
 
 _FEATURE_KEYS = tuple(f.name for f in fields(ds.FeatureConfig))
-# prior_sd is written in the sampler block but sets the model prior.
-_SAMPLER_KEYS = (*(f.name for f in fields(SamplerConfig)), "prior_sd")
 
 
 def _is_str(value) -> bool:
     return type(value) is str
 
 
-# Every top-level config key, with the JSON value it must hold.
+def _is_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# The JSON value a config key must hold: (description, check).
+_STRING = ("a string", _is_str)
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a finite number", _is_number)  # read as a float
+
 _CONFIG_KEYS = {
-    "triples": ("a string", _is_str),
-    "judgments": ("a string", _is_str),
-    "out": ("a string", _is_str),
+    "triples": _STRING,
+    "judgments": _STRING,
+    "out": _STRING,
     "word_list": ("a string or null", lambda v: v is None or _is_str(v)),
     "predictors": (
         "a list of strings", lambda v: type(v) is list and all(map(_is_str, v))
     ),
-    "kernel_sigma": ("a number", lambda v: type(v) in (int, float)),
+    "kernel_sigma": _NUMBER,
     "keep_punctuation": ("true or false", lambda v: type(v) is bool),
-    "layout": ("a string", _is_str),
+    # The long format is the only design-matrix layout.
+    "layout": ('"long"', lambda v: v == "long"),
     "sampler": ("an object", lambda v: type(v) is dict),
+}
+# prior_sd is written in the sampler block but sets the model prior.
+_SAMPLER_KEYS = {
+    "chains": _INTEGER,
+    "warmup": _INTEGER,
+    "draws": _INTEGER,
+    "seed": _INTEGER,
+    "target_accept": _NUMBER,
+    "num_steps": _INTEGER,
+    "prior_sd": _NUMBER,
 }
 
 
@@ -88,7 +107,7 @@ class RunConfig:
             "out": self.out,
             "predictors": list(features.predictors),
             "kernel_sigma": features.kernel_sigma,
-            "layout": features.layout,
+            "layout": "long",
             "keep_punctuation": self.keep_punctuation,
             "sampler": {**asdict(self.sampler), "prior_sd": self.prior_sd},
         }
@@ -101,26 +120,21 @@ class RunConfig:
         return f"# splitread config={self.hash()} seed={self.seed}"
 
 
-def _with_values(defaults, values: dict):
-    """``defaults`` with ``values`` applied, each cast to its default's type."""
-    cast = {}
-    for key, value in values.items():
-        default = getattr(defaults, key)
-        try:
-            cast[key] = value if default is None else type(default)(value)
-        except (TypeError, ValueError):
-            raise SplitreadError(
-                f"config value {key}={value!r}: expected {type(default).__name__}"
-            ) from None
-    return replace(defaults, **cast)
-
-
-def _reject_unknown(block: str, keys, allowed) -> None:
-    unknown = sorted(set(keys) - set(allowed))
+def _checked(block: str, values: dict, allowed: dict) -> dict:
+    """``values`` with unknown keys and values of the wrong JSON type
+    rejected, and every number made a float (``3`` runs as ``3.0``)."""
+    unknown = sorted(set(values) - set(allowed))
     if unknown:
         raise SplitreadError(
             f"unknown {block} keys {unknown}; allowed: {', '.join(allowed)}"
         )
+    for key, value in values.items():
+        expected, valid = allowed[key]
+        if not valid(value):
+            raise SplitreadError(
+                f"{block} value {key}={json.dumps(value)}: expected {expected}"
+            )
+    return {k: float(v) if allowed[k] is _NUMBER else v for k, v in values.items()}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -135,32 +149,26 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
         if type(data) is not dict:
             raise SplitreadError("config file must hold a JSON object")
-    _reject_unknown("config", data, _CONFIG_KEYS)
-    for key, value in data.items():
-        expected, valid = _CONFIG_KEYS[key]
-        if not valid(value):
-            raise SplitreadError(
-                f"config value {key}={json.dumps(value)}: expected {expected}"
-            )
-    sampler = dict(data.get("sampler", {}))
-    _reject_unknown("sampler", sampler, _SAMPLER_KEYS)
+    data = _checked("config", data, _CONFIG_KEYS)
+    sampler = _checked("sampler", data.get("sampler", {}), _SAMPLER_KEYS)
     profile = getattr(args, "profile", None)
     if profile:
         sampler.update(PROFILES[profile])
     if getattr(args, "seed", None) is not None:
         sampler["seed"] = args.seed
-    # ModelSpec supplies the default prior scale and rejects a non-positive one.
-    prior = {"prior_sd": sampler.pop("prior_sd")} if "prior_sd" in sampler else {}
+    # ModelSpec holds the default prior scale and rejects a non-positive one.
+    prior_sd = ModelSpec((), sampler.pop("prior_sd", ModelSpec.prior_sd)).prior_sd
+    features = {k: data[k] for k in _FEATURE_KEYS if k in data}
+    if "predictors" in features:
+        features["predictors"] = tuple(features["predictors"])
     return RunConfig(
         triples=getattr(args, "triples", None) or data.get("triples", ""),
         judgments=getattr(args, "judgments", None) or data.get("judgments", ""),
         out=getattr(args, "out", None) or data.get("out", "out"),
         keep_punctuation=data.get("keep_punctuation", True),
-        features=_with_values(
-            ds.FeatureConfig(), {k: data[k] for k in _FEATURE_KEYS if k in data}
-        ),
-        sampler=_with_values(SamplerConfig(seed=DEFAULT_SEED), sampler),
-        prior_sd=_with_values(ModelSpec(predictors=()), prior).prior_sd,
+        features=ds.FeatureConfig(**features),
+        sampler=SamplerConfig(**{"seed": DEFAULT_SEED, **sampler}),
+        prior_sd=prior_sd,
     )
 
 
@@ -179,19 +187,6 @@ def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
         raise SplitreadError(f"word list file not found: {word_list}")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
@@ -206,7 +201,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     out = Path(cfg.out) / "features.csv"
-    _atomic_write(out, "\n".join(lines) + "\n")
+    ds.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -245,7 +240,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             )
         )
     out_dir = Path(cfg.out)
-    _atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
+    ds.atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
 
     hist_lines = [cfg.header(), "coefficient,bin_left,bin_right,count"]
     for name, (edges, counts) in summary.histograms.items():
@@ -253,7 +248,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             hist_lines.append(
                 f"{name},{float(edges[j])!r},{float(edges[j + 1])!r},{int(count)}"
             )
-    _atomic_write(out_dir / "histograms.csv", "\n".join(hist_lines) + "\n")
+    ds.atomic_write(out_dir / "histograms.csv", "\n".join(hist_lines) + "\n")
     inference.draws_to_csv(draws, out_dir / "draws.csv", cfg.header())
 
     if draws.divergence_warning:
@@ -263,8 +258,11 @@ def cmd_fit(cfg: RunConfig) -> int:
         )
     worst = summary.max_rhat()
     print(f"wrote {out_dir / 'summary.csv'} (max R-hat {worst:.4f})")
-    if not summary.converged(selection.RHAT_THRESHOLD):
-        print("convergence gate failed: R-hat above 1.05", file=sys.stderr)
+    if not summary.converged():
+        print(
+            f"convergence gate failed: R-hat above {inference.RHAT_THRESHOLD}",
+            file=sys.stderr,
+        )
         return EXIT_CONVERGENCE
     return EXIT_OK
 
@@ -285,11 +283,11 @@ def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> i
         matrix, ModelSpec(predictors, prior_sd=cfg.prior_sd), cfg.sampler
     )
     out_dir = Path(cfg.out)
-    _atomic_write(
+    ds.atomic_write(
         out_dir / "ablation.csv",
         "\n".join([cfg.header(), *table.to_csv_lines()]) + "\n",
     )
-    _atomic_write(
+    ds.atomic_write(
         out_dir / "ablation.txt",
         "\n".join([cfg.header(), *table.to_text_lines()]) + "\n",
     )
@@ -382,7 +380,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "Quality scores, model vs manual (** = p < 0.01)", "BART-A", "HUM-B", bart
     )
     out = Path(cfg.out) / "report.txt"
-    _atomic_write(out, "\n".join(lines) + "\n")
+    ds.atomic_write(out, "\n".join(lines) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 

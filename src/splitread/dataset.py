@@ -11,6 +11,8 @@ chosen side.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -123,6 +125,22 @@ class JudgmentRecord:
 
     def scores(self, side: str) -> SideScores:
         return self.scores_a if side == "a" else self.scores_b
+
+
+def atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path``, then rename it over
+    ``path``: an interrupted write never leaves a truncated file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
@@ -376,7 +394,6 @@ class FeatureConfig:
     predictors: tuple[str, ...] = PREDICTORS
     kernel_sigma: float = 1.0
     word_list: str | None = None
-    layout: str = "long"  # "long" or "diff"
 
     def __post_init__(self) -> None:
         unknown = [p for p in self.predictors if p not in PREDICTORS]
@@ -384,8 +401,6 @@ class FeatureConfig:
             raise ValidationError(f"unknown predictors: {unknown}")
         if self.kernel_sigma <= 0:
             raise ValidationError("kernel_sigma must be positive")
-        if self.layout not in ("long", "diff"):
-            raise ValidationError(f"unknown layout {self.layout!r}")
 
 
 def side_features(
@@ -517,9 +532,10 @@ class DesignMatrix:
         columns: Sequence[str],
         X: np.ndarray,
         y: np.ndarray,
-        categorical: Sequence[str] = CATEGORICAL_PREDICTORS,
         row_ids: Sequence[tuple] | None = None,
     ) -> "DesignMatrix":
+        """Standardize every column to mean 0 and sd 1, except the 0/1
+        columns named in CATEGORICAL_PREDICTORS, which stay as they are."""
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(columns):
@@ -528,14 +544,13 @@ class DesignMatrix:
             raise ValidationError("y length does not match X")
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValidationError("y must be binary")
-        categorical = set(categorical)
         Xs = X.copy()
         meta: dict[str, ColumnMeta] = {}
         for j, name in enumerate(columns):
             col = X[:, j]
             if not np.all(np.isfinite(col)):
                 raise ValidationError(f"column {name!r} has non-finite values")
-            if name in categorical:
+            if name in CATEGORICAL_PREDICTORS:
                 if not np.all(np.isin(col, (0.0, 1.0))):
                     raise ValidationError(
                         f"categorical column {name!r} must be 0/1 valued"
@@ -566,11 +581,10 @@ def build_design_matrix(
 ) -> DesignMatrix:
     """Assemble the standardized predictor matrix from the A-vs-B judgments.
 
-    Long layout (default): one row per (judgment, side); the outcome is 1
-    on the chosen side's row and 0 on the other; 'split' marks the
-    two-sentence side. The alternative 'diff' layout emits one row per
-    judgment with side-a minus side-b feature differences.
-    "not_sure" responses are dropped.
+    One row per (judgment, side): the side's features merged with that
+    judgment's scores for it; the outcome is 1 on the chosen side's row
+    and 0 on the other; 'split' marks the two-sentence side. "not_sure"
+    responses are dropped.
     """
     config = config or FeatureConfig()
     decided = [
@@ -596,36 +610,19 @@ def build_design_matrix(
     outcomes: list[float] = []
     row_ids: list[tuple] = []
     for _, j in decided:
-        per_side = {}
         for side in ("a", "b"):
             feats = dict(side_values[j.triple_id, side])
             scores = j.scores(side)
             for cat in CATEGORIES:
                 if cat in names:
                     feats[cat] = float(scores.get(cat))
-            per_side[side] = feats
-        if config.layout == "long":
-            for side in ("a", "b"):
-                raw_rows.append([per_side[side][name] for name in names])
-                outcomes.append(
-                    1.0 if (side == "a") == (j.choice == "first") else 0.0
-                )
-                row_ids.append((j.triple_id, j.worker_id, side))
-        else:
-            raw_rows.append(
-                [per_side["a"][name] - per_side["b"][name] for name in names]
-            )
-            outcomes.append(1.0 if j.choice == "first" else 0.0)
-            row_ids.append((j.triple_id, j.worker_id, "a-b"))
+            raw_rows.append([feats[name] for name in names])
+            outcomes.append(1.0 if (side == "a") == (j.choice == "first") else 0.0)
+            row_ids.append((j.triple_id, j.worker_id, side))
 
-    categorical = [c for c in CATEGORICAL_PREDICTORS if c in names]
-    if config.layout == "diff":
-        # Side differences of the flag columns are no longer 0/1.
-        categorical = []
     return DesignMatrix.from_arrays(
         names,
         np.array(raw_rows, dtype=float),
         np.array(outcomes, dtype=float),
-        categorical=categorical,
         row_ids=row_ids,
     )

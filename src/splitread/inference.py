@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, atomic_write
 from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -30,36 +30,33 @@ _DA_GAMMA = 0.05
 _DA_T0 = 10.0
 _DA_KAPPA = 0.75
 
+# Convergence gate: a fit converges when every coefficient's R-hat is at
+# most this.
+RHAT_THRESHOLD = 1.05
+# Summary settings: highest-density interval mass and histogram bins.
+HDI_PROB = 0.94
+HIST_BINS = 40
+
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Named predictors plus the prior scale of every coefficient.
-
-    ``prior_sd`` is either one scale shared by all coefficients or a
-    mapping from coefficient name ('intercept' or a predictor) to its
-    scale; unnamed coefficients fall back to 2.5.
-    """
+    """Named predictors plus the one Normal(0, prior_sd) prior scale that
+    every coefficient, intercept included, shares."""
 
     predictors: tuple[str, ...]
-    prior_sd: float | Mapping[str, float] = 2.5
+    prior_sd: float = 2.5
 
     def __post_init__(self) -> None:
         if len(set(self.predictors)) != len(self.predictors):
             raise ValidationError("duplicate predictor names")
-        for sd in self._sd_items():
-            if sd <= 0:
-                raise ValidationError("prior sds must be strictly positive")
-
-    def _sd_items(self) -> list[float]:
-        if isinstance(self.prior_sd, Mapping):
-            return [self.prior_sd.get(n, 2.5) for n in self.coefficient_names()]
-        return [float(self.prior_sd)] * (len(self.predictors) + 1)
+        if not isinstance(self.prior_sd, (int, float)) or not self.prior_sd > 0:
+            raise ValidationError("prior_sd must be one positive number")
 
     def coefficient_names(self) -> tuple[str, ...]:
         return ("intercept", *self.predictors)
 
     def sd_vector(self) -> np.ndarray:
-        return np.asarray(self._sd_items(), dtype=float)
+        return np.full(len(self.predictors) + 1, float(self.prior_sd))
 
     def without(self, predictor: str) -> "ModelSpec":
         if predictor not in self.predictors:
@@ -97,7 +94,6 @@ class PosteriorDraws:
     logp: np.ndarray  # shape (chains, draws)
     accept_rate: np.ndarray  # per chain, sampling phase
     divergences: int  # post-warmup count
-    seed: int = 0
 
     @property
     def n_chains(self) -> int:
@@ -288,7 +284,6 @@ def sample_posterior(
         logp=all_logp,
         accept_rate=accept_rates,
         divergences=divergences,
-        seed=config.seed,
     )
 
 
@@ -335,9 +330,9 @@ class PosteriorSummary:
     def max_rhat(self) -> float:
         return max(r.rhat for r in self.rows)
 
-    def converged(self, threshold: float = 1.05) -> bool:
+    def converged(self) -> bool:
         # NaN R-hat (zero-variance chains) counts as a failure.
-        return all(r.rhat <= threshold for r in self.rows)
+        return all(r.rhat <= RHAT_THRESHOLD for r in self.rows)
 
 
 def _hdi(samples: np.ndarray, prob: float) -> tuple[float, float]:
@@ -351,17 +346,15 @@ def _hdi(samples: np.ndarray, prob: float) -> tuple[float, float]:
     return float(xs[i]), float(xs[i + span])
 
 
-def summarize(
-    draws: PosteriorDraws, hdi_prob: float = 0.94, bins: int = 40
-) -> PosteriorSummary:
-    """Posterior mean, sd, highest-density interval and R-hat per
-    coefficient, plus histogram data suitable for plotting."""
+def summarize(draws: PosteriorDraws) -> PosteriorSummary:
+    """Posterior mean, sd, HDI_PROB highest-density interval and R-hat
+    per coefficient, plus HIST_BINS-bin histogram data for plotting."""
     rows = []
     histograms: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for j, name in enumerate(draws.names):
         pooled = draws.draws[:, :, j].reshape(-1)
-        low, high = _hdi(pooled, hdi_prob)
-        counts, edges = np.histogram(pooled, bins=bins)
+        low, high = _hdi(pooled, HDI_PROB)
+        counts, edges = np.histogram(pooled, bins=HIST_BINS)
         histograms[name] = (edges, counts)
         rows.append(
             CoefficientSummary(
@@ -377,7 +370,8 @@ def summarize(
 
 
 def draws_to_csv(draws: PosteriorDraws, path: str | Path, header_comment: str = "") -> None:
-    """Persist draws as CSV with columns (chain, draw, coefficients..., lp)."""
+    """Persist draws, atomically, as CSV with columns
+    (chain, draw, coefficients..., lp)."""
     lines = []
     if header_comment:
         lines.append(header_comment.rstrip("\n"))
@@ -388,4 +382,4 @@ def draws_to_csv(draws: PosteriorDraws, path: str | Path, header_comment: str = 
             lines.append(
                 ",".join([str(c), str(d), *values, repr(float(draws.logp[c, d]))])
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -20,14 +20,13 @@ from scipy.special import logsumexp
 from .dataset import DesignMatrix
 from .errors import ValidationError
 from .inference import (
+    RHAT_THRESHOLD,
     ModelSpec,
     PosteriorDraws,
     SamplerConfig,
     sample_posterior,
     summarize,
 )
-
-RHAT_THRESHOLD = 1.05
 
 
 def pointwise_loglik(draws: PosteriorDraws, matrix: DesignMatrix) -> np.ndarray:
@@ -115,7 +114,7 @@ class ComparisonTable:
                         repr(r.d_waic),
                         repr(r.se),
                         repr(r.dse),
-                        "" if r.converged else "rhat>1.05",
+                        "" if r.converged else f"rhat>{RHAT_THRESHOLD}",
                     ]
                 )
             )
@@ -146,7 +145,9 @@ class ComparisonTable:
                 ).rstrip()
             )
         if any(not r.converged for r in self.rows):
-            lines.append("* convergence flagged (some R-hat above 1.05)")
+            lines.append(
+                f"* convergence flagged (some R-hat above {RHAT_THRESHOLD})"
+            )
         return lines
 
 
@@ -196,8 +197,8 @@ def ablate(
     sample_fn: Callable[[DesignMatrix, ModelSpec, SamplerConfig], PosteriorDraws] = sample_posterior,
 ) -> ComparisonTable:
     """Fit the full model plus one model per removed predictor and rank
-    them by WAIC on identical rows. Fits whose R-hat exceeds 1.05 on any
-    coefficient are flagged in the table rather than dropped."""
+    them by WAIC on identical rows. Fits whose R-hat exceeds RHAT_THRESHOLD
+    on any coefficient are flagged in the table rather than dropped."""
     if len(full_spec.predictors) < 2:
         raise ValidationError("ablation needs at least 2 predictors")
     specs: dict[str, ModelSpec] = {"base": full_spec}
@@ -208,6 +209,6 @@ def ablate(
     for name, spec in specs.items():
         draws = sample_fn(matrix, spec, config)
         summary = summarize(draws)
-        converged[name] = summary.converged(RHAT_THRESHOLD)
+        converged[name] = summary.converged()
         results[name] = waic(pointwise_loglik(draws, matrix))
     return compare(results, converged)

@@ -170,19 +170,16 @@ def make_logit_matrix(
     n_rows: int,
     beta: list[float] | np.ndarray,
     seed: int = 0,
-    predictor_names: list[str] | None = None,
 ) -> DesignMatrix:
     """Design matrix with standardized Gaussian predictors and a binary
     outcome drawn from the logistic model with coefficients ``beta``
     (intercept first)."""
     beta = np.asarray(beta, dtype=float)
     k = beta.size - 1
-    names = predictor_names or [f"x{j}" for j in range(1, k + 1)]
-    if len(names) != k:
-        raise ValueError("predictor_names length must be len(beta) - 1")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_rows, k))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
     probs = expit(beta[0] + X @ beta[1:])
     y = (rng.uniform(size=n_rows) < probs).astype(float)
-    return DesignMatrix.from_arrays(names, X, y, categorical=())
+    names = [f"x{j}" for j in range(1, k + 1)]
+    return DesignMatrix.from_arrays(names, X, y)

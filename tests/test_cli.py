@@ -381,6 +381,7 @@ class TestErrors:
             ("predictors", ["split", 3]),
             ("kernel_sigma", "2"),
             ("layout", ["long"]),
+            ("layout", "diff"),
         ],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
@@ -389,6 +390,30 @@ class TestErrors:
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert f"config value {key}=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("warmup", 1000.7),
+            ("draws", "500"),
+            ("seed", 5.9),
+            ("chains", 2.9),
+            ("num_steps", True),
+            ("target_accept", "0.9"),
+            ("prior_sd", {"x": 1}),
+            ("prior_sd", True),
+            ("prior_sd", float("inf")),
+            ("prior_sd", 10**400),
+        ],
+    )
+    def test_sampler_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        # Values are checked, not cast: 1000.7 must not run as 1000 warmup
+        # iterations, nor "500" as 500 draws.
+        config = tmp_path / "config.json"
+        data = {**_MINIMAL_CONFIG, "sampler": {key: value}}
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert f"{key}={json.dumps(value)}" in capsys.readouterr().err
 
     def test_profile_presets(self, workspace):
         tmp, triples, judgments = workspace

@@ -275,7 +275,6 @@ class TestDesignMatrix:
     def test_zscore_hand_value(self):
         matrix = DesignMatrix.from_arrays(
             ["x"], np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 0.0, 1.0]),
-            categorical=(),
         )
         assert matrix.column("x") == pytest.approx(
             [-1.224745, 0.0, 1.224745], abs=1e-6
@@ -287,7 +286,6 @@ class TestDesignMatrix:
                 ["x1", "x2"],
                 np.array([[1.0, 5.0], [2.0, 5.0]]),
                 np.array([0.0, 1.0]),
-                categorical=(),
             )
 
     def test_missing_samsa_named(self, tmp_path):
@@ -348,20 +346,6 @@ class TestDesignMatrix:
             for side in ("a", "b")
         }
         assert calls == expected
-
-    def test_diff_layout(self, loaded):
-        triples, judgments, *_ = loaded
-        config = FeatureConfig(
-            predictors=tuple(p for p in PREDICTORS if p not in ("split", "bart")),
-            layout="diff",
-        )
-        matrix = build_design_matrix(triples, judgments, config)
-        decided = [
-            j
-            for j in judgments
-            if j.question == "A_vs_B" and j.choice != "not_sure"
-        ]
-        assert matrix.n_rows == len(decided)
 
 
 class TestExtractFeatures:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -23,13 +24,13 @@ from splitread.synth import make_logit_matrix
 def _matrix_from(X, y, names=None):
     X = np.asarray(X, dtype=float)
     names = names or [f"x{j}" for j in range(1, X.shape[1] + 1)]
-    return DesignMatrix.from_arrays(names, X, np.asarray(y, float), categorical=())
+    return DesignMatrix.from_arrays(names, X, np.asarray(y, float))
 
 
 def _tiny_matrix():
     """One row (y=1, x=1) without standardization side effects."""
     matrix = DesignMatrix.from_arrays(
-        ["x1"], np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]), categorical=()
+        ["x1"], np.array([[1.0], [-1.0]]), np.array([1.0, 0.0])
     )
     return matrix
 
@@ -96,11 +97,6 @@ class TestLogPosterior:
                     - log_posterior(down, matrix, spec)[0]
                 ) / (2 * h)
                 assert abs(grad[j] - fd) / max(1.0, abs(grad[j])) < 1e-5
-
-    def test_per_coefficient_prior_sds(self):
-        matrix = _tiny_matrix()
-        spec = ModelSpec(predictors=("x1",), prior_sd={"intercept": 1.0, "x1": 10.0})
-        assert list(spec.sd_vector()) == [1.0, 10.0]
 
 
 class TestRhat:
@@ -300,6 +296,38 @@ class TestDrawsCsv:
         assert len(lines) == 2 + draws.n_chains * draws.n_draws
         first = lines[2].split(",")
         assert float(first[2]) == draws.draws[0, 0, 0]
+
+    def test_failed_write_keeps_earlier_file(self, small_fit, tmp_path, monkeypatch):
+        *_, draws = small_fit
+        path = tmp_path / "draws.csv"
+        draws_to_csv(draws, path, "# first run")
+        before = path.read_bytes()
+        real_fdopen = os.fdopen
+
+        class HalfWrite:
+            """A file that writes half of the text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda *args, **kw: HalfWrite(real_fdopen(*args, **kw))
+        )
+        with pytest.raises(OSError, match="no space"):
+            draws_to_csv(draws, path, "# second run")
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestConfigValidation:
