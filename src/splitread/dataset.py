@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -377,7 +378,15 @@ def score_summary(
             raise ValidationError(
                 f"{cat}: need at least 2 observations per group for a t-test"
             )
-        t_stat, p_value = stats.ttest_ind(a, b, equal_var=False)
+        with warnings.catch_warnings():
+            # scipy warns when a group's scores are all equal; Welch's t
+            # stays defined while the other group varies.
+            warnings.filterwarnings(
+                "ignore",
+                message="Precision loss occurred in moment calculation",
+                category=RuntimeWarning,
+            )
+            t_stat, p_value = stats.ttest_ind(a, b, equal_var=False)
         out[cat] = GroupComparison(
             mean_a=float(a.mean()),
             sd_a=float(a.std(ddof=1)),

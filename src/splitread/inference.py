@@ -7,6 +7,13 @@ uses plain HMC with leapfrog integration and dual-averaging step-size
 adaptation during warmup (Hoffman & Gelman 2014, Algorithms 4-5);
 convergence is checked with the Gelman-Rubin potential scale reduction
 factor.
+
+Leapfrog steps need only the gradient of the log density; its value is
+computed only at trajectory endpoints, for the Metropolis test (Neal
+2011). The draws are unchanged by this: an interior step whose density
+alone is not finite needs X @ beta or beta @ beta to overflow the float
+range, and such a trajectory ends non-finite or divergent, rejected
+either way with the same random draws consumed.
 """
 
 from __future__ import annotations
@@ -79,6 +86,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.chains < 2:
             raise ValidationError("at least 2 chains are required for R-hat")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.warmup < 1 or self.draws < 2:
             raise ValidationError("need warmup >= 1 and draws >= 2")
         if not 0.0 < self.target_accept < 1.0:
@@ -113,21 +122,30 @@ class PosteriorDraws:
 
 
 def _logpost_arrays(
-    beta: np.ndarray, X: np.ndarray, y: np.ndarray, prior_sd: np.ndarray
+    beta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    prior_sd: np.ndarray,
+    *,
+    value: bool = True,
 ) -> tuple[float, np.ndarray]:
+    """Log density and gradient; with ``value=False`` only the gradient
+    (bit-identical to the full call's) and NaN in place of the density."""
     t = beta[0] + X @ beta[1:]
-    # log lik = sum y*t - log(1 + e^t), computed stably.
-    loglik = float(y @ t - np.logaddexp(0.0, t).sum())
-    z = beta / prior_sd
-    logprior = float(
-        -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
-    )
     lam = expit(t)
     resid = y - lam
     grad = np.empty_like(beta)
     grad[0] = resid.sum()
     grad[1:] = X.T @ resid
     grad -= beta / prior_sd**2
+    if not value:
+        return math.nan, grad
+    # log lik = sum y*t - log(1 + e^t), computed stably.
+    loglik = float(y @ t - np.logaddexp(0.0, t).sum())
+    z = beta / prior_sd
+    logprior = float(
+        -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
+    )
     return loglik + logprior, grad
 
 
@@ -157,18 +175,22 @@ def _leapfrog(
     grad: np.ndarray,
     eps: float,
     n_steps: int,
-    logpost: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    logpost: Callable[..., tuple[float, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, bool]:
+    """``n_steps`` leapfrog steps from (q, p); interior steps compute only
+    the gradient, the endpoint also the log density."""
     q = q.copy()
     p = p + 0.5 * eps * grad
-    lp = -math.inf
-    for step in range(n_steps):
+    for _ in range(n_steps - 1):
         q += eps * p
-        lp, grad = logpost(q)
-        if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
+        _, grad = logpost(q, value=False)
+        if not np.all(np.isfinite(grad)):
             return q, p, -math.inf, grad, False
-        if step < n_steps - 1:
-            p += eps * grad
+        p += eps * grad
+    q += eps * p
+    lp, grad = logpost(q)
+    if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
+        return q, p, -math.inf, grad, False
     p += 0.5 * eps * grad
     return q, p, lp, grad, True
 
@@ -223,8 +245,8 @@ def sample_posterior(
     prior_sd = spec.sd_vector()
     dim = len(spec.predictors) + 1
 
-    def logpost(beta: np.ndarray) -> tuple[float, np.ndarray]:
-        return _logpost_arrays(beta, X, y, prior_sd)
+    def logpost(beta: np.ndarray, *, value: bool = True) -> tuple[float, np.ndarray]:
+        return _logpost_arrays(beta, X, y, prior_sd, value=value)
 
     all_draws = np.empty((config.chains, config.draws, dim))
     all_logp = np.empty((config.chains, config.draws))

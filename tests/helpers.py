@@ -2,13 +2,15 @@
 
 The oracles deliberately avoid the production code paths: tree edit
 distance is recomputed with a memoized forest recursion, kernels by
-explicit fragment enumeration, and the word-level tree scores by
-path-at-a-time traversals.
+explicit fragment enumeration, the word-level tree scores by
+path-at-a-time traversals, and the leapfrog integrator with the full log
+density on every step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 
@@ -190,3 +192,20 @@ def naive_tnodes(tree: ParseTree) -> float:
 
     nodes, tokens = count(tree)
     return nodes / tokens
+
+
+def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
+    """Leapfrog integration that evaluates the full log density on every
+    step and stops at the first non-finite value or gradient."""
+    q = q.copy()
+    p = p + 0.5 * eps * grad
+    lp = -math.inf
+    for step in range(n_steps):
+        q += eps * p
+        lp, grad = logpost(q)
+        if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
+            return q, p, -math.inf, grad, False
+        if step < n_steps - 1:
+            p += eps * grad
+    p += 0.5 * eps * grad
+    return q, p, lp, grad, True

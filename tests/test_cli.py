@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,26 @@ class TestReport:
         text = (out / "report.txt").read_text()
         assert "table omitted" in text
 
+    def test_constant_score_group_prints_no_warning(self, tmp_path, monkeypatch):
+        # HUM-A fluency is 3.00 (0.00) here; scipy warns about precision
+        # loss in its moments, yet Welch's t is defined since HUM-B varies.
+        monkeypatch.chdir(tmp_path)
+        make_demo_dataset("data", n_triples=4, n_workers=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(
+                ["report", "--triples", "data/triples.jsonl",
+                 "--judgments", "data/judgments.jsonl", "--out", "out"]
+            )
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        text = (tmp_path / "out" / "report.txt").read_text()
+        assert "**fluency | 3.00 (0.00) | 4.75 (0.50)" in text
+        # Measured before the warning was filtered: the same bytes.
+        assert _digest(tmp_path / "out" / "report.txt") == (
+            "3c58f46f9128c3d0ea43bada775b43ad76ce371b95950138d29ab1f28ee59bb2"
+        )
+
 
 class TestErrors:
     def test_io_failure_exit_code(self, workspace, tmp_path):
@@ -414,6 +435,27 @@ class TestErrors:
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert f"{key}={json.dumps(value)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sampler, flags",
+        [({"seed": -3}, []), ({}, ["--seed", "-3"])],
+        ids=["config", "flag"],
+    )
+    def test_negative_seed_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, sampler, flags
+    ):
+        tmp, triples, judgments = workspace
+        config = _write_config(
+            tmp_path, triples, judgments, tmp_path / "out", sampler=sampler
+        )
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("inputs read despite an invalid seed")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
+        assert cli.main(["fit", "--config", str(config), *flags]) == cli.EXIT_VALIDATION
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_profile_presets(self, workspace):
         tmp, triples, judgments = workspace

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from helpers import naive_leapfrog
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
+from splitread import inference
 from splitread.dataset import DesignMatrix
 from splitread.errors import ValidationError
 from splitread.inference import (
@@ -243,6 +248,99 @@ class TestSampler:
         assert np.array_equal(d1.draws, d2.draws)
 
 
+class TestLeapfrog:
+    """Interior leapfrog steps compute only the gradient; the log density
+    is computed once per trajectory, at its endpoint."""
+
+    @pytest.mark.parametrize("seed", [17, 18])
+    def test_draws_equal_full_density_twin(self, small_fit, monkeypatch, seed):
+        matrix, spec, config, _ = small_fit
+        config = dataclasses.replace(config, seed=seed)
+        fast = sample_posterior(matrix, spec, config)
+        monkeypatch.setattr(inference, "_leapfrog", naive_leapfrog)
+        naive = sample_posterior(matrix, spec, config)
+        assert np.array_equal(fast.draws, naive.draws)
+        assert np.array_equal(fast.logp, naive.logp)
+        assert np.array_equal(fast.accept_rate, naive.accept_rate)
+        assert fast.divergences == naive.divergences
+
+    def test_density_computed_once_per_trajectory(self, small_fit, monkeypatch):
+        matrix, spec, config, _ = small_fit
+        calls = {True: 0, False: 0}
+        search_calls = 0
+        trajectory_steps = []
+        in_search = False
+        real_logpost = inference._logpost_arrays
+        real_leapfrog = inference._leapfrog
+        real_search = inference._find_reasonable_epsilon
+
+        def counting_logpost(*args, value=True):
+            calls[value] += 1
+            return real_logpost(*args, value=value)
+
+        def recording_leapfrog(q, p, grad, eps, n_steps, logpost):
+            if not in_search:
+                trajectory_steps.append(n_steps)
+            return real_leapfrog(q, p, grad, eps, n_steps, logpost)
+
+        def counting_search(*args):
+            nonlocal in_search, search_calls
+            before = calls[True] + calls[False]
+            in_search = True
+            try:
+                return real_search(*args)
+            finally:
+                in_search = False
+                search_calls += calls[True] + calls[False] - before
+
+        monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
+        monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
+        monkeypatch.setattr(inference, "_find_reasonable_epsilon", counting_search)
+        sample_posterior(matrix, spec, config)
+        iterations = config.chains * (config.warmup + config.draws)
+        assert len(trajectory_steps) == iterations
+        assert search_calls > 0
+        assert calls[True] == config.chains + search_calls + iterations
+        assert calls[True] + calls[False] == (
+            config.chains + search_calls + sum(trajectory_steps)
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_gradient_only_call_matches_full_call(self, beta):
+        matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
+        X = matrix.predictor_matrix(matrix.columns)
+        beta = np.asarray(beta)
+        prior_sd = np.full(3, 2.5)
+        _, grad = inference._logpost_arrays(beta, X, matrix.y, prior_sd)
+        lp, grad_only = inference._logpost_arrays(
+            beta, X, matrix.y, prior_sd, value=False
+        )
+        assert math.isnan(lp)
+        assert np.array_equal(grad_only, grad)
+
+    def test_non_finite_interior_gradient_stops_trajectory(self):
+        calls = []
+
+        def logpost(q, *, value=True):
+            calls.append(value)
+            grad = np.full(q.size, math.nan if len(calls) == 2 else 0.5)
+            return (0.0 if value else math.nan), grad
+
+        _, _, lp, _, ok = inference._leapfrog(
+            np.zeros(2), np.ones(2), np.ones(2), 0.1, 5, logpost
+        )
+        assert not ok
+        assert lp == -math.inf
+        assert calls == [False, False]
+
+
 class TestSummarize:
     def test_constant_draws(self):
         from splitread.inference import PosteriorDraws
@@ -334,6 +432,10 @@ class TestConfigValidation:
     def test_single_chain_rejected(self):
         with pytest.raises(ValidationError):
             SamplerConfig(chains=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            SamplerConfig(seed=-3)
 
     def test_bad_target_accept_rejected(self):
         with pytest.raises(ValidationError):
