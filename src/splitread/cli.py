@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import inference, selection
-from .errors import SplitreadError
+from .errors import SplitreadError, ValidationError
 from .inference import ModelSpec, SamplerConfig
 
 EXIT_OK = 0
@@ -30,6 +30,19 @@ EXIT_CONVERGENCE = 2
 EXIT_IO = 3
 
 REDUCED_PREDICTORS = ("grammar", "split", "ease", "fk_grade", "meaning", "fluency")
+
+# The report's preference-tally sections: (title, label, origin, question).
+TALLY_SECTIONS = (
+    ("Source vs two-sentence split (model output)", "<S, BART-A>", "bart", "S_vs_A"),
+    ("Source vs three-sentence split (model-output items)", "<S, HUM-B>",
+     "bart", "S_vs_B"),
+    ("Source vs two-sentence split (manual)", "<S, HUM-A>", "human", "S_vs_A"),
+    ("Source vs three-sentence split (manual items)", "<S, HUM-B>",
+     "human", "S_vs_B"),
+    ("Two- vs three-sentence split (model output)", "<BART-A, HUM-B>",
+     "bart", "A_vs_B"),
+    ("Two- vs three-sentence split (manual)", "<HUM-A, HUM-B>", "human", "A_vs_B"),
+)
 
 # Sampler seed used when neither the config nor --seed sets one.
 DEFAULT_SEED = 20240501
@@ -295,24 +308,6 @@ def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> i
     return EXIT_OK
 
 
-def _tally_block(
-    title: str,
-    label: str,
-    judgments: list[ds.JudgmentRecord],
-    question: str,
-) -> list[str]:
-    lines = [f"## {title}"]
-    subset = [j for j in judgments if j.question == question]
-    if not subset:
-        lines.append(f"(no responses for {label}; table omitted)")
-        lines.append("")
-        return lines
-    t = ds.tally(subset, question)
-    lines.append(f"{label} | {t.cells()}")
-    lines.append("")
-    return lines
-
-
 def _score_block(
     title: str,
     head_a: str,
@@ -345,34 +340,19 @@ def cmd_report(cfg: RunConfig) -> int:
         cfg.judgments, cfg.triples, keep_punctuation=cfg.keep_punctuation
     )
     origin = {t.id: t.split_a.origin for t in triples}
-    bart = [j for j in judgments if origin[j.triple_id] == "bart"]
-    human = [j for j in judgments if origin[j.triple_id] == "human"]
+    by_origin: dict[str, list[ds.JudgmentRecord]] = {o: [] for o in ds.ORIGINS}
+    for j in judgments:
+        by_origin[origin[j.triple_id]].append(j)
+    bart, human = by_origin["bart"], by_origin["human"]
 
     lines = [cfg.header(), "# Readability preference report", ""]
-    lines += _tally_block(
-        "Source vs two-sentence split (model output)", "<S, BART-A>", bart, "S_vs_A"
-    )
-    lines += _tally_block(
-        "Source vs three-sentence split (model-output items)",
-        "<S, HUM-B>",
-        bart,
-        "S_vs_B",
-    )
-    lines += _tally_block(
-        "Source vs two-sentence split (manual)", "<S, HUM-A>", human, "S_vs_A"
-    )
-    lines += _tally_block(
-        "Source vs three-sentence split (manual items)", "<S, HUM-B>", human, "S_vs_B"
-    )
-    lines += _tally_block(
-        "Two- vs three-sentence split (model output)",
-        "<BART-A, HUM-B>",
-        bart,
-        "A_vs_B",
-    )
-    lines += _tally_block(
-        "Two- vs three-sentence split (manual)", "<HUM-A, HUM-B>", human, "A_vs_B"
-    )
+    for title, label, group, question in TALLY_SECTIONS:
+        lines.append(f"## {title}")
+        try:
+            lines.append(f"{label} | {ds.tally(by_origin[group], question).cells()}")
+        except ValidationError:  # no judgments for this question
+            lines.append(f"(no responses for {label}; table omitted)")
+        lines.append("")
     lines += _score_block(
         "Quality scores, manual splits (** = p < 0.01)", "HUM-A", "HUM-B", human
     )
@@ -385,8 +365,24 @@ def cmd_report(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2: here 2 means that the
+    convergence gate tripped."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
+def _predictor_list(text: str) -> tuple[str, ...]:
+    names = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"no predictor named in {text!r}")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitread",
         description="Sentence-split readability workbench",
     )
@@ -407,13 +403,15 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile", choices=sorted(PROFILES), help="sampler size preset"
         )
         if name == "ablate":
-            p.add_argument(
+            battery = p.add_mutually_exclusive_group()
+            battery.add_argument(
                 "--reduced",
                 action="store_true",
                 help="ablate the reduced six-predictor battery",
             )
-            p.add_argument(
+            battery.add_argument(
                 "--predictors",
+                type=_predictor_list,
                 help="comma-separated predictor subset to ablate",
             )
     return parser
@@ -428,10 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             return cmd_fit(cfg)
         if args.command == "ablate":
-            only = None
-            if args.predictors:
-                only = tuple(p.strip() for p in args.predictors.split(",") if p.strip())
-            return cmd_ablate(cfg, reduced=args.reduced, only=only)
+            return cmd_ablate(cfg, reduced=args.reduced, only=args.predictors)
         if args.command == "report":
             return cmd_report(cfg)
         raise SplitreadError(f"unknown command {args.command!r}")

@@ -56,37 +56,19 @@ def frazier_costs(tree: ParseTree) -> list[float]:
     """
     if tree.is_leaf:
         return [0.0]
-    parent: dict[int, tuple[ParseTree, int]] = {}
-    leaves: list[ParseTree] = []
-
-    def index(node: ParseTree) -> None:
-        for i, child in enumerate(node.children):
-            parent[id(child)] = (node, i)
-            if child.is_leaf:
-                leaves.append(child)
-            else:
-                index(child)
-
-    index(tree)
     costs: list[float] = []
-    for leaf in leaves:
-        _, leaf_pos = parent[id(leaf)]
-        if leaf_pos != 0:
-            costs.append(0.0)
-            continue
-        cost = 0.0
-        node = parent[id(leaf)][0]
-        while True:
-            info = parent.get(id(node))
-            if info is None:  # reached the root
-                cost += _node_weight(node.label)
-                break
-            up, pos = info
-            if pos != 0:
-                break
-            cost += _node_weight(node.label)
-            node = up
-        costs.append(cost)
+
+    # acc is the cost of a word that is node's leftmost child: the weights
+    # of node and of its ancestors for as long as each is a leftmost child,
+    # plus the root's; 0 when node is not a leftmost child.
+    def walk(node: ParseTree, acc: float) -> None:
+        for i, child in enumerate(node.children):
+            if child.is_leaf:
+                costs.append(acc if i == 0 else 0.0)
+            else:
+                walk(child, (acc + _node_weight(child.label)) if i == 0 else 0.0)
+
+    walk(tree, _node_weight(tree.label))
     return costs
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.special import stdtr
 
 from . import cohesion, complexity, readability
 from .errors import (
@@ -135,6 +135,11 @@ def atomic_write(path: str | Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w")
+        # would. The umask can only be read by setting it.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -366,10 +371,13 @@ def score_summary(
     group_a: Mapping[str, Sequence[float]],
     group_b: Mapping[str, Sequence[float]],
 ) -> dict[str, GroupComparison]:
-    """Mean, sd and a two-sided Welch t-test per score category."""
-    # Imported here: scipy.stats costs about a second of start-up time,
-    # which every other command would pay.
-    from scipy import stats
+    """Mean, sd and a two-sided Welch t-test per score category.
+
+    Welch (1947): t = (mean_a - mean_b) / sqrt(va/na + vb/nb) with ddof=1
+    variances, Welch-Satterthwaite degrees of freedom, and
+    p = 2 * stdtr(df, -|t|), as scipy's ``ttest_ind(a, b, equal_var=False)``
+    computes them.
+    """
     out: dict[str, GroupComparison] = {}
     for cat in CATEGORIES:
         a = np.asarray(group_a[cat], dtype=float)
@@ -378,15 +386,14 @@ def score_summary(
             raise ValidationError(
                 f"{cat}: need at least 2 observations per group for a t-test"
             )
-        with warnings.catch_warnings():
-            # scipy warns when a group's scores are all equal; Welch's t
-            # stays defined while the other group varies.
-            warnings.filterwarnings(
-                "ignore",
-                message="Precision loss occurred in moment calculation",
-                category=RuntimeWarning,
-            )
-            t_stat, p_value = stats.ttest_ind(a, b, equal_var=False)
+        va = a.var(ddof=1) / len(a)
+        vb = b.var(ddof=1) / len(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stat = (a.mean() - b.mean()) / np.sqrt(va + vb)
+            df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+        # Both groups constant: df is 0/0, yet t = +-inf gives p = 0 and
+        # t = NaN gives p = NaN whatever df is.
+        p_value = 2 * stdtr(1.0 if np.isnan(df) else df, -abs(t_stat))
         out[cat] = GroupComparison(
             mean_a=float(a.mean()),
             sd_a=float(a.std(ddof=1)),

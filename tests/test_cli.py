@@ -204,6 +204,36 @@ class TestAblate:
         assert code == cli.EXIT_VALIDATION
 
 
+class TestAblateArguments:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--predictors", ""], "argument --predictors: no predictor named"),
+            (["--predictors", ","], "argument --predictors: no predictor named"),
+            (
+                ["--reduced", "--predictors", "fluency,split"],
+                "argument --predictors: not allowed with argument --reduced",
+            ),
+        ],
+        ids=["empty", "comma", "reduced"],
+    )
+    def test_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        tmp, triples, judgments = workspace
+        config = _write_config(tmp_path, triples, judgments, tmp_path / "out")
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("inputs read despite invalid arguments")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["ablate", "--config", str(config), *flags])
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     def test_report_blocks(self, workspace):
         tmp, triples, judgments = workspace
@@ -331,6 +361,29 @@ class TestReport:
 
 
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--seed", "abc"],
+            ["fit", "--bogus"],
+            ["fit", "--profile", "huge"],
+            ["bogus"],
+        ],
+        ids=["seed", "unknown-flag", "profile", "subcommand"],
+    )
+    def test_usage_error_exits_validation(self, argv, capsys):
+        # Exit 2 is reserved for the convergence gate.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("usage: splitread")
+
+    def test_help_exits_ok(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--help"])
+        assert exc.value.code == cli.EXIT_OK
+        assert "--profile" in capsys.readouterr().out
+
     def test_io_failure_exit_code(self, workspace, tmp_path):
         tmp, triples, judgments = workspace
         blocker = tmp_path / "blocked"
@@ -469,7 +522,7 @@ class TestErrors:
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of import; only `report` needs it.
+    # scipy.stats costs about a second of import, and no command needs it.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
@@ -478,3 +531,22 @@ def test_cli_import_does_not_load_scipy_stats():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_report_does_not_load_scipy_stats(tmp_path):
+    # The report's Welch test is computed in closed form.
+    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, splitread.cli\n"
+        "code = splitread.cli.main(['report', '--triples', 'data/triples.jsonl',"
+        " '--judgments', 'data/judgments.jsonl', '--out', 'out'])\n"
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from splitread import cohesion
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
+    CATEGORIES,
     PREDICTORS,
     DesignMatrix,
     FeatureConfig,
+    atomic_write,
     build_design_matrix,
     extract_features,
     ingest,
@@ -176,6 +181,10 @@ def load_judgments_obj(obj):
     )
 
 
+def _all_categories(scores):
+    return {cat: scores for cat in CATEGORIES}
+
+
 class TestScoreSummary:
     def test_identical_groups(self):
         group = {"grammar": [3, 4, 5], "meaning": [3, 4, 5], "fluency": [3, 4, 5]}
@@ -198,11 +207,72 @@ class TestScoreSummary:
         with pytest.raises(ValidationError):
             score_summary(a, a)
 
+    def test_matches_scipy_welch_test(self):
+        rng = np.random.default_rng(47)
+        for _ in range(300):
+            groups = [
+                {cat: rng.integers(1, 6, size=rng.integers(2, 801)).tolist()
+                 for cat in CATEGORIES}
+                for _ in range(2)
+            ]
+            result = score_summary(*groups)
+            for cat, c in result.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    ref = stats.ttest_ind(
+                        groups[0][cat], groups[1][cat], equal_var=False
+                    )
+                assert c.t_stat == pytest.approx(ref.statistic, rel=1e-12, abs=0)
+                assert c.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0)
+
+    def test_one_constant_group_matches_scipy(self):
+        a, b = [3, 3, 3, 3], [4, 5, 5, 5]
+        c = score_summary(_all_categories(a), _all_categories(b))["grammar"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = stats.ttest_ind(a, b, equal_var=False)
+        assert c.t_stat == pytest.approx(ref.statistic, rel=1e-12)
+        assert c.p_value == pytest.approx(ref.pvalue, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "a, b, t_stat, p_value",
+        [
+            ([3, 3, 3], [3, 3], np.nan, np.nan),
+            ([3, 3, 3], [4, 4], -np.inf, 0.0),
+            ([5, 5], [2, 2, 2], np.inf, 0.0),
+        ],
+        ids=["equal-means", "below", "above"],
+    )
+    def test_both_groups_constant(self, a, b, t_stat, p_value):
+        # scipy's values: df is 0/0 here, yet p is still 0 for t = +-inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = score_summary(_all_categories(a), _all_categories(b))
+        for c in result.values():
+            np.testing.assert_equal(c.t_stat, t_stat)
+            np.testing.assert_equal(c.p_value, p_value)
+
     def test_quality_scores_dedupe_by_worker_and_triple(self, loaded):
         _, judgments, *_ = loaded
         scores = quality_scores(judgments, "a")
         # One observation per (triple, worker) even with 3 question records.
         assert len(scores["fluency"]) == 8 * 3
+
+
+class TestAtomicWrite:
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "out" / "report.txt"
+        old = os.umask(0o022)
+        try:
+            atomic_write(path, "first\n")
+            assert path.stat().st_mode & 0o777 == 0o644
+            atomic_write(path, "second\n")
+        finally:
+            os.umask(old)
+        # The replacement is the renamed temp file, without its 0600.
+        assert path.stat().st_mode & 0o777 == 0o644
+        assert path.read_text() == "second\n"
+        assert [p.name for p in path.parent.iterdir()] == ["report.txt"]
 
 
 class TestDesignMatrix:
