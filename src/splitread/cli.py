@@ -316,12 +316,13 @@ def _score_block(
 ) -> list[str]:
     lines = [f"## {title}"]
     if not judgments:
-        lines.append("(no responses; table omitted)")
-        lines.append("")
-        return lines
-    comparison = ds.score_summary(
-        ds.quality_scores(judgments, "a"), ds.quality_scores(judgments, "b")
-    )
+        return lines + ["(no responses; table omitted)", ""]
+    try:
+        comparison = ds.score_summary(
+            ds.quality_scores(judgments, "a"), ds.quality_scores(judgments, "b")
+        )
+    except ValidationError as exc:  # a group too small for a t-test
+        return lines + [f"({exc}; table omitted)", ""]
     lines.append(f"category | {head_a} | {head_b}")
     for cat in ds.CATEGORIES:
         c = comparison[cat]

@@ -3,19 +3,25 @@
 Tree edit distance (Zhang & Shasha 1989 dynamic program, unit costs),
 convolution tree kernels in the subset-tree and subtree variants
 (Collins & Duffy 2002; Moschitti 2006), and the Szymkiewicz-Simpson
-word-overlap coefficient.
+word-overlap coefficient. The subtree kernel counts the pairs of identical
+complete subtrees. Each tree's skeleton, edit-distance bookkeeping, kernel
+index and self-kernel are kept in small caches keyed by tree value, so the
+two sides of a triple prepare each of its trees once.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputWarning, ValidationError
 from .trees import ParseTree, is_punctuation_token, strip_token_leaves
 
 KERNEL_VARIANTS = ("subset", "subtree")
+_CACHE_SIZE = 32  # entries per per-tree cache: room for every tree of a triple
 
 
 class _AnnotatedTree:
@@ -26,59 +32,71 @@ class _AnnotatedTree:
         self.lmd: list[int] = []
 
         def visit(node: ParseTree) -> int:
-            first_leaf = -1
-            for child in node.children:
-                leaf = visit(child)
-                if first_leaf == -1:
-                    first_leaf = leaf
-            idx = len(self.labels)
+            leftmost = [visit(child) for child in node.children]
+            self.lmd.append(leftmost[0] if leftmost else len(self.labels))
             self.labels.append(node.label)
-            self.lmd.append(first_leaf if first_leaf != -1 else idx)
-            return self.lmd[idx]
+            return self.lmd[-1]
 
         visit(root)
-        last_for_lmd: dict[int, int] = {}
-        for idx, leftmost in enumerate(self.lmd):
-            last_for_lmd[leftmost] = idx
-        self.keyroots = sorted(last_for_lmd.values())
+        # The highest node with each leftmost leaf.
+        self.keyroots = sorted({lm: idx for idx, lm in enumerate(self.lmd)}.values())
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _annotated(tree: ParseTree) -> _AnnotatedTree:
+    return _AnnotatedTree(tree)
+
+
+_skeleton = lru_cache(maxsize=_CACHE_SIZE)(strip_token_leaves)
 
 
 def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
     """Minimum number of node insertions, deletions and relabelings
     turning ordered tree ``a`` into ordered tree ``b`` (unit costs)."""
-    ta, tb = _AnnotatedTree(a), _AnnotatedTree(b)
-    na, nb = len(ta.labels), len(tb.labels)
-    dist = [[0] * nb for _ in range(na)]
-
+    ta, tb = _annotated(a), _annotated(b)
+    lmd_a, labels_b = ta.lmd, tb.labels
+    dist = [[0] * len(labels_b) for _ in ta.labels]
+    # Per keyroot j of b, each node yj of its subtree with the forest column
+    # q of lmd(yj), which is 0 when yj is on j's leftmost path.
+    columns = [
+        [(tb.lmd[yj] - tb.lmd[j], yj) for yj in range(tb.lmd[j], j + 1)]
+        for j in tb.keyroots
+    ]
     for i in ta.keyroots:
-        for j in tb.keyroots:
-            il, jl = ta.lmd[i], tb.lmd[j]
-            m, n = i - il + 2, j - jl + 2
-            fd = [[0] * n for _ in range(m)]
-            ioff, joff = il - 1, jl - 1
-            for x in range(1, m):
-                fd[x][0] = fd[x - 1][0] + 1
-            for y in range(1, n):
-                fd[0][y] = fd[0][y - 1] + 1
-            for x in range(1, m):
-                for y in range(1, n):
-                    if ta.lmd[x + ioff] == il and tb.lmd[y + joff] == jl:
-                        rename = 0 if ta.labels[x + ioff] == tb.labels[y + joff] else 1
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[x - 1][y - 1] + rename,
-                        )
-                        dist[x + ioff][y + joff] = fd[x][y]
-                    else:
-                        p = ta.lmd[x + ioff] - 1 - ioff
-                        q = tb.lmd[y + joff] - 1 - joff
-                        fd[x][y] = min(
-                            fd[x - 1][y] + 1,
-                            fd[x][y - 1] + 1,
-                            fd[p][q] + dist[x + ioff][y + joff],
-                        )
-    return dist[na - 1][nb - 1]
+        il = lmd_a[i]
+        for cols in columns:
+            # fd[x][y]: distance between the forests of the first x nodes
+            # of a from lmd(i) and the first y nodes of b from lmd(j).
+            up = list(range(len(cols) + 1))
+            fd = [up]
+            for xi in range(il, i + 1):
+                left = up[0] + 1
+                row = [left]
+                drow = dist[xi]
+                if lmd_a[xi] == il:
+                    label = ta.labels[xi]
+                    diag = up[0]
+                    for above, (q, yj) in zip(up[1:], cols):
+                        v = (above if above < left else left) + 1
+                        w = q + drow[yj] if q else diag + (label != labels_b[yj])
+                        if w < v:
+                            v = w
+                        if not q:
+                            drow[yj] = v
+                        row.append(v)
+                        diag, left = above, v
+                else:
+                    prev = fd[lmd_a[xi] - il]
+                    for above, (q, yj) in zip(up[1:], cols):
+                        v = (above if above < left else left) + 1
+                        w = prev[q] + drow[yj]
+                        if w < v:
+                            v = w
+                        row.append(v)
+                        left = v
+                fd.append(row)
+                up = row
+    return dist[-1][-1]
 
 
 def ted1(source: ParseTree, splits: Sequence[ParseTree]) -> float:
@@ -87,8 +105,8 @@ def ted1(source: ParseTree, splits: Sequence[ParseTree]) -> float:
     comparison is structural rather than lexical."""
     if not splits:
         raise ValidationError("ted1 requires at least one split sentence")
-    src = strip_token_leaves(source)
-    dists = [tree_edit_distance(src, strip_token_leaves(s)) for s in splits]
+    src = _skeleton(source)
+    dists = [tree_edit_distance(src, _skeleton(s)) for s in splits]
     return sum(dists) / len(dists)
 
 
@@ -105,7 +123,7 @@ def ted2(splits: Sequence[ParseTree]) -> float:
             stacklevel=2,
         )
         return 0.0
-    stripped = [strip_token_leaves(s) for s in splits]
+    stripped = [_skeleton(s) for s in splits]
     dists = [
         tree_edit_distance(stripped[i], stripped[i + 1])
         for i in range(len(stripped) - 1)
@@ -113,10 +131,35 @@ def ted2(splits: Sequence[ParseTree]) -> float:
     return sum(dists) / len(dists)
 
 
-def _production(node: ParseTree) -> tuple:
-    # Child leafness is part of the production so that a terminal never
-    # aligns with a nonterminal that happens to carry the same label.
-    return (node.label, tuple((c.label, c.is_leaf) for c in node.children))
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kernel_index(tree: ParseTree) -> tuple[list, list, dict, Counter]:
+    """The non-leaf nodes of ``tree`` in pre-order: each node's production,
+    its child slots (-1 for a token leaf; none for a preterminal), the
+    slots of each production, and the count of each complete subtree."""
+    productions, children, by_production, subtrees = [], [], {}, Counter()
+
+    def visit(node: ParseTree) -> tuple:
+        # Returns the complete subtree as nested tuples with token leaves as
+        # bare labels; leafness is in the production too, so a terminal
+        # never aligns with a nonterminal that carries the same label.
+        slot = len(productions)
+        production = (node.label, tuple((c.label, c.is_leaf) for c in node.children))
+        productions.append(production)
+        children.append(())
+        by_production.setdefault(production, []).append(slot)
+        slots, shapes = [], []
+        for child in node.children:
+            slots.append(-1 if child.is_leaf else len(productions))
+            shapes.append(child.label if child.is_leaf else visit(child))
+        if any(c >= 0 for c in slots):
+            children[slot] = tuple(slots)
+        shape = (node.label, tuple(shapes))
+        subtrees[shape] += 1
+        return shape
+
+    if not tree.is_leaf:
+        visit(tree)
+    return productions, children, by_production, subtrees
 
 
 def tree_kernel(
@@ -134,50 +177,39 @@ def tree_kernel(
         raise ValueError(f"unknown kernel variant {variant!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-
-    nodes_a = [n for n in a.iter_nodes() if not n.is_leaf]
-    nodes_b = [n for n in b.iter_nodes() if not n.is_leaf]
-    prod_a = {id(n): _production(n) for n in nodes_a}
-    prod_b = {id(n): _production(n) for n in nodes_b}
-    by_production: dict[tuple, list[ParseTree]] = {}
-    for n in nodes_b:
-        by_production.setdefault(prod_b[id(n)], []).append(n)
-
+    prod_a, kids_a, _, subtrees_a = _kernel_index(a)
+    prod_b, kids_b, by_production, subtrees_b = _kernel_index(b)
+    if variant == "subtree":
+        return float(sum(n * subtrees_b.get(s, 0) for s, n in subtrees_a.items()))
     memo: dict[tuple[int, int], float] = {}
 
-    def delta(n1: ParseTree, n2: ParseTree) -> float:
-        if n1.is_leaf or n2.is_leaf:
-            return 0.0
-        key = (id(n1), id(n2))
+    def delta(i: int, j: int) -> float:
+        key = (i, j)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if prod_a[id(n1)] != prod_b[id(n2)]:
-            memo[key] = 0.0
-            return 0.0
-        if all(c.is_leaf for c in n1.children):
-            memo[key] = 1.0
-            return 1.0
-        if variant == "subset":
+        value = 0.0
+        if prod_a[i] == prod_b[j]:
+            # 1 for a preterminal; a token leaf child adds sigma + 0.
             value = 1.0
-            for c1, c2 in zip(n1.children, n2.children):
-                value *= sigma + delta(c1, c2)
-        else:
-            value = 1.0
-            for c1, c2 in zip(n1.children, n2.children):
-                if c1.is_leaf:
-                    continue
-                if delta(c1, c2) == 0.0:
-                    value = 0.0
-                    break
+            for c1, c2 in zip(kids_a[i], kids_b[j]):
+                value *= sigma if c1 < 0 else sigma + delta(c1, c2)
         memo[key] = value
         return value
 
     total = 0.0
-    for n1 in nodes_a:
-        for n2 in by_production.get(prod_a[id(n1)], ()):
-            total += delta(n1, n2)
+    for i, production in enumerate(prod_a):
+        for j in by_production.get(production, ()):
+            total += delta(i, j)
     return total
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _self_kernel(tree: ParseTree, variant: str, sigma: float) -> float:
+    value = tree_kernel(tree, tree, variant, sigma)
+    if value <= 0:
+        raise ValidationError("tree has no internal structure; self-kernel is zero")
+    return value
 
 
 def kernel_similarity(
@@ -194,19 +226,10 @@ def kernel_similarity(
     """
     if not doc_a or not doc_b:
         raise ValidationError("kernel_similarity requires two non-empty documents")
-
-    def self_k(tree: ParseTree) -> float:
-        value = tree_kernel(tree, tree, variant, sigma)
-        if value <= 0:
-            raise ValidationError(
-                "tree has no internal structure; self-kernel is zero"
-            )
-        return value
-
-    self_b = [self_k(b) for b in doc_b]
+    self_b = [_self_kernel(b, variant, sigma) for b in doc_b]
     best_values = []
     for a in doc_a:
-        ka = self_k(a)
+        ka = _self_kernel(a, variant, sigma)
         best = 0.0
         for b, kb in zip(doc_b, self_b):
             kab = tree_kernel(a, b, variant, sigma)

@@ -4,7 +4,8 @@ The oracles deliberately avoid the production code paths: tree edit
 distance is recomputed with a memoized forest recursion, kernels by
 explicit fragment enumeration, the word-level tree scores by
 path-at-a-time traversals, and the leapfrog integrator with the full log
-density on every step.
+density on every step. The reference twins at the end are earlier
+versions of production functions, kept verbatim for exact comparisons.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from splitread.cohesion import KERNEL_VARIANTS
 from splitread.trees import DepGraph, DepToken, ParseTree
 
 LABELS = ("A", "B", "C", "S")
@@ -209,3 +211,139 @@ def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
             p += eps * grad
     p += 0.5 * eps * grad
     return q, p, lp, grad, True
+
+
+# Reference twins: tree_edit_distance and tree_kernel as they were before
+# the per-tree caches, the tightened Zhang-Shasha loop and the subtree
+# kernel by counting, kept verbatim so the rewrites can be pinned to them
+# with exact equality.
+
+
+class _ReferenceAnnotatedTree:
+    """Post-order bookkeeping (leftmost descendants, keyroots) for one tree."""
+
+    def __init__(self, root: ParseTree):
+        self.labels: list[str] = []
+        self.lmd: list[int] = []
+
+        def visit(node: ParseTree) -> int:
+            first_leaf = -1
+            for child in node.children:
+                leaf = visit(child)
+                if first_leaf == -1:
+                    first_leaf = leaf
+            idx = len(self.labels)
+            self.labels.append(node.label)
+            self.lmd.append(first_leaf if first_leaf != -1 else idx)
+            return self.lmd[idx]
+
+        visit(root)
+        last_for_lmd: dict[int, int] = {}
+        for idx, leftmost in enumerate(self.lmd):
+            last_for_lmd[leftmost] = idx
+        self.keyroots = sorted(last_for_lmd.values())
+
+
+def reference_tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
+    """Minimum number of node insertions, deletions and relabelings
+    turning ordered tree ``a`` into ordered tree ``b`` (unit costs)."""
+    ta, tb = _ReferenceAnnotatedTree(a), _ReferenceAnnotatedTree(b)
+    na, nb = len(ta.labels), len(tb.labels)
+    dist = [[0] * nb for _ in range(na)]
+
+    for i in ta.keyroots:
+        for j in tb.keyroots:
+            il, jl = ta.lmd[i], tb.lmd[j]
+            m, n = i - il + 2, j - jl + 2
+            fd = [[0] * n for _ in range(m)]
+            ioff, joff = il - 1, jl - 1
+            for x in range(1, m):
+                fd[x][0] = fd[x - 1][0] + 1
+            for y in range(1, n):
+                fd[0][y] = fd[0][y - 1] + 1
+            for x in range(1, m):
+                for y in range(1, n):
+                    if ta.lmd[x + ioff] == il and tb.lmd[y + joff] == jl:
+                        rename = 0 if ta.labels[x + ioff] == tb.labels[y + joff] else 1
+                        fd[x][y] = min(
+                            fd[x - 1][y] + 1,
+                            fd[x][y - 1] + 1,
+                            fd[x - 1][y - 1] + rename,
+                        )
+                        dist[x + ioff][y + joff] = fd[x][y]
+                    else:
+                        p = ta.lmd[x + ioff] - 1 - ioff
+                        q = tb.lmd[y + joff] - 1 - joff
+                        fd[x][y] = min(
+                            fd[x - 1][y] + 1,
+                            fd[x][y - 1] + 1,
+                            fd[p][q] + dist[x + ioff][y + joff],
+                        )
+    return dist[na - 1][nb - 1]
+
+
+def _reference_production(node: ParseTree) -> tuple:
+    # Child leafness is part of the production so that a terminal never
+    # aligns with a nonterminal that happens to carry the same label.
+    return (node.label, tuple((c.label, c.is_leaf) for c in node.children))
+
+
+def reference_tree_kernel(
+    a: ParseTree, b: ParseTree, variant: str = "subset", sigma: float = 1.0
+) -> float:
+    """Convolution tree kernel K(a, b) = sum over node pairs of delta.
+
+    ``subset`` counts shared subset-tree fragments: delta is 0 when the
+    productions differ, 1 for matching preterminal productions, and
+    prod_i (sigma + delta(child_i, child_i)) for matching internal
+    productions. ``subtree`` counts only complete shared subtrees, i.e.
+    fragments that extend all the way down to identical terminal yields.
+    """
+    if variant not in KERNEL_VARIANTS:
+        raise ValueError(f"unknown kernel variant {variant!r}")
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+
+    nodes_a = [n for n in a.iter_nodes() if not n.is_leaf]
+    nodes_b = [n for n in b.iter_nodes() if not n.is_leaf]
+    prod_a = {id(n): _reference_production(n) for n in nodes_a}
+    prod_b = {id(n): _reference_production(n) for n in nodes_b}
+    by_production: dict[tuple, list[ParseTree]] = {}
+    for n in nodes_b:
+        by_production.setdefault(prod_b[id(n)], []).append(n)
+
+    memo: dict[tuple[int, int], float] = {}
+
+    def delta(n1: ParseTree, n2: ParseTree) -> float:
+        if n1.is_leaf or n2.is_leaf:
+            return 0.0
+        key = (id(n1), id(n2))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if prod_a[id(n1)] != prod_b[id(n2)]:
+            memo[key] = 0.0
+            return 0.0
+        if all(c.is_leaf for c in n1.children):
+            memo[key] = 1.0
+            return 1.0
+        if variant == "subset":
+            value = 1.0
+            for c1, c2 in zip(n1.children, n2.children):
+                value *= sigma + delta(c1, c2)
+        else:
+            value = 1.0
+            for c1, c2 in zip(n1.children, n2.children):
+                if c1.is_leaf:
+                    continue
+                if delta(c1, c2) == 0.0:
+                    value = 0.0
+                    break
+        memo[key] = value
+        return value
+
+    total = 0.0
+    for n1 in nodes_a:
+        for n2 in by_production.get(prod_a[id(n1)], ()):
+            total += delta(n1, n2)
+    return total

@@ -108,6 +108,18 @@ class TestExtract:
         assert cli.main(["extract", "--config", str(config)]) == 0
         assert _digest(out / "features.csv") == first
 
+    def test_golden_features(self, tmp_path, monkeypatch):
+        # Pinned before the cohesion predictors got per-tree caches, the
+        # tightened Zhang-Shasha loop and the subtree kernel by counting:
+        # no predictor value may move by a bit.
+        monkeypatch.chdir(tmp_path)
+        make_demo_dataset("data", n_triples=24, n_workers=7, seed=3)
+        code = cli.main(["extract", "--triples", "data/triples.jsonl", "--out", "out"])
+        assert code == 0
+        assert _digest(tmp_path / "out" / "features.csv") == (
+            "6a72c6a42b00c474e5e6f285672b19f604926590649471bfd1f9078d3c78a527"
+        )
+
     def test_inputs_never_mutated(self, workspace):
         tmp, triples, judgments = workspace
         before = (_digest(triples), _digest(judgments))
@@ -358,6 +370,25 @@ class TestReport:
         assert _digest(tmp_path / "out" / "report.txt") == (
             "3c58f46f9128c3d0ea43bada775b43ad76ce371b95950138d29ab1f28ee59bb2"
         )
+
+    def test_one_observation_origin_omits_its_table(self, tmp_path, monkeypatch):
+        # One bart and one human triple, one worker: each origin has a single
+        # score observation, too few for Welch's test.
+        monkeypatch.chdir(tmp_path)
+        make_demo_dataset("data", n_triples=2, n_workers=1, seed=4)
+        code = cli.main(
+            ["report", "--triples", "data/triples.jsonl",
+             "--judgments", "data/judgments.jsonl", "--out", "out"]
+        )
+        assert code == 0
+        text = (tmp_path / "out" / "report.txt").read_text()
+        omitted = (
+            "(grammar: need at least 2 observations per group for a t-test; "
+            "table omitted)"
+        )
+        assert text.count(omitted) == 2
+        assert "category |" not in text
+        assert "<S, BART-A> | 0 (0.00) | 1 (1.00) | 0 (0.00) | 1" in text
 
 
 class TestErrors:

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_subset_kernel, naive_subtree_kernel, naive_ted, random_tree
+from helpers import (
+    naive_subset_kernel,
+    naive_subtree_kernel,
+    naive_ted,
+    random_tree,
+    reference_tree_edit_distance,
+    reference_tree_kernel,
+)
+from splitread import cohesion
 from splitread.cohesion import (
     kernel_similarity,
     overlap_coefficient,
@@ -13,12 +23,23 @@ from splitread.cohesion import (
     tree_edit_distance,
     tree_kernel,
 )
+from splitread.dataset import extract_features, load_triples
 from splitread.errors import DegenerateInputWarning, ValidationError
+from splitread.synth import make_demo_dataset
 from splitread.trees import parse_ptb, strip_token_leaves
 
 
 def t(text: str):
     return parse_ptb(text)[0]
+
+
+@pytest.fixture(scope="module")
+def demo_triples(tmp_path_factory):
+    """The 24-triple demo study: one source tree, two splits on side a and
+    three on side b per triple."""
+    out = tmp_path_factory.mktemp("cohesion_demo")
+    triples_path, _ = make_demo_dataset(out, n_triples=24, n_workers=7, seed=3)
+    return load_triples(triples_path)
 
 
 class TestTreeEditDistance:
@@ -187,6 +208,79 @@ class TestKernelSimilarity:
     def test_empty_document_rejected(self, fig_tree):
         with pytest.raises(ValidationError):
             kernel_similarity([], [fig_tree])
+
+
+class TestReferenceTwins:
+    """tree_edit_distance and tree_kernel against verbatim copies (in
+    helpers) of the implementations they replaced, compared with ==."""
+
+    SETTINGS = [("subset", 1.0), ("subset", 0.3), ("subset", 2.7), ("subtree", 1.0)]
+
+    def _assert_twins(self, a, b):
+        assert tree_edit_distance(a, b) == reference_tree_edit_distance(a, b)
+        for variant, sigma in self.SETTINGS:
+            value = tree_kernel(a, b, variant, sigma)
+            assert value == reference_tree_kernel(a, b, variant, sigma)
+            assert type(value) is float
+
+    def test_random_pairs(self, rng):
+        for _ in range(600):
+            self._assert_twins(random_tree(rng, 16), random_tree(rng, 16))
+
+    def test_demo_study_pairs(self, demo_triples):
+        for triple in demo_triples:
+            for side in ("a", "b"):
+                splits = triple.side(side).trees
+                pairs = [(src, s) for src in triple.source_trees for s in splits]
+                pairs += list(zip(splits, splits[1:]))
+                for a, b in pairs:
+                    self._assert_twins(a, b)
+                    self._assert_twins(strip_token_leaves(a), strip_token_leaves(b))
+
+
+class TestWorkPerTriple:
+    def test_each_tree_prepared_once_per_triple(self, demo_triples, monkeypatch):
+        # Caches left by earlier tests would hide work, so start empty.
+        for cache in (
+            cohesion._skeleton,
+            cohesion._annotated,
+            cohesion._kernel_index,
+            cohesion._self_kernel,
+        ):
+            cache.cache_clear()
+        current = []
+        annotated, kernels, teds = Counter(), Counter(), Counter()
+        original_annotation = cohesion._AnnotatedTree
+        original_kernel = cohesion.tree_kernel
+        original_ted = cohesion.tree_edit_distance
+
+        def counting_annotation(tree):
+            annotated[current[-1], tree] += 1
+            return original_annotation(tree)
+
+        def counting_kernel(a, b, variant="subset", sigma=1.0):
+            if a is b:
+                kernels[current[-1], a, variant] += 1
+            return original_kernel(a, b, variant, sigma)
+
+        def counting_ted(a, b):
+            teds[current[-1]] += 1
+            return original_ted(a, b)
+
+        monkeypatch.setattr(cohesion, "_AnnotatedTree", counting_annotation)
+        monkeypatch.setattr(cohesion, "tree_kernel", counting_kernel)
+        monkeypatch.setattr(cohesion, "tree_edit_distance", counting_ted)
+        for triple in demo_triples:
+            current.append(triple.id)
+            extract_features([triple])
+
+        assert annotated and max(annotated.values()) == 1
+        for triple in demo_triples:
+            for variant in ("subset", "subtree"):
+                for source in triple.source_trees:
+                    assert kernels[triple.id, source, variant] == 1
+            # ted1: 1 source x (2 + 3) splits; ted2: 1 + 2 adjacent pairs.
+            assert teds[triple.id] == 8
 
 
 class TestOverlap:
