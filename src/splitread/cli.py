@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -59,17 +58,10 @@ def _is_str(value) -> bool:
     return type(value) is str
 
 
-def _is_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 # The JSON value a config key must hold: (description, check).
 _STRING = ("a string", _is_str)
 _INTEGER = ("an integer", lambda v: type(v) is int)
-_NUMBER = ("a finite number", _is_number)  # read as a float
+_NUMBER = ("a finite number", ds._is_number)  # read as a float
 
 _CONFIG_KEYS = {
     "triples": _STRING,
@@ -158,7 +150,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise SplitreadError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
         if type(data) is not dict:
             raise SplitreadError("config file must hold a JSON object")

@@ -11,6 +11,7 @@ chosen side.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -156,7 +157,7 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise FormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
@@ -172,38 +173,48 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _parse_side(
-    obj: dict,
-    where: str,
-    expected_sentences: int,
-    origin: str,
-    conllu_text: str | None,
-    samsa: float | None,
-    keep_punctuation: bool,
-) -> Simplification:
-    text = _require(obj, "text", where)
-    ptb = _require(obj, "ptb", where)
+def _object(obj: dict, key: str, where: str, *, required: bool = True) -> dict:
+    """The JSON object at ``obj[key]``; an optional one may be absent or null."""
+    value = _require(obj, key, where) if required else obj.get(key)
+    if value is None and not required:
+        return {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}.{key}: expected a JSON object")
+    return value
+
+
+def _is_number(value) -> bool:
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _read_parses(
+    obj: dict, name: str, where: str, conllu: dict, keep_punctuation: bool
+) -> tuple[dict, tuple[ParseTree, ...], tuple[DepGraph, ...]]:
+    """The record ``obj[name]`` (the source or a side), the trees of its
+    ``ptb`` strings and, when ``conllu[name]`` is given, one dependency
+    graph per tree."""
+    record = _object(obj, name, where)
+    ptb = _require(record, "ptb", f"{where}.{name}")
     if not isinstance(ptb, list) or not all(isinstance(s, str) for s in ptb):
-        raise ValidationError(f"{where}: 'ptb' must be a list of strings")
-    trees: list[ParseTree] = []
-    for s in ptb:
-        trees.extend(parse_ptb(s, keep_punctuation=keep_punctuation))
-    if len(trees) != expected_sentences:
-        raise ValidationError(
-            f"{where}: expected {expected_sentences} sentences, got {len(trees)}"
-        )
+        raise ValidationError(f"{where}.{name}: 'ptb' must be a list of strings")
+    trees = tuple(
+        tree for s in ptb for tree in parse_ptb(s, keep_punctuation=keep_punctuation)
+    )
     graphs: tuple[DepGraph, ...] = ()
-    if conllu_text:
-        graphs = tuple(parse_conllu(conllu_text))
+    text = conllu.get(name)
+    if text is not None and not isinstance(text, str):
+        raise ValidationError(f"{where}.conllu.{name}: expected a string")
+    if text:
+        graphs = tuple(parse_conllu(text))
         if len(graphs) != len(trees):
             raise ValidationError(
-                f"{where}: {len(graphs)} dependency graphs for {len(trees)} trees"
+                f"{where}.{name}: {len(graphs)} dependency graphs for "
+                f"{len(trees)} trees"
             )
-    if origin not in ORIGINS:
-        raise ValidationError(f"{where}: unknown origin {origin!r}")
-    return Simplification(
-        text=text, trees=tuple(trees), origin=origin, graphs=graphs, samsa=samsa
-    )
+    return record, trees, graphs
 
 
 def load_triples(
@@ -217,72 +228,77 @@ def load_triples(
         if triple_id in seen:
             raise ValidationError(f"{where}: duplicate triple id {triple_id!r}")
         seen.add(triple_id)
-        source = _require(obj, "source", where)
-        a = _require(obj, "a", where)
-        b = _require(obj, "b", where)
-        conllu = obj.get("conllu") or {}
-        precomputed = obj.get("precomputed") or {}
-        source_trees: list[ParseTree] = []
-        for s in _require(source, "ptb", f"{where}.source"):
-            source_trees.extend(parse_ptb(s, keep_punctuation=keep_punctuation))
+        conllu = _object(obj, "conllu", where, required=False)
+        precomputed = _object(obj, "precomputed", where, required=False)
+        source, source_trees, source_graphs = _read_parses(
+            obj, "source", where, conllu, keep_punctuation
+        )
         if not source_trees:
             raise ValidationError(f"{where}: source has no parse trees")
-        source_graphs: tuple[DepGraph, ...] = ()
-        if conllu.get("source"):
-            source_graphs = tuple(parse_conllu(conllu["source"]))
-        split_a = _parse_side(
-            a,
-            f"{where}.a",
-            expected_sentences=2,
-            origin=str(_require(a, "origin", f"{where}.a")),
-            conllu_text=conllu.get("a"),
-            samsa=precomputed.get("samsa_a"),
-            keep_punctuation=keep_punctuation,
-        )
-        split_b = _parse_side(
-            b,
-            f"{where}.b",
-            expected_sentences=3,
-            origin="human",
-            conllu_text=conllu.get("b"),
-            samsa=precomputed.get("samsa_b"),
-            keep_punctuation=keep_punctuation,
-        )
+        sides = []
+        for name, sentences in (("a", 2), ("b", 3)):
+            record, trees, graphs = _read_parses(
+                obj, name, where, conllu, keep_punctuation
+            )
+            at = f"{where}.{name}"
+            if len(trees) != sentences:
+                raise ValidationError(
+                    f"{at}: expected {sentences} sentences, got {len(trees)}"
+                )
+            origin = str(_require(record, "origin", at)) if name == "a" else "human"
+            if origin not in ORIGINS:
+                raise ValidationError(f"{at}: unknown origin {origin!r}")
+            samsa = precomputed.get(f"samsa_{name}")
+            if samsa is not None and not _is_number(samsa):
+                raise ValidationError(
+                    f"{where}.precomputed.samsa_{name}: expected a finite "
+                    f"number or null, got {json.dumps(samsa)}"
+                )
+            sides.append(
+                Simplification(
+                    text=_require(record, "text", at),
+                    trees=trees,
+                    origin=origin,
+                    graphs=graphs,
+                    samsa=None if samsa is None else float(samsa),
+                )
+            )
         triples.append(
             Triple(
                 id=triple_id,
                 source_text=_require(source, "text", f"{where}.source"),
-                source_trees=tuple(source_trees),
-                split_a=split_a,
-                split_b=split_b,
+                source_trees=source_trees,
+                split_a=sides[0],
+                split_b=sides[1],
                 source_graphs=source_graphs,
             )
         )
     return triples
 
 
-def _parse_scores(obj: dict, where: str) -> SideScores:
+def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
+    obj = _object(scores, side, f"{where}.scores")
     try:
         return SideScores(
             grammar=obj["grammar"], meaning=obj["meaning"], fluency=obj["fluency"]
         )
     except KeyError as exc:
-        raise ValidationError(f"{where}: missing score {exc}") from None
+        raise ValidationError(f"{where}.scores.{side}: missing score {exc}") from None
 
 
 def load_judgments(path: str | Path) -> list[JudgmentRecord]:
     records: list[JudgmentRecord] = []
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
-        scores = _require(obj, "scores", where)
+        scores = _object(obj, "scores", where)
         records.append(
             JudgmentRecord(
                 triple_id=str(_require(obj, "triple_id", where)),
                 worker_id=str(_require(obj, "worker_id", where)),
                 question=_require(obj, "question", where),
                 choice=_require(obj, "choice", where),
-                scores_a=_parse_scores(_require(scores, "a", where), f"{where}.a"),
-                scores_b=_parse_scores(_require(scores, "b", where), f"{where}.b"),
+                scores_a=_parse_scores(scores, "a", where),
+                scores_b=_parse_scores(scores, "b", where),
             )
         )
     return records

@@ -7,6 +7,7 @@ they never attempt to parse raw text.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterator
@@ -17,6 +18,10 @@ from .errors import FormatError, ParseError, ValidationError
 # (PTB uses the plain grave accent in quote tokens, which Unicode files
 # under "modifier symbol").
 _EXTRA_PUNCT = set("`´^~")
+
+# One bracket-file token per match: "(" with the label after it (group 1,
+# empty when there is none), ")", or a bare token (group 2).
+_TOKEN = re.compile(r"\(\s*([^\s()]*)|\)|([^\s()]+)")
 
 
 @dataclass(frozen=True)
@@ -132,70 +137,6 @@ def _strip_function_tag(label: str) -> str:
     return label[:cut]
 
 
-def _read_atom(text: str, pos: int) -> tuple[str, int]:
-    start = pos
-    n = len(text)
-    while pos < n and not text[pos].isspace() and text[pos] not in "()":
-        pos += 1
-    return text[start:pos], pos
-
-
-def _skip_space(text: str, pos: int) -> int:
-    n = len(text)
-    while pos < n and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_group(text: str, pos: int) -> tuple[ParseTree, int]:
-    # pos points at '('
-    open_offset = pos
-    pos = _skip_space(text, pos + 1)
-    label, pos = _read_atom(text, pos)
-    children: list[ParseTree] = []
-    while True:
-        pos = _skip_space(text, pos)
-        if pos >= len(text):
-            raise ParseError("unbalanced brackets", _byte_offset(text, len(text)))
-        ch = text[pos]
-        if ch == ")":
-            pos += 1
-            break
-        if ch == "(":
-            child, pos = _parse_group(text, pos)
-            children.append(child)
-        else:
-            atom, pos = _read_atom(text, pos)
-            children.append(ParseTree(atom))
-    if not children:
-        raise ValidationError(
-            f"bracket group at byte offset {_byte_offset(text, open_offset)} "
-            "has no terminal yield"
-        )
-    return ParseTree(label, tuple(children)), pos
-
-
-def _transform(node: ParseTree, keep_punctuation: bool) -> ParseTree | None:
-    """Drop traces (and optionally punctuation leaves), strip function tags.
-
-    Returns None when nothing with a terminal yield survives below node.
-    """
-    if node.is_leaf:
-        if not keep_punctuation and is_punctuation_token(node.label):
-            return None
-        return node
-    if node.label == "-NONE-":
-        return None
-    kept = []
-    for child in node.children:
-        new = _transform(child, keep_punctuation)
-        if new is not None:
-            kept.append(new)
-    if not kept:
-        return None
-    return ParseTree(_strip_function_tag(node.label), tuple(kept))
-
-
 def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     """Parse whitespace-separated bracketed trees, one ParseTree per group.
 
@@ -206,25 +147,48 @@ def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     drops them together with any node left empty.
     """
     trees: list[ParseTree] = []
-    pos = _skip_space(text, 0)
-    while pos < len(text):
-        if text[pos] != "(":
+    # One frame per open group: its '(' position, raw label and children,
+    # where None stands for a child that cleanup dropped.
+    stack: list[tuple[int, str, list[ParseTree | None]]] = []
+    for match in _TOKEN.finditer(text):
+        label, token = match.groups()
+        if label is not None:
+            stack.append((match.start(), label, []))
+            continue
+        if not stack:
             raise ParseError(
-                f"expected '(' but found {text[pos]!r}", _byte_offset(text, pos)
+                f"expected '(' but found {match.group()[0]!r}",
+                _byte_offset(text, match.start()),
             )
-        tree, pos = _parse_group(text, pos)
-        cleaned = _transform(tree, keep_punctuation)
-        if cleaned is None or cleaned.is_leaf:
+        if token is not None:
+            keep = keep_punctuation or not is_punctuation_token(token)
+            stack[-1][2].append(ParseTree(token) if keep else None)
+            continue
+        start, label, children = stack.pop()
+        if not children:
+            raise ValidationError(
+                f"bracket group at byte offset {_byte_offset(text, start)} "
+                "has no terminal yield"
+            )
+        kept = tuple(child for child in children if child is not None)
+        node = None
+        if kept and label != "-NONE-":
+            node = ParseTree(_strip_function_tag(label), kept)
+        if stack:
+            stack[-1][2].append(node)
+            continue
+        if node is None:
             raise ValidationError("bracket group has no terminal yield after cleanup")
         # Collapse outer wrappers like "( (S ...) )" produced by treebank tools.
         while (
-            cleaned.label == ""
-            and len(cleaned.children) == 1
-            and not cleaned.children[0].is_leaf
+            node.label == ""
+            and len(node.children) == 1
+            and not node.children[0].is_leaf
         ):
-            cleaned = cleaned.children[0]
-        trees.append(cleaned)
-        pos = _skip_space(text, pos)
+            node = node.children[0]
+        trees.append(node)
+    if stack:
+        raise ParseError("unbalanced brackets", _byte_offset(text, len(text)))
     return trees
 
 

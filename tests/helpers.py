@@ -12,13 +12,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
 from splitread.cohesion import KERNEL_VARIANTS
-from splitread.trees import DepGraph, DepToken, ParseTree
+from splitread.errors import ParseError, ValidationError
+from splitread.trees import (
+    DepGraph,
+    DepToken,
+    ParseTree,
+    _byte_offset,
+    _strip_function_tag,
+    is_punctuation_token,
+)
 
 LABELS = ("A", "B", "C", "S")
 TOKENS = ("x", "y", "z", "w")
@@ -45,6 +54,39 @@ def random_tree(rng: np.random.Generator, max_nodes: int) -> ParseTree:
         )
 
     return build(budget)
+
+
+# Pieces of random bracket strings: labels with function tags,
+# coindexation and traces, tokens with punctuation and non-ASCII text.
+_BRACKET_LABELS = ("NP-SBJ", "S=2", "-NONE-", "", "é", "VP", ".")
+_BRACKET_TOKENS = ("x", "é", ".", ",", "``", "*T*", "-LRB-", "NP-SBJ")
+_BRACKET_SPACES = ("", " ", " ", "\n", "\t ")
+
+
+def random_bracket_string(rng: random.Random) -> str:
+    """Zero to two random bracket groups, then up to two characters
+    deleted or inserted, so that both readable trees and every kind of
+    reader error come up often."""
+
+    def group(depth: int) -> str:
+        parts = ["(", rng.choice(_BRACKET_SPACES), rng.choice(_BRACKET_LABELS)]
+        for _ in range(rng.choice((0, 1, 1, 2, 3)) if depth < 4 else 1):
+            parts.append(rng.choice(_BRACKET_SPACES[1:]))
+            if rng.random() < 0.5:
+                parts.append(group(depth + 1))
+            else:
+                parts.append(rng.choice(_BRACKET_TOKENS))
+        parts += [rng.choice(_BRACKET_SPACES), ")"]
+        return "".join(parts)
+
+    text = " ".join(group(0) for _ in range(rng.choice((0, 1, 1, 2))))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice("() xé") + text[i:]
+    return text
 
 
 def random_dep_graph(rng: np.random.Generator, n_tokens: int) -> DepGraph:
@@ -347,3 +389,105 @@ def reference_tree_kernel(
         for n2 in by_production.get(prod_a[id(n1)], ()):
             total += delta(n1, n2)
     return total
+
+
+# Reference twin: parse_ptb as it was before the one-pass reader, a
+# recursive descent that built each group and then rebuilt it cleaned up,
+# kept verbatim so the rewrite can be pinned to it. The unchanged helpers
+# (byte offsets, function tags, punctuation) come from the program.
+
+
+def _reference_read_atom(text: str, pos: int) -> tuple[str, int]:
+    start = pos
+    n = len(text)
+    while pos < n and not text[pos].isspace() and text[pos] not in "()":
+        pos += 1
+    return text[start:pos], pos
+
+
+def _reference_skip_space(text: str, pos: int) -> int:
+    n = len(text)
+    while pos < n and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _reference_parse_group(text: str, pos: int) -> tuple[ParseTree, int]:
+    # pos points at '('
+    open_offset = pos
+    pos = _reference_skip_space(text, pos + 1)
+    label, pos = _reference_read_atom(text, pos)
+    children: list[ParseTree] = []
+    while True:
+        pos = _reference_skip_space(text, pos)
+        if pos >= len(text):
+            raise ParseError("unbalanced brackets", _byte_offset(text, len(text)))
+        ch = text[pos]
+        if ch == ")":
+            pos += 1
+            break
+        if ch == "(":
+            child, pos = _reference_parse_group(text, pos)
+            children.append(child)
+        else:
+            atom, pos = _reference_read_atom(text, pos)
+            children.append(ParseTree(atom))
+    if not children:
+        raise ValidationError(
+            f"bracket group at byte offset {_byte_offset(text, open_offset)} "
+            "has no terminal yield"
+        )
+    return ParseTree(label, tuple(children)), pos
+
+
+def _reference_transform(node: ParseTree, keep_punctuation: bool) -> ParseTree | None:
+    """Drop traces (and optionally punctuation leaves), strip function tags.
+
+    Returns None when nothing with a terminal yield survives below node.
+    """
+    if node.is_leaf:
+        if not keep_punctuation and is_punctuation_token(node.label):
+            return None
+        return node
+    if node.label == "-NONE-":
+        return None
+    kept = []
+    for child in node.children:
+        new = _reference_transform(child, keep_punctuation)
+        if new is not None:
+            kept.append(new)
+    if not kept:
+        return None
+    return ParseTree(_strip_function_tag(node.label), tuple(kept))
+
+
+def reference_parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
+    """Parse whitespace-separated bracketed trees, one ParseTree per group.
+
+    Unlabeled unary wrappers around a whole tree are collapsed into their
+    single child, trace subtrees (-NONE-) are removed, and grammatical
+    function tags are always stripped from nonterminal labels.
+    Punctuation leaves are kept by default; ``keep_punctuation=False``
+    drops them together with any node left empty.
+    """
+    trees: list[ParseTree] = []
+    pos = _reference_skip_space(text, 0)
+    while pos < len(text):
+        if text[pos] != "(":
+            raise ParseError(
+                f"expected '(' but found {text[pos]!r}", _byte_offset(text, pos)
+            )
+        tree, pos = _reference_parse_group(text, pos)
+        cleaned = _reference_transform(tree, keep_punctuation)
+        if cleaned is None or cleaned.is_leaf:
+            raise ValidationError("bracket group has no terminal yield after cleanup")
+        # Collapse outer wrappers like "( (S ...) )" produced by treebank tools.
+        while (
+            cleaned.label == ""
+            and len(cleaned.children) == 1
+            and not cleaned.children[0].is_leaf
+        ):
+            cleaned = cleaned.children[0]
+        trees.append(cleaned)
+        pos = _reference_skip_space(text, pos)
+    return trees

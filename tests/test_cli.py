@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
@@ -443,6 +444,12 @@ class TestErrors:
         config.write_text("{", encoding="utf-8")
         assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
 
+    def test_config_integer_past_digit_limit(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"kernel_sigma": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
     def test_unknown_sampler_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(
@@ -550,6 +557,86 @@ class TestErrors:
         cfg = cli.load_config(args)
         assert cfg.sampler.warmup == 50000
         assert cfg.sampler.draws == 4000
+
+
+_TRIPLE = {
+    "id": "t0",
+    "source": {"text": "x y", "ptb": ["(S (NN x) (NN y))"]},
+    "a": {"text": "x . y .", "ptb": ["(S (NN x)) (S (NN y))"], "origin": "human"},
+    "b": {"text": "x . y . z .", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
+}
+_JUDGMENT = {
+    "triple_id": "t0",
+    "worker_id": "w0",
+    "question": "A_vs_B",
+    "choice": "first",
+    "scores": {
+        "a": {"grammar": 4, "meaning": 4, "fluency": 4},
+        "b": {"grammar": 3, "meaning": 3, "fluency": 3},
+    },
+}
+_TWO_SENTENCES = (
+    "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    "\n"
+    "1\ty\t_\t_\t_\t_\t0\troot\t_\t_\n"
+)
+# (field path, value, expected error) for one record field of the wrong shape.
+_MALFORMED = [
+    ("source", ["(S (NN x))"], ":1.source: expected a JSON object"),
+    ("a", "text ptb origin", ":1.a: expected a JSON object"),
+    ("b", None, ":1.b: expected a JSON object"),
+    ("conllu", ["x"], ":1.conllu: expected a JSON object"),
+    ("conllu", [], ":1.conllu: expected a JSON object"),
+    ("conllu.a", 5, ":1.conllu.a: expected a string"),
+    ("precomputed", [1], ":1.precomputed: expected a JSON object"),
+    (
+        "precomputed.samsa_a",
+        True,
+        ":1.precomputed.samsa_a: expected a finite number or null, got true",
+    ),
+    (
+        "precomputed.samsa_b",
+        "high",
+        ':1.precomputed.samsa_b: expected a finite number or null, got "high"',
+    ),
+    (
+        "precomputed.samsa_a",
+        float("nan"),
+        ":1.precomputed.samsa_a: expected a finite number or null, got NaN",
+    ),
+    ("source.ptb", 5, ":1.source: 'ptb' must be a list of strings"),
+    ("conllu.source", _TWO_SENTENCES, ":1.source: 2 dependency graphs for 1 trees"),
+    ("scores", "abc", ":1.scores: expected a JSON object"),
+    ("scores.a", [4, 4, 4], ":1.scores.a: expected a JSON object"),
+]
+
+
+class TestMalformedRecords:
+    # Each record field set to a value of the wrong shape must give a
+    # located validation error, never an exception from deeper down.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        _MALFORMED,
+        ids=[f"{field}={json.dumps(value)}" for field, value, _ in _MALFORMED],
+    )
+    def test_rejected_with_location(self, tmp_path, capsys, field, value, message):
+        triple, judgment = copy.deepcopy(_TRIPLE), copy.deepcopy(_JUDGMENT)
+        record = judgment if field.startswith("scores") else triple
+        *parents, key = field.split(".")
+        for name in parents:
+            record = record.setdefault(name, {})
+        record[key] = value
+        triples, judgments = tmp_path / "triples.jsonl", tmp_path / "judgments.jsonl"
+        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
+        judgments.write_text(json.dumps(judgment) + "\n", encoding="utf-8")
+        command = "report" if field.startswith("scores") else "extract"
+        args = [command, "--triples", str(triples), "--judgments", str(judgments)]
+        code = cli.main([*args, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_VALIDATION
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -103,6 +103,12 @@ class TestIngest:
         with pytest.raises(FormatError):
             load_triples(bad)
 
+    def test_integer_past_digit_limit_rejected(self, tmp_path):
+        bad = tmp_path / "triples.jsonl"
+        bad.write_text('{"id": ' + "1" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="triples.jsonl:1: bad JSON"):
+            load_triples(bad)
+
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "judgments.jsonl"
         bad.write_text('{"schema": 2}\n', encoding="utf-8")
@@ -120,6 +126,31 @@ class TestIngest:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             load_triples(path)
+
+    def test_optional_fields_may_be_null_and_samsa_an_integer(self, tmp_path):
+        record = {
+            "id": "t0",
+            "source": {"text": "x", "ptb": ["(S (NN x))"]},
+            "a": {"text": "x", "ptb": ["(S (NN x)) (S (NN y))"], "origin": "bart"},
+            "b": {"text": "x", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
+            "conllu": None,
+            "precomputed": {"samsa_a": 1, "samsa_b": None},
+        }
+        path = tmp_path / "triples.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (triple,) = load_triples(path)
+        assert triple.split_a.samsa == 1.0 and type(triple.split_a.samsa) is float
+        assert triple.split_b.samsa is None
+        assert triple.source_graphs == triple.split_a.graphs == ()
+        record["precomputed"] = None
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (triple,) = load_triples(path)
+        assert triple.split_a.samsa is None
+
+    def test_source_gets_one_graph_per_tree(self, loaded):
+        triples, *_ = loaded
+        for t in triples:
+            assert len(t.source_graphs) == len(t.source_trees) == 1
 
     def test_full_scale_judgment_count(self, tmp_path):
         # 221 triples x 7 workers: 1,547 two-vs-three comparisons and one

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import json
+import random
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dep_graph, random_tree
+from helpers import (
+    random_bracket_string,
+    random_dep_graph,
+    random_tree,
+    reference_parse_ptb,
+)
 from splitread.errors import FormatError, ParseError, ValidationError
 from splitread.trees import (
     DepGraph,
@@ -16,6 +25,7 @@ from splitread.trees import (
     parse_ptb,
     strip_token_leaves,
 )
+from splitread.synth import make_demo_dataset
 
 
 class TestParsePtb:
@@ -197,3 +207,54 @@ class TestHelpers:
     def test_dep_graph_requires_consecutive_indices(self):
         with pytest.raises(ValidationError):
             DepGraph((DepToken(2, "a", 0, "root"),))
+
+
+def _outcome(reader, text: str, keep_punctuation: bool):
+    """The trees a reader returns, or the type, message and byte offset
+    of the error it raises."""
+    try:
+        return reader(text, keep_punctuation=keep_punctuation)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+class TestReferenceTwin:
+    """The one-pass reader against the recursive-descent reader it replaced."""
+
+    def test_random_bracket_strings(self):
+        rng = random.Random(20240808)
+        kinds: Counter = Counter()
+        for _ in range(100_000):
+            text = random_bracket_string(rng)
+            for keep in (True, False):
+                outcome = _outcome(parse_ptb, text, keep)
+                assert outcome == _outcome(reference_parse_ptb, text, keep), (
+                    text,
+                    keep,
+                )
+                kinds[outcome[0] if isinstance(outcome, tuple) else list] += 1
+        # Trees and both kinds of error each make up a fair share.
+        assert set(kinds) == {list, ParseError, ValidationError}
+        assert min(kinds.values()) > 0.05 * sum(kinds.values())
+
+    def test_demo_study_strings(self, tmp_path):
+        triples, _ = make_demo_dataset(tmp_path, n_triples=24, n_workers=7, seed=3)
+        strings = [
+            s
+            for line in triples.read_text("utf-8").splitlines()
+            for side in ("source", "a", "b")
+            for s in json.loads(line)[side]["ptb"]
+        ]
+        assert len(strings) == 24 * 6
+        for text in strings:
+            for keep in (True, False):
+                trees = parse_ptb(text, keep_punctuation=keep)
+                assert trees == reference_parse_ptb(text, keep_punctuation=keep)
+
+
+class TestDeepTrees:
+    def test_deep_unary_chain_parses(self):
+        # Far deeper than the interpreter's recursion limit.
+        depth = 5000
+        (tree,) = parse_ptb("(A " * depth + "x" + ")" * depth)
+        assert tree.tokens() == ["x"]
