@@ -228,7 +228,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     lines = [
         cfg.header(),
         f"# divergences={draws.divergences} "
-        f"accept_rate={','.join(f'{r:.3f}' for r in draws.accept_rate)}",
+        f"accept_rate={','.join(f'{r:.3f}' for r in draws.accept_rate)} "
+        f"step_size={','.join(f'{e:.4g}' for e in draws.step_size)} "
+        f"grad_evals={','.join(str(n) for n in draws.grad_evals)}",
         "coefficient,mean,sd,hdi_low,hdi_high,rhat",
     ]
     for row in summary.rows:

@@ -60,6 +60,10 @@ CATEGORICAL_PREDICTORS = ("bart", "split")
 # Predictors computed from the triple alone (everything but the per-worker
 # perception scores).
 SIDE_PREDICTORS = tuple(p for p in PREDICTORS if p not in CATEGORIES)
+# Deepest parse tree that is featurized. Tree hashing and several feature
+# walks recurse once or more per level, so deeper trees would exhaust
+# Python's default recursion limit of 1000.
+MAX_TREE_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -445,6 +449,13 @@ def side_features(
         enabled = set(config.predictors)
         simp = triple.side(side)
         trees = simp.trees
+        for where, group in (("source tree", triple.source_trees), ("tree", trees)):
+            for i, tree in enumerate(group, 1):
+                if (depth := tree.depth()) > MAX_TREE_DEPTH:
+                    raise ValidationError(
+                        f"{where} {i} is {depth} levels deep, "
+                        f"over the limit of {MAX_TREE_DEPTH}"
+                    )
         feats: dict[str, float] = {}
         if "bart" in enabled:
             feats["bart"] = 1.0 if (side == "a" and simp.origin == "bart") else 0.0

@@ -14,20 +14,31 @@ computed only at trajectory endpoints, for the Metropolis test (Neal
 alone is not finite needs X @ beta or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
 either way with the same random draws consumed.
+
+The chains run at the same time, striped over one process per CPU this
+process may use: lane 0 in the calling process and every other lane in
+a child made with ``fork``, which inherits the module as it stands and
+needs no re-import. Each chain owns its seed and random stream, so the
+draws and every per-chain statistic are the same for any number of
+lanes. An error in a child is raised again in the caller, and a child
+that dies raises a SplitreadError.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .dataset import DesignMatrix, atomic_write
-from .errors import ValidationError
+from .errors import SplitreadError, ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _DIVERGENCE_ENERGY = 1000.0
@@ -103,6 +114,10 @@ class PosteriorDraws:
     logp: np.ndarray  # shape (chains, draws)
     accept_rate: np.ndarray  # per chain, sampling phase
     divergences: int  # post-warmup count
+    # Per chain, set by sample_posterior: the adapted step size and the
+    # log-density/gradient calls. None for draws assembled elsewhere.
+    step_size: np.ndarray | None = None
+    grad_evals: np.ndarray | None = None
 
     @property
     def n_chains(self) -> int:
@@ -227,85 +242,186 @@ def _find_reasonable_epsilon(
     return eps
 
 
+class _Chain(NamedTuple):
+    """One chain's post-warmup draws and log densities, and its sampler
+    statistics."""
+
+    draws: np.ndarray  # (draws, coefficients)
+    logp: np.ndarray  # (draws,)
+    accept_rate: float
+    divergences: int
+    step_size: float  # the adapted step size, used for every kept draw
+    grad_evals: int  # log-density/gradient calls, the epsilon search included
+
+
+def _run_chain(
+    chain: int,
+    X: np.ndarray,
+    y: np.ndarray,
+    prior_sd: np.ndarray,
+    config: SamplerConfig,
+) -> _Chain:
+    """Run chain ``chain``, seeded with ``config.seed + chain``."""
+    dim = prior_sd.size
+    grad_evals = 0
+
+    def logpost(beta: np.ndarray, *, value: bool = True) -> tuple[float, np.ndarray]:
+        nonlocal grad_evals
+        grad_evals += 1
+        return _logpost_arrays(beta, X, y, prior_sd, value=value)
+
+    draws = np.empty((config.draws, dim))
+    logp = np.empty(config.draws)
+    divergences = 0
+    rng = np.random.default_rng(config.seed + chain)
+    q = 0.1 * rng.standard_normal(dim)
+    lp, grad = logpost(q)
+    if not math.isfinite(lp):
+        raise ValidationError("log posterior is not finite at initialization")
+    eps = _find_reasonable_epsilon(q, lp, grad, logpost, rng)
+    mu = math.log(10.0 * eps)
+    h_bar = 0.0
+    log_eps_bar = 0.0
+    accepted_probs = []
+
+    for it in range(config.warmup + config.draws):
+        sampling = it >= config.warmup
+        jitter = rng.uniform(0.8, 1.2)
+        n_steps = max(1, round(config.num_steps * jitter))
+        p0 = rng.standard_normal(dim)
+        h0 = -lp + 0.5 * float(p0 @ p0)
+        q1, p1, lp1, grad1, ok = _leapfrog(q, p0, grad, eps, n_steps, logpost)
+        if ok:
+            h1 = -lp1 + 0.5 * float(p1 @ p1)
+            divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
+            accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
+        else:
+            divergent = True
+            accept_prob = 0.0
+        if rng.uniform() < accept_prob:
+            q, lp, grad = q1, lp1, grad1
+        if sampling:
+            idx = it - config.warmup
+            draws[idx] = q
+            logp[idx] = lp
+            accepted_probs.append(accept_prob)
+            divergences += int(divergent)
+        else:
+            t = it + 1
+            h_bar = (1.0 - 1.0 / (t + _DA_T0)) * h_bar + (
+                config.target_accept - accept_prob
+            ) / (t + _DA_T0)
+            log_eps = mu - math.sqrt(t) / _DA_GAMMA * h_bar
+            eta = t**-_DA_KAPPA
+            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+            eps = math.exp(log_eps)
+            if it == config.warmup - 1:
+                eps = math.exp(log_eps_bar)
+    return _Chain(
+        draws, logp, float(np.mean(accepted_probs)), divergences, eps, grad_evals
+    )
+
+
+def _lanes(chains: int) -> int:
+    """Processes to run ``chains`` chains in: one per CPU this process may
+    use, at most one per chain, and one where ``fork`` is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(chains, cpus))
+
+
+def _run_stripe(stripe: range, *args) -> list[_Chain]:
+    return [_run_chain(chain, *args) for chain in stripe]
+
+
+def _fork_stripe(stripe: range, args: tuple) -> tuple[int, BinaryIO]:
+    """Start a child that runs ``stripe`` and pickles its outcome, its
+    chains or the exception they raised, into a pipe; returns the child's
+    pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns to the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, _run_stripe(stripe, *args))
+            except Exception as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_lanes(stripes: list[range], args: tuple) -> dict[int, _Chain]:
+    """Run ``stripes[0]`` in this process while a forked child runs each
+    other stripe; a chain's error is raised here, as is a child's death.
+    Children still running when this returns or raises are killed."""
+    running = []  # (pid, pipe) of each child not yet waited for
+    try:
+        for stripe in stripes[1:]:
+            running.append(_fork_stripe(stripe, args))
+        chains = dict(zip(stripes[0], _run_stripe(stripes[0], *args)))
+        for stripe in stripes[1:]:
+            pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()  # until the child exits
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"status {code}"
+                raise SplitreadError(
+                    f"sampler worker for chains {', '.join(map(str, stripe))} "
+                    f"died ({how})"
+                )
+            ok, value = pickle.loads(data)  # written by the child above
+            if not ok:
+                raise value
+            chains.update(zip(stripe, value))
+        return chains
+    finally:
+        for pid, pipe in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sample_posterior(
     matrix: DesignMatrix, spec: ModelSpec, config: SamplerConfig
 ) -> PosteriorDraws:
     """Draw from the coefficient posterior with plain HMC.
 
     Chains run independently, each seeded with ``config.seed + chain``;
-    results are deterministic for a fixed configuration. Warmup draws are
-    discarded. Divergent transitions after warmup are counted and exposed
-    on the result.
+    results are deterministic for a fixed configuration. The chains are
+    striped over ``_lanes`` processes (lane k runs chains k, k + lanes,
+    ...), lane 0 in this one, so the result does not depend on the lane
+    count. Warmup draws are discarded. Divergent transitions after warmup
+    are counted and exposed on the result.
     """
     X = matrix.predictor_matrix(spec.predictors)
-    y = matrix.y
     for name in spec.predictors:
         if np.ptp(matrix.column(name)) == 0.0:
             raise ValidationError(f"predictor {name!r} has zero variance")
-    prior_sd = spec.sd_vector()
-    dim = len(spec.predictors) + 1
-
-    def logpost(beta: np.ndarray, *, value: bool = True) -> tuple[float, np.ndarray]:
-        return _logpost_arrays(beta, X, y, prior_sd, value=value)
-
-    all_draws = np.empty((config.chains, config.draws, dim))
-    all_logp = np.empty((config.chains, config.draws))
-    accept_rates = np.empty(config.chains)
-    divergences = 0
-
-    for chain in range(config.chains):
-        rng = np.random.default_rng(config.seed + chain)
-        q = 0.1 * rng.standard_normal(dim)
-        lp, grad = logpost(q)
-        if not math.isfinite(lp):
-            raise ValidationError("log posterior is not finite at initialization")
-        eps = _find_reasonable_epsilon(q, lp, grad, logpost, rng)
-        mu = math.log(10.0 * eps)
-        h_bar = 0.0
-        log_eps_bar = 0.0
-        accepted_probs = []
-
-        for it in range(config.warmup + config.draws):
-            sampling = it >= config.warmup
-            jitter = rng.uniform(0.8, 1.2)
-            n_steps = max(1, round(config.num_steps * jitter))
-            p0 = rng.standard_normal(dim)
-            h0 = -lp + 0.5 * float(p0 @ p0)
-            q1, p1, lp1, grad1, ok = _leapfrog(q, p0, grad, eps, n_steps, logpost)
-            if ok:
-                h1 = -lp1 + 0.5 * float(p1 @ p1)
-                divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
-                accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
-            else:
-                divergent = True
-                accept_prob = 0.0
-            if rng.uniform() < accept_prob:
-                q, lp, grad = q1, lp1, grad1
-            if sampling:
-                idx = it - config.warmup
-                all_draws[chain, idx] = q
-                all_logp[chain, idx] = lp
-                accepted_probs.append(accept_prob)
-                divergences += int(divergent)
-            else:
-                t = it + 1
-                h_bar = (1.0 - 1.0 / (t + _DA_T0)) * h_bar + (
-                    config.target_accept - accept_prob
-                ) / (t + _DA_T0)
-                log_eps = mu - math.sqrt(t) / _DA_GAMMA * h_bar
-                eta = t**-_DA_KAPPA
-                log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-                eps = math.exp(log_eps)
-                if it == config.warmup - 1:
-                    eps = math.exp(log_eps_bar)
-        accept_rates[chain] = float(np.mean(accepted_probs))
-
+    lanes = _lanes(config.chains)
+    stripes = [range(k, config.chains, lanes) for k in range(lanes)]
+    by_chain = _run_lanes(stripes, (X, matrix.y, spec.sd_vector(), config))
+    chains = [by_chain[c] for c in range(config.chains)]
     return PosteriorDraws(
         names=spec.coefficient_names(),
-        draws=all_draws,
-        logp=all_logp,
-        accept_rate=accept_rates,
-        divergences=divergences,
+        draws=np.stack([c.draws for c in chains]),
+        logp=np.stack([c.logp for c in chains]),
+        accept_rate=np.array([c.accept_rate for c in chains]),
+        divergences=sum(c.divergences for c in chains),
+        step_size=np.array([c.step_size for c in chains]),
+        grad_evals=np.array([c.grad_evals for c in chains]),
     )
 
 

@@ -54,6 +54,15 @@ class ParseTree:
     def size(self) -> int:
         return sum(1 for _ in self.iter_nodes())
 
+    def depth(self) -> int:
+        """Nodes on the longest path from this node down to a leaf,
+        counted level by level without recursion."""
+        level, depth = [self], 0
+        while level:
+            level = [child for node in level for child in node.children]
+            depth += 1
+        return depth
+
     def to_bracketed(self) -> str:
         if self.is_leaf:
             return self.label

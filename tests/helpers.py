@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
+from splitread import inference
 from splitread.cohesion import KERNEL_VARIANTS
 from splitread.errors import ParseError, ValidationError
 from splitread.trees import (
@@ -253,6 +255,23 @@ def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
             p += eps * grad
     p += 0.5 * eps * grad
     return q, p, lp, grad, True
+
+
+def pin_lanes(monkeypatch, lanes):
+    """Run every chain of ``sample_posterior`` in ``lanes`` processes."""
+    monkeypatch.setattr(inference, "_lanes", lambda chains: lanes)
+
+
+def nan_density_in_children(logpost):
+    """``logpost`` made to return a NaN density in every process other
+    than the calling one, such as a forked sampler worker."""
+    parent = os.getpid()
+
+    def wrapped(beta, *args, value=True):
+        lp, grad = logpost(beta, *args, value=value)
+        return (lp if os.getpid() == parent else math.nan), grad
+
+    return wrapped
 
 
 # Reference twins: tree_edit_distance and tree_kernel as they were before

@@ -10,8 +10,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from helpers import nan_density_in_children, pin_lanes
 
 from splitread import cli
+from splitread.dataset import MAX_TREE_DEPTH
 from splitread.synth import make_demo_dataset
 
 
@@ -179,6 +181,50 @@ class TestFit:
         config = _write_config(tmp_path, t2, j2, out)
         code = cli.main(["fit", "--config", str(config)])
         assert code == cli.EXIT_VALIDATION
+
+
+class TestFitLanes:
+    """Chains run in forked worker processes, one per usable CPU; nothing
+    `fit` writes or prints may depend on how many there are."""
+
+    def test_artifacts_independent_of_lanes(self, workspace, monkeypatch):
+        tmp, triples, judgments = workspace
+        artifacts = []
+        out = tmp / "fit_lanes"  # one path: it is part of the config hash
+        for lanes in (1, 2, 3):
+            pin_lanes(monkeypatch, lanes)
+            config = _write_config(
+                tmp, triples, judgments, out,
+                predictors=["fluency", "split", "ted1"],
+                sampler={"chains": 3, "warmup": 150, "draws": 150},
+            )
+            assert cli.main(["fit", "--config", str(config)]) == 0
+            artifacts.append(
+                {
+                    name: (out / name).read_bytes()
+                    for name in ("summary.csv", "draws.csv", "histograms.csv")
+                }
+            )
+        assert artifacts[1] == artifacts[0]
+        assert artifacts[2] == artifacts[0]
+        stats = artifacts[0]["summary.csv"].decode().splitlines()[1].split()
+        assert [field.split("=")[0] for field in stats[1:]] == [
+            "divergences", "accept_rate", "step_size", "grad_evals",
+        ]
+        per_chain = {k: v.split(",") for k, v in (f.split("=") for f in stats[2:])}
+        assert all(len(values) == 3 for values in per_chain.values())
+        assert all(float(e) > 0 for e in per_chain["step_size"])
+        assert all(int(n) > 300 for n in per_chain["grad_evals"])
+
+    def test_chain_error_in_worker_exits_validation(self, workspace, monkeypatch, capsys):
+        tmp, triples, judgments = workspace
+        nan_in_worker = nan_density_in_children(cli.inference._logpost_arrays)
+        monkeypatch.setattr(cli.inference, "_logpost_arrays", nan_in_worker)
+        pin_lanes(monkeypatch, 2)
+        config = _write_config(tmp, triples, judgments, tmp / "fit_worker_error")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: log posterior is not finite at initialization\n"
 
 
 class TestAblate:
@@ -637,6 +683,23 @@ class TestMalformedRecords:
         assert err.startswith("error:")
         assert message in err
         assert "Traceback" not in err
+
+
+class TestDeepTrees:
+    def test_extract_names_depth_limit_and_report_runs(self, tmp_path, capsys):
+        triple = copy.deepcopy(_TRIPLE)
+        triple["source"]["ptb"] = ["(A " * 4999 + "x" + ")" * 4999]
+        triples, judgments = tmp_path / "triples.jsonl", tmp_path / "judgments.jsonl"
+        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
+        judgments.write_text(json.dumps(_JUDGMENT) + "\n", encoding="utf-8")
+        args = ["--triples", str(triples), "--out", str(tmp_path / "out")]
+        assert cli.main(["extract", *args]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: triple 't0', side a: source tree 1 is 5000 levels deep, "
+            f"over the limit of {MAX_TREE_DEPTH}\n"
+        )
+        assert cli.main(["report", *args, "--judgments", str(judgments)]) == cli.EXIT_OK
+        assert (tmp_path / "out" / "report.txt").exists()
 
 
 def test_cli_import_does_not_load_scipy_stats():

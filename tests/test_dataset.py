@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import replace
@@ -13,6 +14,7 @@ from splitread import cohesion
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     CATEGORIES,
+    MAX_TREE_DEPTH,
     PREDICTORS,
     DesignMatrix,
     FeatureConfig,
@@ -34,6 +36,7 @@ from splitread.errors import (
     ValidationError,
 )
 from splitread.synth import make_demo_dataset
+from splitread.trees import parse_ptb
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +450,39 @@ class TestDesignMatrix:
             for side in ("a", "b")
         }
         assert calls == expected
+
+
+def _with_deep_tree(triple, where, depth):
+    """``triple`` with its first source tree, or the second tree of side
+    a, replaced by a unary chain ``depth`` nodes deep."""
+    (chain,) = parse_ptb("(A " * (depth - 1) + "x" + ")" * (depth - 1))
+    assert chain.depth() == depth
+    if where == "source":
+        return replace(triple, source_trees=(chain, *triple.source_trees[1:]))
+    trees = triple.split_a.trees
+    return replace(triple, split_a=replace(triple.split_a, trees=(trees[0], chain, *trees[2:])))
+
+
+class TestTreeDepthLimit:
+    # Deeper trees would exhaust the recursion limit in tree hashing and
+    # the recursive feature walks; the limit is checked before any of them.
+    @pytest.mark.parametrize("where", ["source", "side"])
+    def test_deepest_allowed_tree_featurizes(self, loaded, where):
+        triple = _with_deep_tree(loaded[0][0], where, MAX_TREE_DEPTH)
+        feats = side_features(triple, "a")
+        assert set(feats) == set(FeatureConfig().predictors) - set(CATEGORIES)
+        assert all(math.isfinite(v) for v in feats.values())
+
+    @pytest.mark.parametrize("where, tree", [("source", "source tree 1"), ("side", "tree 2")])
+    def test_one_level_deeper_rejected(self, loaded, where, tree):
+        triple = _with_deep_tree(loaded[0][0], where, MAX_TREE_DEPTH + 1)
+        message = (
+            f"triple '{triple.id}', side a: {tree} is {MAX_TREE_DEPTH + 1} levels deep, "
+            f"over the limit of {MAX_TREE_DEPTH}"
+        )
+        with pytest.raises(ValidationError) as info:
+            side_features(triple, "a")
+        assert str(info.value) == message
 
 
 class TestExtractFeatures:

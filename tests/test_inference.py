@@ -3,17 +3,19 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
-from helpers import naive_leapfrog
+from helpers import naive_leapfrog, nan_density_in_children, pin_lanes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from splitread import inference
+from splitread import inference, selection
 from splitread.dataset import DesignMatrix
-from splitread.errors import ValidationError
+from splitread.errors import SplitreadError, ValidationError
 from splitread.inference import (
     ModelSpec,
     SamplerConfig,
@@ -293,6 +295,8 @@ class TestLeapfrog:
                 in_search = False
                 search_calls += calls[True] + calls[False] - before
 
+        # The counters live in this process, so every chain must run here.
+        monkeypatch.setattr(inference, "_lanes", lambda chains: 1)
         monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
         monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
         monkeypatch.setattr(inference, "_find_reasonable_epsilon", counting_search)
@@ -339,6 +343,160 @@ class TestLeapfrog:
         assert not ok
         assert lp == -math.inf
         assert calls == [False, False]
+
+
+@pytest.fixture(scope="module")
+def lane_matrix():
+    matrix = make_logit_matrix(300, [0.3, 1.0, -0.5], seed=8)
+    return matrix, ModelSpec(predictors=matrix.columns)
+
+
+def _assert_same_draws(a, b):
+    assert np.array_equal(a.draws, b.draws)
+    assert np.array_equal(a.logp, b.logp)
+    assert np.array_equal(a.accept_rate, b.accept_rate)
+    assert a.divergences == b.divergences
+    assert np.array_equal(a.step_size, b.step_size)
+    assert np.array_equal(a.grad_evals, b.grad_evals)
+
+
+class TestLanes:
+    """Chains striped over forked worker processes give exactly the draws
+    and sampler statistics of one process running them in turn."""
+
+    @pytest.mark.parametrize("chains, lanes", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 4)])
+    def test_pool_matches_single_lane(self, lane_matrix, monkeypatch, chains, lanes):
+        matrix, spec = lane_matrix
+        config = SamplerConfig(chains=chains, warmup=100, draws=100, seed=5, num_steps=8)
+        pin_lanes(monkeypatch, 1)
+        serial = sample_posterior(matrix, spec, config)
+        pin_lanes(monkeypatch, lanes)
+        pooled = sample_posterior(matrix, spec, config)
+        _assert_same_draws(pooled, serial)
+        assert serial.step_size.shape == serial.grad_evals.shape == (chains,)
+
+    def test_chains_striped_over_lanes(self, lane_matrix, monkeypatch, tmp_path):
+        matrix, spec = lane_matrix
+        real_run_chain = inference._run_chain
+
+        def recording_run_chain(chain, *args):
+            (tmp_path / f"{chain}.pid").write_text(str(os.getpid()))
+            return real_run_chain(chain, *args)
+
+        monkeypatch.setattr(inference, "_run_chain", recording_run_chain)
+        pin_lanes(monkeypatch, 2)
+        config = SamplerConfig(chains=3, warmup=20, draws=20, seed=5, num_steps=4)
+        sample_posterior(matrix, spec, config)
+        pids = [int((tmp_path / f"{c}.pid").read_text()) for c in range(3)]
+        assert pids[0] == pids[2] == os.getpid()
+        assert pids[1] != os.getpid()
+
+    def test_ablation_table_matches_single_lane(self, lane_matrix, monkeypatch):
+        matrix, spec = lane_matrix
+        config = SamplerConfig(chains=3, warmup=60, draws=60, seed=2, num_steps=8)
+        pin_lanes(monkeypatch, 1)
+        serial = selection.ablate(matrix, spec, config)
+        pin_lanes(monkeypatch, 2)
+        pooled = selection.ablate(matrix, spec, config)
+        assert pooled.to_csv_lines() == serial.to_csv_lines()
+        assert pooled.to_text_lines() == serial.to_text_lines()
+
+    @pytest.mark.parametrize(
+        "cpus, chains, expected", [({0}, 4, 1), ({0, 1}, 4, 2), ({0, 1, 2, 3, 5}, 4, 4)]
+    )
+    def test_one_lane_per_usable_cpu(self, monkeypatch, cpus, chains, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert inference._lanes(chains) == expected
+
+    def test_one_lane_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert inference._lanes(4) == 1
+
+    def test_grad_evals_and_step_size_match_the_sampler(self, lane_matrix, monkeypatch):
+        matrix, spec = lane_matrix
+        config = SamplerConfig(chains=2, warmup=50, draws=40, seed=3, num_steps=6)
+        calls = 0
+        trajectory_eps = []
+        real_logpost = inference._logpost_arrays
+        real_leapfrog = inference._leapfrog
+
+        def counting_logpost(*args, value=True):
+            nonlocal calls
+            calls += 1
+            return real_logpost(*args, value=value)
+
+        def recording_leapfrog(q, p, grad, eps, n_steps, logpost):
+            if n_steps > 1:  # not the epsilon search's single steps
+                trajectory_eps.append(eps)
+            return real_leapfrog(q, p, grad, eps, n_steps, logpost)
+
+        pin_lanes(monkeypatch, 1)
+        monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
+        monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
+        draws = sample_posterior(matrix, spec, config)
+        assert draws.grad_evals.sum() == calls
+        per_chain = config.warmup + config.draws
+        assert len(trajectory_eps) == config.chains * per_chain
+        for c in range(config.chains):
+            kept = trajectory_eps[c * per_chain + config.warmup : (c + 1) * per_chain]
+            assert set(kept) == {draws.step_size[c]}
+
+
+class TestWorkerFailures:
+    def test_chain_error_in_worker_raised_here(self, lane_matrix, monkeypatch):
+        matrix, spec = lane_matrix
+        nan_in_worker = nan_density_in_children(inference._logpost_arrays)
+        monkeypatch.setattr(inference, "_logpost_arrays", nan_in_worker)
+        pin_lanes(monkeypatch, 2)
+        config = SamplerConfig(chains=2, warmup=20, draws=20, seed=5, num_steps=4)
+        with pytest.raises(ValidationError, match="not finite at initialization"):
+            sample_posterior(matrix, spec, config)
+
+    def test_dead_worker_raises_and_is_reaped(self, lane_matrix, monkeypatch, tmp_path):
+        matrix, spec = lane_matrix
+        parent = os.getpid()
+        real_run_chain = inference._run_chain
+
+        def dying_run_chain(chain, *args):
+            if os.getpid() != parent:
+                (tmp_path / "worker.pid").write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_chain(chain, *args)
+
+        monkeypatch.setattr(inference, "_run_chain", dying_run_chain)
+        pin_lanes(monkeypatch, 2)
+        config = SamplerConfig(chains=4, warmup=20, draws=20, seed=5, num_steps=4)
+        with pytest.raises(SplitreadError, match=r"worker for chains 1, 3 died \(signal 9\)"):
+            sample_posterior(matrix, spec, config)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(int((tmp_path / "worker.pid").read_text()), os.WNOHANG)
+
+    def test_error_here_kills_running_workers(self, lane_matrix, monkeypatch, tmp_path):
+        matrix, spec = lane_matrix
+        parent = os.getpid()
+
+        pid_file = tmp_path / "worker.pid"
+
+        def stalled_or_failing(chain, *args):
+            if os.getpid() != parent:
+                written = tmp_path / "worker.tmp"
+                written.write_text(str(os.getpid()))
+                written.rename(pid_file)
+                time.sleep(60)
+            deadline = time.monotonic() + 20
+            while not pid_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)  # until the worker is surely running
+            raise ValidationError("failed in lane 0")
+
+        monkeypatch.setattr(inference, "_run_chain", stalled_or_failing)
+        pin_lanes(monkeypatch, 2)
+        config = SamplerConfig(chains=2, warmup=20, draws=20, seed=5, num_steps=4)
+        start = time.monotonic()
+        with pytest.raises(ValidationError, match="failed in lane 0"):
+            sample_posterior(matrix, spec, config)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(int(pid_file.read_text()), os.WNOHANG)
 
 
 class TestSummarize:

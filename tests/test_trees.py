@@ -258,3 +258,10 @@ class TestDeepTrees:
         depth = 5000
         (tree,) = parse_ptb("(A " * depth + "x" + ")" * depth)
         assert tree.tokens() == ["x"]
+
+    def test_depth_counts_nodes_on_the_longest_path(self, fig_tree):
+        assert fig_tree.depth() == 4  # S, VP, V, walks
+        assert fig_tree.children[0].depth() == 2
+        assert ParseTree("x").depth() == 1
+        (chain,) = parse_ptb("(A " * 5000 + "x" + ")" * 5000)
+        assert chain.depth() == 5001
