@@ -276,16 +276,17 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> int:
     _check_paths(cfg, need_judgments=True)
-    matrix = _fit_matrix(cfg)
     if only:
         predictors = only
     elif reduced:
         predictors = REDUCED_PREDICTORS
     else:
         predictors = cfg.features.predictors
-    missing = [p for p in predictors if p not in matrix.columns]
+    # The design matrix has one column per configured predictor.
+    missing = [p for p in predictors if p not in cfg.features.predictors]
     if missing:
         raise SplitreadError(f"predictors not in the design matrix: {missing}")
+    matrix = _fit_matrix(cfg)
     table = selection.ablate(
         matrix, ModelSpec(predictors, prior_sd=cfg.prior_sd), cfg.sampler
     )
@@ -373,6 +374,9 @@ def _predictor_list(text: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in text.split(",") if p.strip())
     if not names:
         raise argparse.ArgumentTypeError(f"no predictor named in {text!r}")
+    repeated = sorted({p for p in names if names.count(p) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"duplicate predictor names: {repeated}")
     return names
 
 

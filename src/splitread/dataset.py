@@ -19,9 +19,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
-from . import cohesion, complexity, readability
+from . import cohesion, complexity, pool, readability
 from .errors import (
     FormatError,
     IntegrityError,
@@ -398,6 +397,9 @@ def score_summary(
     p = 2 * stdtr(df, -|t|), as scipy's ``ttest_ind(a, b, equal_var=False)``
     computes them.
     """
+    # Imported on use: importing splitread loads no scipy.special.
+    from scipy.special import stdtr
+
     out: dict[str, GroupComparison] = {}
     for cat in CATEGORIES:
         a = np.asarray(group_a[cat], dtype=float)
@@ -512,19 +514,40 @@ def side_features(
         raise ValidationError(f"triple {triple.id!r}, side {side}: {exc}") from exc
 
 
+def _triple_rows(
+    index: int, triples: Sequence[Triple], config: FeatureConfig, enabled: list[str]
+) -> list[list]:
+    """The side a and side b rows of ``triples[index]``."""
+    triple = triples[index]
+    rows = []
+    for side in ("a", "b"):
+        feats = side_features(triple, side, config)
+        rows.append([triple.id, side, *(feats[p] for p in enabled)])
+    return rows
+
+
 def extract_features(
     triples: Sequence[Triple], config: FeatureConfig | None = None
 ) -> tuple[list[str], list[list]]:
-    """Per-(triple, side) feature table in a stable column order."""
+    """Per-(triple, side) feature table in a stable column order.
+
+    The triples, sorted by id, are striped over ``pool.lanes`` processes
+    with both sides of a triple in one lane, where the per-tree caches
+    share work between them. The rows, and the error raised for the first
+    failing triple and side, are those of one process featurizing the
+    triples in turn.
+    """
     config = config or FeatureConfig()
     enabled = [p for p in SIDE_PREDICTORS if p in set(config.predictors)]
     header = ["triple_id", "side", *enabled]
-    rows: list[list] = []
-    for triple in sorted(triples, key=lambda t: t.id):
-        for side in ("a", "b"):
-            feats = side_features(triple, side, config)
-            rows.append([triple.id, side, *(feats[p] for p in enabled)])
-    return header, rows
+    ordered = sorted(triples, key=lambda t: t.id)
+    per_triple = pool.run(
+        _triple_rows,
+        len(ordered),
+        (ordered, config, enabled),
+        "feature worker for sorted triples",
+    )
+    return header, [row for rows in per_triple for row in rows]
 
 
 @dataclass(frozen=True)

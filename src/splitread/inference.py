@@ -15,30 +15,23 @@ alone is not finite needs X @ beta or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
 either way with the same random draws consumed.
 
-The chains run at the same time, striped over one process per CPU this
-process may use: lane 0 in the calling process and every other lane in
-a child made with ``fork``, which inherits the module as it stands and
-needs no re-import. Each chain owns its seed and random stream, so the
-draws and every per-chain statistic are the same for any number of
-lanes. An error in a child is raised again in the caller, and a child
-that dies raises a SplitreadError.
+The chains run at the same time, striped over one process per CPU by
+``pool.run``. Each chain owns its seed and random stream, so the draws
+and every per-chain statistic are the same for any number of lanes.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import expit
 
+from . import pool
 from .dataset import DesignMatrix, atomic_write
-from .errors import SplitreadError, ValidationError
+from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _DIVERGENCE_ENERGY = 1000.0
@@ -136,6 +129,16 @@ class PosteriorDraws:
         return self.divergences > 0.01 * kept
 
 
+def _expit(t: np.ndarray) -> np.ndarray:
+    """scipy.special.expit, imported on the first call and then bound in
+    this stub's place, so that importing this module does not load
+    scipy.special and later calls cost what a direct call costs."""
+    global _expit
+    from scipy.special import expit as _expit
+
+    return _expit(t)
+
+
 def _logpost_arrays(
     beta: np.ndarray,
     X: np.ndarray,
@@ -147,7 +150,7 @@ def _logpost_arrays(
     """Log density and gradient; with ``value=False`` only the gradient
     (bit-identical to the full call's) and NaN in place of the density."""
     t = beta[0] + X @ beta[1:]
-    lam = expit(t)
+    lam = _expit(t)
     resid = y - lam
     grad = np.empty_like(beta)
     grad[0] = resid.sum()
@@ -322,87 +325,15 @@ def _run_chain(
     )
 
 
-def _lanes(chains: int) -> int:
-    """Processes to run ``chains`` chains in: one per CPU this process may
-    use, at most one per chain, and one where ``fork`` is unavailable."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(chains, cpus))
-
-
-def _run_stripe(stripe: range, *args) -> list[_Chain]:
-    return [_run_chain(chain, *args) for chain in stripe]
-
-
-def _fork_stripe(stripe: range, args: tuple) -> tuple[int, BinaryIO]:
-    """Start a child that runs ``stripe`` and pickles its outcome, its
-    chains or the exception they raised, into a pipe; returns the child's
-    pid and the pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns to the caller
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = (True, _run_stripe(stripe, *args))
-            except Exception as exc:
-                outcome = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(outcome, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _run_lanes(stripes: list[range], args: tuple) -> dict[int, _Chain]:
-    """Run ``stripes[0]`` in this process while a forked child runs each
-    other stripe; a chain's error is raised here, as is a child's death.
-    Children still running when this returns or raises are killed."""
-    running = []  # (pid, pipe) of each child not yet waited for
-    try:
-        for stripe in stripes[1:]:
-            running.append(_fork_stripe(stripe, args))
-        chains = dict(zip(stripes[0], _run_stripe(stripes[0], *args)))
-        for stripe in stripes[1:]:
-            pid, pipe = running[0]
-            with pipe:
-                data = pipe.read()  # until the child exits
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.pop(0)
-            if code != 0:
-                how = f"signal {-code}" if code < 0 else f"status {code}"
-                raise SplitreadError(
-                    f"sampler worker for chains {', '.join(map(str, stripe))} "
-                    f"died ({how})"
-                )
-            ok, value = pickle.loads(data)  # written by the child above
-            if not ok:
-                raise value
-            chains.update(zip(stripe, value))
-        return chains
-    finally:
-        for pid, pipe in running:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def sample_posterior(
     matrix: DesignMatrix, spec: ModelSpec, config: SamplerConfig
 ) -> PosteriorDraws:
     """Draw from the coefficient posterior with plain HMC.
 
     Chains run independently, each seeded with ``config.seed + chain``;
-    results are deterministic for a fixed configuration. The chains are
-    striped over ``_lanes`` processes (lane k runs chains k, k + lanes,
-    ...), lane 0 in this one, so the result does not depend on the lane
+    results are deterministic for a fixed configuration. The chains run
+    at the same time, striped over ``pool.lanes`` processes (lane k runs
+    chains k, k + lanes, ...), and the result does not depend on the lane
     count. Warmup draws are discarded. Divergent transitions after warmup
     are counted and exposed on the result.
     """
@@ -410,10 +341,12 @@ def sample_posterior(
     for name in spec.predictors:
         if np.ptp(matrix.column(name)) == 0.0:
             raise ValidationError(f"predictor {name!r} has zero variance")
-    lanes = _lanes(config.chains)
-    stripes = [range(k, config.chains, lanes) for k in range(lanes)]
-    by_chain = _run_lanes(stripes, (X, matrix.y, spec.sd_vector(), config))
-    chains = [by_chain[c] for c in range(config.chains)]
+    chains = pool.run(
+        _run_chain,
+        config.chains,
+        (X, matrix.y, spec.sd_vector(), config),
+        "sampler worker for chains",
+    )
     return PosteriorDraws(
         names=spec.coefficient_names(),
         draws=np.stack([c.draws for c in chains]),

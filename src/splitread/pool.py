@@ -1,0 +1,120 @@
+"""One lane per CPU: a list of independent items run in forked processes.
+
+``run(fn, jobs, args, what)`` computes ``[fn(i, *args) for i in
+range(jobs)]`` with the items striped over ``lanes(jobs)`` processes:
+lane k runs items k, k + lanes, ..., lane 0 in the calling process and
+every other lane in a child made with ``fork``, which inherits the
+program as it stands and needs no re-import. Nothing is sent to a child;
+each pickles its results back through a pipe. An item that depends only
+on its index and the arguments (its own seed, caches of its own inputs)
+therefore gives the same result for any number of lanes.
+
+Errors are those of the serial loop: the exception of the lowest-indexed
+failing item is raised in the caller, and a child that dies raises a
+SplitreadError, counted as a failure of its first item. Children still
+running when ``run`` returns or raises are killed and reaped.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+from typing import BinaryIO, Callable, TypeVar
+
+from .errors import SplitreadError
+
+T = TypeVar("T")
+
+
+def lanes(jobs: int) -> int:
+    """Processes to run ``jobs`` items in: one per CPU this process may
+    use, at most one per item, and one where ``fork`` is unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
+
+
+def _run_stripe(
+    fn: Callable, stripe: range, args: tuple
+) -> tuple[list, tuple[int, Exception] | None]:
+    """``fn`` over ``stripe`` up to its first failing item: the results
+    before that item, and the item with its exception (None if none failed)."""
+    results = []
+    for item in stripe:
+        try:
+            results.append(fn(item, *args))
+        except Exception as exc:
+            return results, (item, exc)
+    return results, None
+
+
+def _fork_stripe(fn: Callable, stripe: range, args: tuple) -> tuple[int, BinaryIO]:
+    """Start a child that runs ``stripe`` and pickles its outcome into a
+    pipe; returns the child's pid and the pipe's read end."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns to the caller
+        code = 1
+        try:
+            os.close(read_fd)
+            outcome = _run_stripe(fn, stripe, args)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _listing(stripe: range) -> str:
+    items = [str(item) for item in stripe]
+    if len(items) > 4:
+        items[2:-1] = ["..."]
+    return ", ".join(items)
+
+
+def run(fn: Callable[..., T], jobs: int, args: tuple, what: str) -> list[T]:
+    """``[fn(i, *args) for i in range(jobs)]``, striped over ``lanes(jobs)``
+    processes. ``what`` names a worker and its items in the error raised
+    when it dies ("sampler worker for chains" gives "sampler worker for
+    chains 1, 3 died (signal 9)")."""
+    n = lanes(jobs)
+    stripes = [range(k, jobs, n) for k in range(n)]
+    running = []  # (pid, pipe) of each child not yet waited for
+    try:
+        for stripe in stripes[1:]:
+            running.append(_fork_stripe(fn, stripe, args))
+        done, failure = _run_stripe(fn, stripes[0], args)
+        if failure is not None and failure[0] == 0:
+            raise failure[1]  # no item fails before the first
+        outcomes = [(done, failure)]
+        for stripe in stripes[1:]:
+            pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()  # until the child exits
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            if code != 0:
+                how = f"signal {-code}" if code < 0 else f"status {code}"
+                died = SplitreadError(f"{what} {_listing(stripe)} died ({how})")
+                outcomes.append(([], (stripe.start, died)))
+            else:
+                outcomes.append(pickle.loads(data))  # written by the child above
+        failures = [failure for _, failure in outcomes if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        results: list = [None] * jobs
+        for k, (done, _) in enumerate(outcomes):
+            results[k::n] = done
+        return results
+    finally:
+        for pid, pipe in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import DesignMatrix
 from .errors import ValidationError
@@ -57,6 +56,9 @@ class WaicResult:
 
 def waic(loglik: np.ndarray) -> WaicResult:
     """Score a pointwise log-likelihood array of shape (samples, rows)."""
+    # Imported on use: importing splitread loads no scipy.special.
+    from scipy.special import logsumexp
+
     loglik = np.asarray(loglik, dtype=float)
     if loglik.ndim != 2:
         raise ValidationError("loglik must be a (samples, rows) array")

@@ -10,7 +10,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import DesignMatrix
 from .trees import ParseTree
@@ -174,6 +173,9 @@ def make_logit_matrix(
     """Design matrix with standardized Gaussian predictors and a binary
     outcome drawn from the logistic model with coefficients ``beta``
     (intercept first)."""
+    # Imported on use: importing splitread loads no scipy.special.
+    from scipy.special import expit
+
     beta = np.asarray(beta, dtype=float)
     k = beta.size - 1
     rng = np.random.default_rng(seed)

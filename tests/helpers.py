@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from splitread import inference
+from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
 from splitread.errors import ParseError, ValidationError
 from splitread.trees import (
@@ -258,8 +258,9 @@ def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
 
 
 def pin_lanes(monkeypatch, lanes):
-    """Run every chain of ``sample_posterior`` in ``lanes`` processes."""
-    monkeypatch.setattr(inference, "_lanes", lambda chains: lanes)
+    """Run every job of the lane pool, the chains of ``sample_posterior``
+    and the triples of ``extract_features``, in ``lanes`` processes."""
+    monkeypatch.setattr(pool, "lanes", lambda jobs: lanes)
 
 
 def nan_density_in_children(logpost):

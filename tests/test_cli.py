@@ -227,6 +227,20 @@ class TestFitLanes:
         assert err == "error: log posterior is not finite at initialization\n"
 
 
+class TestExtractLanes:
+    def test_features_independent_of_lanes(self, workspace, monkeypatch):
+        tmp, triples, _ = workspace
+        out = tmp / "extract_lanes"  # one path: it is part of the config hash
+        written = []
+        for lanes in (1, 2, 3):
+            pin_lanes(monkeypatch, lanes)
+            args = ["extract", "--triples", str(triples), "--out", str(out)]
+            assert cli.main(args) == 0
+            written.append((out / "features.csv").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+
+
 class TestAblate:
     def test_predictor_subset(self, workspace):
         tmp, triples, judgments = workspace
@@ -273,8 +287,12 @@ class TestAblateArguments:
                 ["--reduced", "--predictors", "fluency,split"],
                 "argument --predictors: not allowed with argument --reduced",
             ),
+            (
+                ["--predictors", "fluency,split,fluency"],
+                "argument --predictors: duplicate predictor names: ['fluency']",
+            ),
         ],
-        ids=["empty", "comma", "reduced"],
+        ids=["empty", "comma", "reduced", "duplicate"],
     )
     def test_rejected_before_input_read(
         self, workspace, tmp_path, capsys, monkeypatch, flags, message
@@ -290,6 +308,35 @@ class TestAblateArguments:
             cli.main(["ablate", "--config", str(config), *flags])
         assert exc.value.code == cli.EXIT_VALIDATION
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, predictors, missing",
+        [
+            (["--predictors", "nope,split"], None, "['nope']"),
+            (
+                ["--reduced"],
+                ["grammar", "meaning", "fluency", "split"],
+                "['ease', 'fk_grade']",
+            ),
+        ],
+        ids=["unknown", "reduced"],
+    )
+    def test_unconfigured_predictor_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, flags, predictors, missing
+    ):
+        tmp, triples, judgments = workspace
+        extra = {} if predictors is None else {"predictors": predictors}
+        config = _write_config(tmp_path, triples, judgments, tmp_path / "out", **extra)
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("inputs read despite invalid arguments")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
+        code = cli.main(["ablate", "--config", str(config), *flags])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: predictors not in the design matrix: {missing}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -731,3 +778,27 @@ def test_report_does_not_load_scipy_stats(tmp_path):
         env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
     )
     assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_extract_does_not_load_scipy_special(tmp_path):
+    # scipy.special costs about a third of a second of import, and the
+    # features need none of it; report's Welch test still loads it.
+    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, splitread.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+        "code = splitread.cli.main(['extract', '--triples', 'data/triples.jsonl',"
+        " '--out', 'out'])\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+        "print(splitread.cli.main(['report', '--triples', 'data/triples.jsonl',"
+        " '--judgments', 'data/judgments.jsonl', '--out', 'out']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
+    assert printed == ["False", "0 False", "0"]

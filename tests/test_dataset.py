@@ -3,14 +3,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import pin_lanes
 from scipy import stats
 
-from splitread import cohesion
+from splitread import cohesion, dataset
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     CATEGORIES,
@@ -32,6 +34,7 @@ from splitread.dataset import (
 from splitread.errors import (
     FormatError,
     IntegrityError,
+    SplitreadError,
     StandardizationError,
     ValidationError,
 )
@@ -436,6 +439,8 @@ class TestDesignMatrix:
             calls[id(splits)] = calls.get(id(splits), 0) + 1
             return original(source, splits)
 
+        # The counter lives in this process, so every triple must run here.
+        pin_lanes(monkeypatch, 1)
         monkeypatch.setattr(cohesion, "ted1", counting_ted1)
         build_design_matrix(triples, judgments)
         referenced = {
@@ -483,6 +488,58 @@ class TestTreeDepthLimit:
         with pytest.raises(ValidationError) as info:
             side_features(triple, "a")
         assert str(info.value) == message
+
+
+class TestFeatureLanes:
+    """Triples striped over forked worker processes give exactly the rows
+    and the error of one process featurizing them in turn."""
+
+    def test_rows_independent_of_lanes(self, loaded, monkeypatch):
+        triples, *_ = loaded
+        tables = []
+        for lanes in (1, 2, 3):
+            pin_lanes(monkeypatch, lanes)
+            tables.append(extract_features(triples))
+        assert tables[1] == tables[0]
+        assert tables[2] == tables[0]
+
+    def test_first_failing_triple_in_id_order_raised(self, loaded, monkeypatch):
+        triples, *_ = loaded
+        ordered = sorted(triples, key=lambda t: t.id)
+        # Places 3 and 4 fall in different lanes: with two lanes the first
+        # failure is a worker's, with three it is this process's.
+        deep = {ordered[3].id, ordered[4].id}
+        broken = [
+            _with_deep_tree(t, "side", MAX_TREE_DEPTH + 1) if t.id in deep else t
+            for t in reversed(triples)
+        ]
+        messages = []
+        for lanes in (1, 2, 3):
+            pin_lanes(monkeypatch, lanes)
+            with pytest.raises(ValidationError) as info:
+                extract_features(broken)
+            messages.append(str(info.value))
+        assert messages[0].startswith(f"triple {ordered[3].id!r}, side a: tree 2 ")
+        assert messages == [messages[0]] * 3
+
+    def test_dead_worker_raises_and_is_reaped(self, loaded, monkeypatch, tmp_path):
+        triples, *_ = loaded
+        parent = os.getpid()
+        real_side_features = dataset.side_features
+
+        def dying_side_features(triple, side, config=None):
+            if os.getpid() != parent:
+                (tmp_path / "worker.pid").write_text(str(os.getpid()))
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_side_features(triple, side, config)
+
+        monkeypatch.setattr(dataset, "side_features", dying_side_features)
+        pin_lanes(monkeypatch, 2)
+        message = r"feature worker for sorted triples 1, 3, 5, 7 died \(signal 9\)"
+        with pytest.raises(SplitreadError, match=message):
+            extract_features(triples)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(int((tmp_path / "worker.pid").read_text()), os.WNOHANG)
 
 
 class TestExtractFeatures:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from splitread import inference, selection
+from splitread import inference, pool, selection
 from splitread.dataset import DesignMatrix
 from splitread.errors import SplitreadError, ValidationError
 from splitread.inference import (
@@ -296,7 +296,7 @@ class TestLeapfrog:
                 search_calls += calls[True] + calls[False] - before
 
         # The counters live in this process, so every chain must run here.
-        monkeypatch.setattr(inference, "_lanes", lambda chains: 1)
+        pin_lanes(monkeypatch, 1)
         monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
         monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
         monkeypatch.setattr(inference, "_find_reasonable_epsilon", counting_search)
@@ -406,11 +406,11 @@ class TestLanes:
     )
     def test_one_lane_per_usable_cpu(self, monkeypatch, cpus, chains, expected):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        assert inference._lanes(chains) == expected
+        assert pool.lanes(chains) == expected
 
     def test_one_lane_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
-        assert inference._lanes(4) == 1
+        assert pool.lanes(4) == 1
 
     def test_grad_evals_and_step_size_match_the_sampler(self, lane_matrix, monkeypatch):
         matrix, spec = lane_matrix
