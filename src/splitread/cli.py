@@ -290,6 +290,14 @@ def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> i
     table = selection.ablate(
         matrix, ModelSpec(predictors, prior_sd=cfg.prior_sd), cfg.sampler
     )
+    for row in table.rows:
+        if row.unreliable_rows:
+            print(
+                f"warning: {row.name}: p_waic above {selection.P_WAIC_LIMIT} on "
+                f"{row.unreliable_rows} of {matrix.n_rows} rows; its WAIC may be "
+                "unreliable",
+                file=sys.stderr,
+            )
     out_dir = Path(cfg.out)
     ds.atomic_write(
         out_dir / "ablation.csv",
@@ -374,9 +382,10 @@ def _predictor_list(text: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in text.split(",") if p.strip())
     if not names:
         raise argparse.ArgumentTypeError(f"no predictor named in {text!r}")
-    repeated = sorted({p for p in names if names.count(p) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"duplicate predictor names: {repeated}")
+    try:
+        ds.check_unique_predictors(names)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return names
 
 

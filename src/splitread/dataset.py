@@ -427,6 +427,13 @@ def score_summary(
     return out
 
 
+def check_unique_predictors(names: Sequence[str]) -> None:
+    """Reject a predictor list that names a predictor twice."""
+    repeated = sorted({p for p in names if names.count(p) > 1})
+    if repeated:
+        raise ValidationError(f"duplicate predictor names: {repeated}")
+
+
 @dataclass(frozen=True)
 class FeatureConfig:
     predictors: tuple[str, ...] = PREDICTORS
@@ -434,6 +441,7 @@ class FeatureConfig:
     word_list: str | None = None
 
     def __post_init__(self) -> None:
+        check_unique_predictors(self.predictors)
         unknown = [p for p in self.predictors if p not in PREDICTORS]
         if unknown:
             raise ValidationError(f"unknown predictors: {unknown}")

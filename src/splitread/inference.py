@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import pool
-from .dataset import DesignMatrix, atomic_write
+from .dataset import DesignMatrix, atomic_write, check_unique_predictors
 from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -58,8 +58,7 @@ class ModelSpec:
     prior_sd: float = 2.5
 
     def __post_init__(self) -> None:
-        if len(set(self.predictors)) != len(self.predictors):
-            raise ValidationError("duplicate predictor names")
+        check_unique_predictors(self.predictors)
         if not isinstance(self.prior_sd, (int, float)) or not self.prior_sd > 0:
             raise ValidationError("prior_sd must be one positive number")
 

@@ -511,3 +511,24 @@ def reference_parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[Par
         trees.append(cleaned)
         pos = _reference_skip_space(text, pos)
     return trees
+
+
+def reference_pointwise_loglik(draws, matrix) -> np.ndarray:
+    """``selection.pointwise_loglik`` before the in-place row blocks."""
+    X = matrix.predictor_matrix(draws.names[1:])
+    beta = draws.pooled()
+    t = beta[:, :1] + beta[:, 1:] @ X.T  # (S, n)
+    return matrix.y[None, :] * t - np.logaddexp(0.0, t)
+
+
+def reference_waic(loglik: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """``selection.waic`` before the row blocks, as (elpd_i, waic, p_waic,
+    se)."""
+    from scipy.special import logsumexp
+
+    n_samples, n_rows = loglik.shape
+    lppd_i = logsumexp(loglik, axis=0) - math.log(n_samples)
+    p_i = (loglik - loglik[0]).var(axis=0, ddof=1)
+    elpd_i = lppd_i - p_i
+    se = math.sqrt(n_rows * float(elpd_i.var())) if n_rows > 1 else 0.0
+    return elpd_i, float(elpd_i.sum()), float(p_i.sum()), se

@@ -256,6 +256,33 @@ class TestAblate:
         assert len(lines) == 2 + 3  # header comment + csv header + base + 2 ablations
         assert (out / "ablation.txt").exists()
 
+    def test_unreliable_waic_warned_on_stderr_only(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        tmp, triples, judgments = workspace
+        out = tmp_path / "out"
+        config = _write_config(
+            tmp_path, triples, judgments, out, sampler={"warmup": 30, "draws": 30}
+        )
+        argv = ["ablate", "--config", str(config), "--predictors", "fluency,split"]
+        names = ("ablation.csv", "ablation.txt")
+        assert cli.main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
+        written = [(out / name).read_bytes() for name in names]
+        # Every row with any posterior variance now counts as unreliable.
+        monkeypatch.setattr(cli.selection, "P_WAIC_LIMIT", 0.0)
+        assert cli.main(argv) == 0
+        warned = capsys.readouterr().err.splitlines()
+        assert sorted(line.split(":")[1] for line in warned) == [
+            " base", " fluency", " split"
+        ]
+        assert all(
+            line.startswith("warning: ")
+            and line.endswith(" rows; its WAIC may be unreliable")
+            for line in warned
+        )
+        assert [(out / name).read_bytes() for name in names] == written
+
     def test_reduced_battery(self, workspace):
         tmp, triples, judgments = workspace
         out = tmp / "ablate_reduced"
@@ -639,6 +666,26 @@ class TestErrors:
         monkeypatch.setattr(cli.ds, "ingest", no_ingest)
         assert cli.main(["fit", "--config", str(config), *flags]) == cli.EXIT_VALIDATION
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "fit", "ablate"])
+    def test_repeated_config_predictor_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        tmp, triples, judgments = workspace
+        config = _write_config(
+            tmp_path, triples, judgments, tmp_path / "out",
+            predictors=["split", "fluency", "split"],
+        )
+
+        def no_input(*args, **kwargs):
+            raise AssertionError("inputs read despite a repeated predictor")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_input)
+        monkeypatch.setattr(cli.ds, "load_triples", no_input)
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "error: duplicate predictor names: ['split']\n"
         assert not (tmp_path / "out").exists()
 
     def test_profile_presets(self, workspace):

@@ -602,3 +602,7 @@ class TestConfigValidation:
     def test_nonpositive_prior_sd_rejected(self):
         with pytest.raises(ValidationError):
             ModelSpec(predictors=("x",), prior_sd=0.0)
+
+    def test_repeated_predictor_named(self):
+        with pytest.raises(ValidationError, match=r"duplicate predictor names: \['x'\]"):
+            ModelSpec(predictors=("x", "z", "x"))

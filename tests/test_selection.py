@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import reference_pointwise_loglik, reference_waic
 
 from splitread.dataset import DesignMatrix
 from splitread.errors import ValidationError
 from splitread.inference import ModelSpec, PosteriorDraws, SamplerConfig, sample_posterior
 from splitread.selection import (
+    P_WAIC_LIMIT,
+    ROW_BLOCK,
     WaicResult,
     ablate,
     compare,
@@ -90,6 +94,16 @@ class TestWaic:
         constant = np.tile(loglik[0], (5, 1))
         assert waic(constant).p_waic == 0.0
 
+    def test_unreliable_rows_counted(self):
+        # Row 0 is constant; rows 1 and 2 have p_waic_i of about 2.65 and
+        # 2.41, row 3 about 0.08.
+        loglik = np.log(np.array([[0.5, 0.5, 0.9, 0.5], [0.5, 0.05, 0.1, 0.35]]))
+        result = waic(loglik)
+        assert result.unreliable_rows == 2
+        table = compare({"a": result, "b": waic(loglik[:, ::-1])})
+        assert [r.unreliable_rows for r in table.rows] == [2, 2]
+        assert P_WAIC_LIMIT == 0.4
+
     def test_noise_degrades_waic(self, rng):
         matrix = make_logit_matrix(300, [0.0, 1.5], seed=8)
         spec = ModelSpec(predictors=matrix.columns)
@@ -102,6 +116,64 @@ class TestWaic:
         noisy_ll[:, :half] += rng.normal(scale=2.0, size=(ll.shape[0], half))
         noisy_ll = np.minimum(noisy_ll, 0.0)
         assert waic(noisy_ll).waic < clean.waic
+
+
+def _random_fit(rng, n_rows, n_samples, k=17):
+    # 17 predictors and the intercept: the desk model's 18 coefficients,
+    # a shape at which a GEMM split by rows changes bits.
+    matrix = DesignMatrix(
+        columns=tuple(f"x{j}" for j in range(k)),
+        X=rng.standard_normal((n_rows, k)),
+        y=(rng.random(n_rows) < 0.5).astype(float),
+        meta={},
+    )
+    draws = PosteriorDraws(
+        names=("intercept", *matrix.columns),
+        draws=rng.standard_normal((1, n_samples, k + 1)),
+        logp=np.zeros((1, n_samples)),
+        accept_rate=np.ones(1),
+        divergences=0,
+    )
+    return draws, matrix
+
+
+class TestRowBlocks:
+    """The row-blocked code against the whole-array formulas it replaced:
+    the same bits, at every block boundary and a one-row tail."""
+
+    @pytest.mark.parametrize("n_samples", [2, 3, 120])
+    @pytest.mark.parametrize(
+        "n_rows",
+        [1, 2, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, ROW_BLOCK + 2, 3 * ROW_BLOCK + 1],
+    )
+    def test_bit_identical_to_whole_array(self, rng, n_rows, n_samples):
+        draws, matrix = _random_fit(rng, n_rows, n_samples)
+        loglik = pointwise_loglik(draws, matrix)
+        expected = reference_pointwise_loglik(draws, matrix)
+        assert np.array_equal(loglik, expected)
+        for order in ("C", "F"):
+            # numpy sums a column of an F-ordered array pairwise, so each
+            # layout has bits of its own.
+            pointwise, total, p_waic, se = reference_waic(
+                np.asarray(expected, order=order)
+            )
+            result = waic(np.asarray(loglik, order=order))
+            assert np.array_equal(result.pointwise, pointwise)
+            assert result.waic == total
+            assert result.p_waic == p_waic
+            assert result.se == se
+
+    def test_peak_memory_within_two_arrays(self, rng):
+        n_samples, n_rows = 400, 3000
+        draws, matrix = _random_fit(rng, n_rows, n_samples)
+        waic(np.zeros((2, 1)))  # imports scipy.special outside the trace
+        tracemalloc.start()
+        try:
+            waic(pointwise_loglik(draws, matrix))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n_samples * n_rows * 8
 
 
 class TestCompare:
