@@ -12,10 +12,12 @@ Exit codes: 0 ok, 1 validation problem, 2 convergence gate tripped,
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from . import dataset as ds
@@ -190,23 +192,19 @@ def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
     word_list = cfg.features.word_list
     if word_list is not None and not Path(word_list).exists():
         raise SplitreadError(f"word list file not found: {word_list}")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    # An output path that is, or lies under, a file fails now, as writing
+    # the artifacts would after all the work.
+    out = Path(cfg.out)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), cfg.out)
 
 
 def cmd_extract(cfg: RunConfig) -> int:
     _check_paths(cfg, need_judgments=False)
     triples = ds.load_triples(cfg.triples, keep_punctuation=cfg.keep_punctuation)
     header, rows = ds.extract_features(triples, cfg.features)
-    lines = [cfg.header(), ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     out = Path(cfg.out) / "features.csv"
-    ds.atomic_write(out, "\n".join(lines) + "\n")
+    ds.write_artifact(out, cfg.header(), map(ds.csv_line, [header, *rows]))
     print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -225,38 +223,24 @@ def cmd_fit(cfg: RunConfig) -> int:
     draws = inference.sample_posterior(matrix, spec, cfg.sampler)
     summary = inference.summarize(draws)
 
-    lines = [
-        cfg.header(),
+    out_dir, header = Path(cfg.out), cfg.header()
+    stats = (
         f"# divergences={draws.divergences} "
         f"accept_rate={','.join(f'{r:.3f}' for r in draws.accept_rate)} "
         f"step_size={','.join(f'{e:.4g}' for e in draws.step_size)} "
-        f"grad_evals={','.join(str(n) for n in draws.grad_evals)}",
-        "coefficient,mean,sd,hdi_low,hdi_high,rhat",
+        f"grad_evals={','.join(str(n) for n in draws.grad_evals)}"
+    )
+    columns = "coefficient,mean,sd,hdi_low,hdi_high,rhat"
+    rows = [ds.csv_line(astuple(row)) for row in summary.rows]
+    ds.write_artifact(out_dir / "summary.csv", header, [stats, columns, *rows])
+    rows = [
+        ds.csv_line([name, edges[j], edges[j + 1], count])
+        for name, (edges, counts) in summary.histograms.items()
+        for j, count in enumerate(counts)
     ]
-    for row in summary.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.name,
-                    repr(row.mean),
-                    repr(row.sd),
-                    repr(row.hdi_low),
-                    repr(row.hdi_high),
-                    repr(row.rhat),
-                ]
-            )
-        )
-    out_dir = Path(cfg.out)
-    ds.atomic_write(out_dir / "summary.csv", "\n".join(lines) + "\n")
-
-    hist_lines = [cfg.header(), "coefficient,bin_left,bin_right,count"]
-    for name, (edges, counts) in summary.histograms.items():
-        for j, count in enumerate(counts):
-            hist_lines.append(
-                f"{name},{float(edges[j])!r},{float(edges[j + 1])!r},{int(count)}"
-            )
-    ds.atomic_write(out_dir / "histograms.csv", "\n".join(hist_lines) + "\n")
-    inference.draws_to_csv(draws, out_dir / "draws.csv", cfg.header())
+    columns = "coefficient,bin_left,bin_right,count"
+    ds.write_artifact(out_dir / "histograms.csv", header, [columns, *rows])
+    inference.draws_to_csv(draws, out_dir / "draws.csv", header)
 
     if draws.divergence_warning:
         print(
@@ -298,15 +282,9 @@ def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> i
                 "unreliable",
                 file=sys.stderr,
             )
-    out_dir = Path(cfg.out)
-    ds.atomic_write(
-        out_dir / "ablation.csv",
-        "\n".join([cfg.header(), *table.to_csv_lines()]) + "\n",
-    )
-    ds.atomic_write(
-        out_dir / "ablation.txt",
-        "\n".join([cfg.header(), *table.to_text_lines()]) + "\n",
-    )
+    out_dir, header = Path(cfg.out), cfg.header()
+    ds.write_artifact(out_dir / "ablation.csv", header, table.to_csv_lines())
+    ds.write_artifact(out_dir / "ablation.txt", header, table.to_text_lines())
     print(f"wrote {out_dir / 'ablation.csv'} ({len(table.rows)} rows)")
     return EXIT_OK
 
@@ -349,7 +327,7 @@ def cmd_report(cfg: RunConfig) -> int:
         by_origin[origin[j.triple_id]].append(j)
     bart, human = by_origin["bart"], by_origin["human"]
 
-    lines = [cfg.header(), "# Readability preference report", ""]
+    lines = ["# Readability preference report", ""]
     for title, label, group, question in TALLY_SECTIONS:
         lines.append(f"## {title}")
         try:
@@ -364,7 +342,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "Quality scores, model vs manual (** = p < 0.01)", "BART-A", "HUM-B", bart
     )
     out = Path(cfg.out) / "report.txt"
-    ds.atomic_write(out, "\n".join(lines) + "\n")
+    ds.write_artifact(out, cfg.header(), lines)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -153,9 +153,25 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def csv_line(cells: Iterable) -> str:
+    """A float cell, numpy's included, is written as the shortest repr that
+    reads back to the same bits; any other cell as its ``str``."""
+    floats = (float, np.floating)
+    text = [repr(float(c)) if isinstance(c, floats) else str(c) for c in cells]
+    return ",".join(text)
+
+
+def write_artifact(path: str | Path, header: str, lines: Iterable[str]) -> None:
+    """Atomically write the run's config ``header`` line, then ``lines``."""
+    atomic_write(path, "\n".join([header, *lines]) + "\n")
+
+
 def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
     text = Path(path).read_text("utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Split on "\n" alone: JSON strings may hold a raw U+2028, U+2029 or
+    # U+0085, which str.splitlines() would also break on. read_text has
+    # already made every \r\n and lone \r a \n.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

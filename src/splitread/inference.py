@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import pool
-from .dataset import DesignMatrix, atomic_write, check_unique_predictors
+from .dataset import DesignMatrix, check_unique_predictors, csv_line, write_artifact
 from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -439,17 +439,12 @@ def summarize(draws: PosteriorDraws) -> PosteriorSummary:
     return PosteriorSummary(rows=tuple(rows), histograms=histograms)
 
 
-def draws_to_csv(draws: PosteriorDraws, path: str | Path, header_comment: str = "") -> None:
-    """Persist draws, atomically, as CSV with columns
-    (chain, draw, coefficients..., lp)."""
-    lines = []
-    if header_comment:
-        lines.append(header_comment.rstrip("\n"))
-    lines.append(",".join(["chain", "draw", *draws.names, "lp"]))
-    for c in range(draws.n_chains):
-        for d in range(draws.n_draws):
-            values = [repr(float(v)) for v in draws.draws[c, d]]
-            lines.append(
-                ",".join([str(c), str(d), *values, repr(float(draws.logp[c, d]))])
-            )
-    atomic_write(path, "\n".join(lines) + "\n")
+def draws_to_csv(draws: PosteriorDraws, path: str | Path, header: str) -> None:
+    """Write the draws artifact: the config ``header`` line, then CSV with
+    columns (chain, draw, coefficients..., lp), in ``csv_line``'s cell rule."""
+    columns = csv_line(["chain", "draw", *draws.names, "lp"])
+    rows = (
+        csv_line([c, d, *draws.draws[c, d].tolist(), draws.logp[c, d]])
+        for c, d in np.ndindex(draws.logp.shape)
+    )
+    write_artifact(path, header, [columns, *rows])

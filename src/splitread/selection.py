@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, csv_line
 from .errors import ValidationError
 from .inference import (
     RHAT_THRESHOLD,
@@ -146,23 +146,12 @@ class ComparisonTable:
         raise KeyError(name)
 
     def to_csv_lines(self) -> list[str]:
-        lines = [",".join(self.HEADER)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.name,
-                        str(r.rank),
-                        repr(r.waic),
-                        repr(r.p_waic),
-                        repr(r.d_waic),
-                        repr(r.se),
-                        repr(r.dse),
-                        "" if r.converged else f"rhat>{RHAT_THRESHOLD}",
-                    ]
-                )
-            )
-        return lines
+        rows = (
+            (r.name, r.rank, r.waic, r.p_waic, r.d_waic, r.se, r.dse,
+             "" if r.converged else f"rhat>{RHAT_THRESHOLD}")
+            for r in self.rows
+        )
+        return [csv_line(row) for row in (self.HEADER, *rows)]
 
     def to_text_lines(self) -> list[str]:
         cells = [list(self.HEADER[:-1])]

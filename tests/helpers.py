@@ -532,3 +532,96 @@ def reference_waic(loglik: np.ndarray) -> tuple[np.ndarray, float, float, float]
     elpd_i = lppd_i - p_i
     se = math.sqrt(n_rows * float(elpd_i.var())) if n_rows > 1 else 0.0
     return elpd_i, float(elpd_i.sum()), float(p_i.sum()), se
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def reference_features_text(config_header: str, header, rows) -> str:
+    """``cli.cmd_extract``'s features.csv before the artifact writer."""
+    lines = [config_header, ",".join(header)]
+    for row in rows:
+        lines.append(",".join(_reference_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_summary_text(config_header: str, draws, summary) -> str:
+    """``cli.cmd_fit``'s summary.csv before the artifact writer."""
+    lines = [
+        config_header,
+        f"# divergences={draws.divergences} "
+        f"accept_rate={','.join(f'{r:.3f}' for r in draws.accept_rate)} "
+        f"step_size={','.join(f'{e:.4g}' for e in draws.step_size)} "
+        f"grad_evals={','.join(str(n) for n in draws.grad_evals)}",
+        "coefficient,mean,sd,hdi_low,hdi_high,rhat",
+    ]
+    for row in summary.rows:
+        lines.append(
+            ",".join(
+                [
+                    row.name,
+                    repr(row.mean),
+                    repr(row.sd),
+                    repr(row.hdi_low),
+                    repr(row.hdi_high),
+                    repr(row.rhat),
+                ]
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_histograms_text(config_header: str, summary) -> str:
+    """``cli.cmd_fit``'s histograms.csv before the artifact writer."""
+    hist_lines = [config_header, "coefficient,bin_left,bin_right,count"]
+    for name, (edges, counts) in summary.histograms.items():
+        for j, count in enumerate(counts):
+            hist_lines.append(
+                f"{name},{float(edges[j])!r},{float(edges[j + 1])!r},{int(count)}"
+            )
+    return "\n".join(hist_lines) + "\n"
+
+
+def reference_draws_text(draws, header_comment: str = "") -> str:
+    """``inference.draws_to_csv``'s file before the artifact writer."""
+    lines = []
+    if header_comment:
+        lines.append(header_comment.rstrip("\n"))
+    lines.append(",".join(["chain", "draw", *draws.names, "lp"]))
+    for c in range(draws.n_chains):
+        for d in range(draws.n_draws):
+            values = [repr(float(v)) for v in draws.draws[c, d]]
+            lines.append(
+                ",".join([str(c), str(d), *values, repr(float(draws.logp[c, d]))])
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_ablation_texts(config_header: str, table) -> tuple[str, str]:
+    """``cli.cmd_ablate``'s (ablation.csv, ablation.txt) before the
+    artifact writer, with ``ComparisonTable.to_csv_lines`` as it was."""
+    from splitread.inference import RHAT_THRESHOLD
+
+    lines = [",".join(table.HEADER)]
+    for r in table.rows:
+        lines.append(
+            ",".join(
+                [
+                    r.name,
+                    str(r.rank),
+                    repr(r.waic),
+                    repr(r.p_waic),
+                    repr(r.d_waic),
+                    repr(r.se),
+                    repr(r.dse),
+                    "" if r.converged else f"rhat>{RHAT_THRESHOLD}",
+                ]
+            )
+        )
+    return (
+        "\n".join([config_header, *lines]) + "\n",
+        "\n".join([config_header, *table.to_text_lines()]) + "\n",
+    )

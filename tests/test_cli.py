@@ -668,6 +668,26 @@ class TestErrors:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "fit", "ablate", "report"])
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub", "blocker/a/b"])
+    def test_out_under_a_file_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, command, out
+    ):
+        tmp, triples, judgments = workspace
+        (tmp_path / "blocker").write_text("not a directory", encoding="utf-8")
+        config = _write_config(tmp_path, triples, judgments, tmp_path / out)
+
+        def no_input(*args, **kwargs):
+            raise AssertionError("inputs read despite an unusable --out")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_input)
+        monkeypatch.setattr(cli.ds, "load_triples", no_input)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: [Errno 20] Not a directory")
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["extract", "fit", "ablate"])
     def test_repeated_config_predictor_rejected_before_input_read(
         self, workspace, tmp_path, capsys, monkeypatch, command

@@ -115,6 +115,41 @@ class TestIngest:
         with pytest.raises(FormatError, match="triples.jsonl:1: bad JSON"):
             load_triples(bad)
 
+    def test_unicode_line_separators_inside_strings(self, tmp_path):
+        # JSON allows U+2028, U+2029 and U+0085 raw inside strings; only
+        # "\n" ends a record.
+        record = {
+            "id": "t\u20280",
+            "source": {"text": "x\u2028y\u0085z", "ptb": ["(S (NN x))"]},
+            "a": {"text": "x\u2029", "ptb": ["(S (NN x)) (S (NN y))"], "origin": "bart"},
+            "b": {"text": "x", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
+        }
+        triples = tmp_path / "triples.jsonl"
+        text = json.dumps(record, ensure_ascii=False) + "\n"
+        assert "\u2028" in text and "\u0085" in text
+        triples.write_text(text, encoding="utf-8")
+        (triple,) = load_triples(triples)
+        assert triple.id == "t\u20280"
+        assert triple.source_text == "x\u2028y\u0085z"
+        line = json.loads(_judgment_line(triple_id="t\u20280"))
+        line["worker_id"] = "w\u0085\u2029"
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text(json.dumps(line, ensure_ascii=False) + "\n", encoding="utf-8")
+        _, (judgment,) = ingest(judgments, triples)
+        assert judgment.worker_id == "w\u0085\u2029"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_bad_later_line_keeps_its_number(self, tmp_path, newline):
+        good = json.loads(_judgment_line())
+        good["worker_id"] = "w\u2028\u0085"
+        lines = [json.dumps(good, ensure_ascii=False)] * 2 + ["{not json}"]
+        path = tmp_path / "judgments.jsonl"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        with pytest.raises(FormatError, match="judgments.jsonl:3: bad JSON"):
+            load_judgments(path)
+        path.write_bytes((newline.join(lines[:2]) + newline).encode("utf-8"))
+        assert [j.worker_id for j in load_judgments(path)] == ["w\u2028\u0085"] * 2
+
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "judgments.jsonl"
         bad.write_text('{"schema": 2}\n', encoding="utf-8")
