@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 from . import dataset as ds
@@ -93,30 +93,26 @@ _SAMPLER_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run: its paths, features, model (the configured predictors and
+    prior) and sampler."""
+
     triples: str
     judgments: str
     out: str
     keep_punctuation: bool
     features: ds.FeatureConfig
+    model: ModelSpec
     sampler: SamplerConfig
-    prior_sd: float
-
-    @property
-    def seed(self) -> int:
-        return self.sampler.seed
 
     def as_dict(self) -> dict:
-        features = self.features
         return {
             "triples": self.triples,
             "judgments": self.judgments,
-            "word_list": features.word_list,
             "out": self.out,
-            "predictors": list(features.predictors),
-            "kernel_sigma": features.kernel_sigma,
+            **asdict(self.features),
             "layout": "long",
             "keep_punctuation": self.keep_punctuation,
-            "sampler": {**asdict(self.sampler), "prior_sd": self.prior_sd},
+            "sampler": {**asdict(self.sampler), "prior_sd": self.model.prior_sd},
         }
 
     def hash(self) -> str:
@@ -124,7 +120,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def header(self) -> str:
-        return f"# splitread config={self.hash()} seed={self.seed}"
+        return f"# splitread config={self.hash()} seed={self.sampler.seed}"
 
 
 def _checked(block: str, values: dict, allowed: dict) -> dict:
@@ -158,24 +154,24 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise SplitreadError("config file must hold a JSON object")
     data = _checked("config", data, _CONFIG_KEYS)
     sampler = _checked("sampler", data.get("sampler", {}), _SAMPLER_KEYS)
-    profile = getattr(args, "profile", None)
-    if profile:
-        sampler.update(PROFILES[profile])
-    if getattr(args, "seed", None) is not None:
+    if args.profile:
+        sampler.update(PROFILES[args.profile])
+    if args.seed is not None:
         sampler["seed"] = args.seed
-    # ModelSpec holds the default prior scale and rejects a non-positive one.
-    prior_sd = ModelSpec((), sampler.pop("prior_sd", ModelSpec.prior_sd)).prior_sd
     features = {k: data[k] for k in _FEATURE_KEYS if k in data}
     if "predictors" in features:
         features["predictors"] = tuple(features["predictors"])
+    features = ds.FeatureConfig(**features)
+    # ModelSpec holds the default prior scale and rejects a non-positive one.
+    prior_sd = sampler.pop("prior_sd", ModelSpec.prior_sd)
     return RunConfig(
-        triples=getattr(args, "triples", None) or data.get("triples", ""),
-        judgments=getattr(args, "judgments", None) or data.get("judgments", ""),
-        out=getattr(args, "out", None) or data.get("out", "out"),
+        triples=args.triples or data.get("triples", ""),
+        judgments=args.judgments or data.get("judgments", ""),
+        out=args.out or data.get("out", "out"),
         keep_punctuation=data.get("keep_punctuation", True),
-        features=ds.FeatureConfig(**features),
+        features=features,
+        model=ModelSpec(features.predictors, prior_sd),
         sampler=SamplerConfig(**{"seed": DEFAULT_SEED, **sampler}),
-        prior_sd=prior_sd,
     )
 
 
@@ -199,8 +195,7 @@ def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), cfg.out)
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    _check_paths(cfg, need_judgments=False)
+def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     triples = ds.load_triples(cfg.triples, keep_punctuation=cfg.keep_punctuation)
     header, rows = ds.extract_features(triples, cfg.features)
     out = Path(cfg.out) / "features.csv"
@@ -216,11 +211,8 @@ def _fit_matrix(cfg: RunConfig):
     return ds.build_design_matrix(triples, judgments, cfg.features)
 
 
-def cmd_fit(cfg: RunConfig) -> int:
-    _check_paths(cfg, need_judgments=True)
-    matrix = _fit_matrix(cfg)
-    spec = ModelSpec(cfg.features.predictors, prior_sd=cfg.prior_sd)
-    draws = inference.sample_posterior(matrix, spec, cfg.sampler)
+def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    draws = inference.sample_posterior(_fit_matrix(cfg), cfg.model, cfg.sampler)
     summary = inference.summarize(draws)
 
     out_dir, header = Path(cfg.out), cfg.header()
@@ -258,22 +250,15 @@ def cmd_fit(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ablate(cfg: RunConfig, reduced: bool, only: tuple[str, ...] | None) -> int:
-    _check_paths(cfg, need_judgments=True)
-    if only:
-        predictors = only
-    elif reduced:
-        predictors = REDUCED_PREDICTORS
-    else:
-        predictors = cfg.features.predictors
+def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    predictors = args.predictors or cfg.features.predictors
     # The design matrix has one column per configured predictor.
     missing = [p for p in predictors if p not in cfg.features.predictors]
     if missing:
         raise SplitreadError(f"predictors not in the design matrix: {missing}")
     matrix = _fit_matrix(cfg)
-    table = selection.ablate(
-        matrix, ModelSpec(predictors, prior_sd=cfg.prior_sd), cfg.sampler
-    )
+    spec = replace(cfg.model, predictors=predictors)
+    table = selection.ablate(matrix, spec, cfg.sampler)
     for row in table.rows:
         if row.unreliable_rows:
             print(
@@ -316,8 +301,7 @@ def _score_block(
     return lines
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    _check_paths(cfg, need_judgments=True)
+def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     triples, judgments = ds.ingest(
         cfg.judgments, cfg.triples, keep_punctuation=cfg.keep_punctuation
     )
@@ -373,13 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sentence-split readability workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("extract", "write the per-(triple, side) predictor table"),
-        ("fit", "fit the preference model and summarize the posterior"),
-        ("ablate", "leave-one-predictor-out WAIC comparison"),
-        ("report", "descriptive tallies and quality-score tables"),
+    for name, run, help_text in (
+        ("extract", cmd_extract, "write the per-(triple, side) predictor table"),
+        ("fit", cmd_fit, "fit the preference model and summarize the posterior"),
+        ("ablate", cmd_ablate, "leave-one-predictor-out WAIC comparison"),
+        ("report", cmd_report, "descriptive tallies and quality-score tables"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--triples", help="triples.jsonl path (overrides config)")
         p.add_argument("--judgments", help="judgments.jsonl path (overrides config)")
@@ -392,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
             battery = p.add_mutually_exclusive_group()
             battery.add_argument(
                 "--reduced",
-                action="store_true",
+                dest="predictors",
+                action="store_const",
+                const=REDUCED_PREDICTORS,
                 help="ablate the reduced six-predictor battery",
             )
             battery.add_argument(
@@ -407,15 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg, reduced=args.reduced, only=args.predictors)
-        if args.command == "report":
-            return cmd_report(cfg)
-        raise SplitreadError(f"unknown command {args.command!r}")
+        _check_paths(cfg, need_judgments=args.command != "extract")
+        return args.run(cfg, args)
     except SplitreadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -24,6 +24,7 @@ from . import cohesion, complexity, pool, readability
 from .errors import (
     FormatError,
     IntegrityError,
+    SplitreadError,
     StandardizationError,
     ValidationError,
 )
@@ -219,15 +220,23 @@ def _read_parses(
     ptb = _require(record, "ptb", f"{where}.{name}")
     if not isinstance(ptb, list) or not all(isinstance(s, str) for s in ptb):
         raise ValidationError(f"{where}.{name}: 'ptb' must be a list of strings")
-    trees = tuple(
-        tree for s in ptb for tree in parse_ptb(s, keep_punctuation=keep_punctuation)
-    )
+    try:
+        trees = tuple(
+            tree for s in ptb for tree in parse_ptb(s, keep_punctuation=keep_punctuation)
+        )
+    except SplitreadError as exc:  # located; the error keeps its type
+        exc.args = (f"{where}.{name}.ptb: {exc}",)
+        raise
     graphs: tuple[DepGraph, ...] = ()
     text = conllu.get(name)
     if text is not None and not isinstance(text, str):
         raise ValidationError(f"{where}.conllu.{name}: expected a string")
     if text:
-        graphs = tuple(parse_conllu(text))
+        try:
+            graphs = tuple(parse_conllu(text))
+        except SplitreadError as exc:
+            exc.args = (f"{where}.conllu.{name}: {exc}",)
+            raise
         if len(graphs) != len(trees):
             raise ValidationError(
                 f"{where}.{name}: {len(graphs)} dependency graphs for "
@@ -243,7 +252,13 @@ def load_triples(
     seen: set[str] = set()
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
-        triple_id = str(_require(obj, "id", where))
+        # An id is written unquoted into a CSV cell.
+        triple_id = _require(obj, "id", where)
+        if type(triple_id) is not str or any(c in triple_id for c in ",\n\r"):
+            raise ValidationError(
+                f"{where}.id: expected a string without ',', '\\n' or '\\r', "
+                f"got {json.dumps(triple_id)}"
+            )
         if triple_id in seen:
             raise ValidationError(f"{where}: duplicate triple id {triple_id!r}")
         seen.add(triple_id)
@@ -303,6 +318,8 @@ def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
         )
     except KeyError as exc:
         raise ValidationError(f"{where}.scores.{side}: missing score {exc}") from None
+    except ValidationError as exc:  # a score out of range
+        raise ValidationError(f"{where}.scores.{side}: {exc}") from None
 
 
 def load_judgments(path: str | Path) -> list[JudgmentRecord]:
@@ -310,16 +327,18 @@ def load_judgments(path: str | Path) -> list[JudgmentRecord]:
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
         scores = _object(obj, "scores", where)
-        records.append(
-            JudgmentRecord(
-                triple_id=str(_require(obj, "triple_id", where)),
-                worker_id=str(_require(obj, "worker_id", where)),
-                question=_require(obj, "question", where),
-                choice=_require(obj, "choice", where),
-                scores_a=_parse_scores(scores, "a", where),
-                scores_b=_parse_scores(scores, "b", where),
-            )
+        record = dict(
+            triple_id=str(_require(obj, "triple_id", where)),
+            worker_id=str(_require(obj, "worker_id", where)),
+            question=_require(obj, "question", where),
+            choice=_require(obj, "choice", where),
+            scores_a=_parse_scores(scores, "a", where),
+            scores_b=_parse_scores(scores, "b", where),
         )
+        try:
+            records.append(JudgmentRecord(**record))
+        except ValidationError as exc:  # an unknown question or choice
+            raise ValidationError(f"{where}: {exc}") from None
     return records
 
 
@@ -576,8 +595,7 @@ def extract_features(
 
 @dataclass(frozen=True)
 class ColumnMeta:
-    kind: str  # "categorical" | "continuous"
-    mean: float
+    mean: float  # a categorical column keeps mean 0 and sd 1
     sd: float
 
 
@@ -611,10 +629,7 @@ class DesignMatrix:
     def raw_column(self, name: str) -> np.ndarray:
         """Undo the standardization of one column."""
         meta = self.meta[name]
-        col = self.column(name)
-        if meta.kind == "categorical":
-            return col.copy()
-        return col * meta.sd + meta.mean
+        return self.column(name) * meta.sd + meta.mean
 
     @classmethod
     def from_arrays(
@@ -645,7 +660,7 @@ class DesignMatrix:
                     raise ValidationError(
                         f"categorical column {name!r} must be 0/1 valued"
                     )
-                meta[name] = ColumnMeta("categorical", 0.0, 1.0)
+                meta[name] = ColumnMeta(0.0, 1.0)
                 continue
             mean = float(col.mean())
             sd = float(col.std())  # population standard deviation
@@ -654,7 +669,7 @@ class DesignMatrix:
                     f"column {name!r} has zero variance and cannot be standardized"
                 )
             Xs[:, j] = (col - mean) / sd
-            meta[name] = ColumnMeta("continuous", mean, sd)
+            meta[name] = ColumnMeta(mean, sd)
         return cls(
             columns=tuple(columns),
             X=Xs,

@@ -89,13 +89,15 @@ def dale_chall(stats: TextStats) -> float:
 
 
 @lru_cache(maxsize=8)
-def _load_words(path_key: str | None) -> frozenset[str]:
-    if path_key is None:
+def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
+    """Load an easy-word list (one word per line, '#' comments ignored).
+    With no path, the bundled Dale list is used."""
+    if path is None:
         text = (
             resources.files("splitread").joinpath("data/dale_chall.txt").read_text("utf-8")
         )
     else:
-        text = Path(path_key).read_text("utf-8")
+        text = Path(path).read_text("utf-8")
     words = set()
     for line in text.splitlines():
         line = line.strip()
@@ -103,12 +105,6 @@ def _load_words(path_key: str | None) -> frozenset[str]:
             continue
         words.add(line.lower())
     return frozenset(words)
-
-
-def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
-    """Load an easy-word list (one word per line, '#' comments ignored).
-    With no path, the bundled Dale list is used."""
-    return _load_words(str(path) if path is not None else None)
 
 
 def is_easy_word(word: str, easy_words: frozenset[str]) -> bool:

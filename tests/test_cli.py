@@ -13,7 +13,8 @@ import pytest
 from helpers import nan_density_in_children, pin_lanes
 
 from splitread import cli
-from splitread.dataset import MAX_TREE_DEPTH
+from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS
+from splitread.inference import ModelSpec
 from splitread.synth import make_demo_dataset
 
 
@@ -365,6 +366,44 @@ class TestAblateArguments:
         err = capsys.readouterr().err
         assert err == f"error: predictors not in the design matrix: {missing}\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestConfiguredPrior:
+    # sampler.prior_sd in the config is the prior of every model fitted.
+    @pytest.mark.parametrize(
+        "argv, fitter, predictors",
+        [
+            (["fit"], "inference.sample_posterior", PREDICTORS),
+            (
+                ["ablate", "--predictors", "fluency,split"],
+                "selection.ablate",
+                ("fluency", "split"),
+            ),
+            (["ablate", "--reduced"], "selection.ablate", cli.REDUCED_PREDICTORS),
+        ],
+        ids=["fit", "ablate-predictors", "ablate-reduced"],
+    )
+    def test_reaches_the_model_spec(
+        self, workspace, tmp_path, monkeypatch, argv, fitter, predictors
+    ):
+        tmp, triples, judgments = workspace
+        config = _write_config(
+            tmp_path, triples, judgments, tmp_path / "out", sampler={"prior_sd": 0.5}
+        )
+        specs = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(matrix, spec, sampler):
+            specs.append(spec)
+            raise Captured
+
+        module, name = fitter.split(".")
+        monkeypatch.setattr(getattr(cli, module), name, capture)
+        with pytest.raises(Captured):
+            cli.main([argv[0], "--config", str(config), *argv[1:]])
+        assert specs == [ModelSpec(predictors, prior_sd=0.5)]
 
 
 class TestReport:
@@ -740,6 +779,7 @@ _TWO_SENTENCES = (
     "\n"
     "1\ty\t_\t_\t_\t_\t0\troot\t_\t_\n"
 )
+_BAD_ID = ":1.id: expected a string without ',', '\\n' or '\\r', got "
 # (field path, value, expected error) for one record field of the wrong shape.
 _MALFORMED = [
     ("source", ["(S (NN x))"], ":1.source: expected a JSON object"),
@@ -768,6 +808,35 @@ _MALFORMED = [
     ("conllu.source", _TWO_SENTENCES, ":1.source: 2 dependency graphs for 1 trees"),
     ("scores", "abc", ":1.scores: expected a JSON object"),
     ("scores.a", [4, 4, 4], ":1.scores.a: expected a JSON object"),
+    # Errors from the parsers and the record types are located too.
+    (
+        "a.ptb",
+        ["(S (NN x)) (S (NN y)"],
+        ":1.a.ptb: unbalanced brackets (byte offset 20)",
+    ),
+    (
+        "conllu.a",
+        "1\tx\n",
+        ":1.conllu.a: line 1: expected the 10-column CoNLL-U layout",
+    ),
+    (
+        "conllu.source",
+        "1\tx\t_\t_\t_\t_\t1\tdep\t_\t_\n",
+        ":1.conllu.source: expected exactly one root, found 0",
+    ),
+    ("choice", "firts", ":1: unknown choice 'firts'"),
+    ("question", "S_vs_C", ":1: unknown question 'S_vs_C'"),
+    (
+        "scores.a.grammar",
+        7,
+        ":1.scores.a: grammar score must be an integer in 1..5, got 7",
+    ),
+    # A triple id is written unquoted into features.csv.
+    ("id", "t,0", _BAD_ID + '"t,0"'),
+    ("id", "t\n0", _BAD_ID + '"t\\n0"'),
+    ("id", "t\r0", _BAD_ID + '"t\\r0"'),
+    ("id", 5, _BAD_ID + "5"),
+    ("id", ["a", "b"], _BAD_ID + '["a", "b"]'),
 ]
 
 
@@ -781,7 +850,8 @@ class TestMalformedRecords:
     )
     def test_rejected_with_location(self, tmp_path, capsys, field, value, message):
         triple, judgment = copy.deepcopy(_TRIPLE), copy.deepcopy(_JUDGMENT)
-        record = judgment if field.startswith("scores") else triple
+        in_judgment = field.split(".")[0] in _JUDGMENT
+        record = judgment if in_judgment else triple
         *parents, key = field.split(".")
         for name in parents:
             record = record.setdefault(name, {})
@@ -789,7 +859,7 @@ class TestMalformedRecords:
         triples, judgments = tmp_path / "triples.jsonl", tmp_path / "judgments.jsonl"
         triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
         judgments.write_text(json.dumps(judgment) + "\n", encoding="utf-8")
-        command = "report" if field.startswith("scores") else "extract"
+        command = "report" if in_judgment else "extract"
         args = [command, "--triples", str(triples), "--judgments", str(judgments)]
         code = cli.main([*args, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
