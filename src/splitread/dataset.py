@@ -14,9 +14,10 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -110,9 +111,6 @@ class SideScores:
                     f"{cat} score must be an integer in 1..5, got {value!r}"
                 )
 
-    def get(self, category: str) -> int:
-        return getattr(self, category)
-
 
 @dataclass(frozen=True)
 class JudgmentRecord:
@@ -187,10 +185,30 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
         yield lineno, obj
 
 
+@contextmanager
+def _located(where: str) -> Iterator[None]:
+    """Prefix a SplitreadError raised inside the block with ``where: ``;
+    the error keeps its type and attributes (a ParseError its ``.offset``)."""
+    try:
+        yield
+    except SplitreadError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ValidationError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _string(obj: dict, key: str, where: str) -> str:
+    value = _require(obj, key, where)
+    if type(value) is not str:
+        raise ValidationError(
+            f"{where}.{key}: expected a string, got {json.dumps(value)}"
+        )
+    return value
 
 
 def _object(obj: dict, key: str, where: str, *, required: bool = True) -> dict:
@@ -213,30 +231,25 @@ def _is_number(value) -> bool:
 def _read_parses(
     obj: dict, name: str, where: str, conllu: dict, keep_punctuation: bool
 ) -> tuple[dict, tuple[ParseTree, ...], tuple[DepGraph, ...]]:
-    """The record ``obj[name]`` (the source or a side), the trees of its
-    ``ptb`` strings and, when ``conllu[name]`` is given, one dependency
-    graph per tree."""
+    """The record ``obj[name]`` (the source or a side), whose ``text`` is
+    a string, the trees of its ``ptb`` strings and, when ``conllu[name]``
+    is given, one dependency graph per tree."""
     record = _object(obj, name, where)
+    _string(record, "text", f"{where}.{name}")
     ptb = _require(record, "ptb", f"{where}.{name}")
     if not isinstance(ptb, list) or not all(isinstance(s, str) for s in ptb):
         raise ValidationError(f"{where}.{name}: 'ptb' must be a list of strings")
-    try:
+    with _located(f"{where}.{name}.ptb"):
         trees = tuple(
             tree for s in ptb for tree in parse_ptb(s, keep_punctuation=keep_punctuation)
         )
-    except SplitreadError as exc:  # located; the error keeps its type
-        exc.args = (f"{where}.{name}.ptb: {exc}",)
-        raise
     graphs: tuple[DepGraph, ...] = ()
     text = conllu.get(name)
     if text is not None and not isinstance(text, str):
         raise ValidationError(f"{where}.conllu.{name}: expected a string")
     if text:
-        try:
+        with _located(f"{where}.conllu.{name}"):
             graphs = tuple(parse_conllu(text))
-        except SplitreadError as exc:
-            exc.args = (f"{where}.conllu.{name}: {exc}",)
-            raise
         if len(graphs) != len(trees):
             raise ValidationError(
                 f"{where}.{name}: {len(graphs)} dependency graphs for "
@@ -290,7 +303,7 @@ def load_triples(
                 )
             sides.append(
                 Simplification(
-                    text=_require(record, "text", at),
+                    text=record["text"],
                     trees=trees,
                     origin=origin,
                     graphs=graphs,
@@ -300,7 +313,7 @@ def load_triples(
         triples.append(
             Triple(
                 id=triple_id,
-                source_text=_require(source, "text", f"{where}.source"),
+                source_text=source["text"],
                 source_trees=source_trees,
                 split_a=sides[0],
                 split_b=sides[1],
@@ -312,33 +325,35 @@ def load_triples(
 
 def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
     obj = _object(scores, side, f"{where}.scores")
-    try:
-        return SideScores(
-            grammar=obj["grammar"], meaning=obj["meaning"], fluency=obj["fluency"]
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{where}.scores.{side}: missing score {exc}") from None
-    except ValidationError as exc:  # a score out of range
-        raise ValidationError(f"{where}.scores.{side}: {exc}") from None
+    with _located(f"{where}.scores.{side}"):
+        if missing := [cat for cat in CATEGORIES if cat not in obj]:
+            raise ValidationError(f"missing score {missing[0]!r}")
+        return SideScores(**{cat: obj[cat] for cat in CATEGORIES})
 
 
-def load_judgments(path: str | Path) -> list[JudgmentRecord]:
+def load_judgments(
+    path: str | Path, triple_ids: Collection[str]
+) -> list[JudgmentRecord]:
+    """The judgment records of ``path``, each naming one of ``triple_ids``."""
     records: list[JudgmentRecord] = []
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
         scores = _object(obj, "scores", where)
         record = dict(
-            triple_id=str(_require(obj, "triple_id", where)),
-            worker_id=str(_require(obj, "worker_id", where)),
+            triple_id=_string(obj, "triple_id", where),
+            worker_id=_string(obj, "worker_id", where),
             question=_require(obj, "question", where),
             choice=_require(obj, "choice", where),
             scores_a=_parse_scores(scores, "a", where),
             scores_b=_parse_scores(scores, "b", where),
         )
-        try:
-            records.append(JudgmentRecord(**record))
-        except ValidationError as exc:  # an unknown question or choice
-            raise ValidationError(f"{where}: {exc}") from None
+        with _located(where):  # an unknown question or choice
+            judgment = JudgmentRecord(**record)
+        if judgment.triple_id not in triple_ids:
+            raise IntegrityError(
+                f"{where}.triple_id: unknown triple {judgment.triple_id!r}"
+            )
+        records.append(judgment)
     return records
 
 
@@ -348,16 +363,9 @@ def ingest(
     *,
     keep_punctuation: bool = True,
 ) -> tuple[list[Triple], list[JudgmentRecord]]:
-    """Load both files and enforce referential integrity."""
+    """Load both files; every judgment must name a loaded triple."""
     triples = load_triples(triples_path, keep_punctuation=keep_punctuation)
-    judgments = load_judgments(judgments_path)
-    known = {t.id for t in triples}
-    for j in judgments:
-        if j.triple_id not in known:
-            raise IntegrityError(
-                f"judgment references unknown triple {j.triple_id!r}"
-            )
-    return triples, judgments
+    return triples, load_judgments(judgments_path, {t.id for t in triples})
 
 
 @dataclass(frozen=True)
@@ -417,7 +425,7 @@ def quality_scores(
         seen.add(key)
         scores = j.scores(side)
         for cat in CATEGORIES:
-            out[cat].append(scores.get(cat))
+            out[cat].append(getattr(scores, cat))
     return out
 
 
@@ -612,11 +620,7 @@ class DesignMatrix:
         return self.X.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            j = self.columns.index(name)
-        except ValueError:
-            raise ValidationError(f"no such column {name!r}") from None
-        return self.X[:, j]
+        return self.predictor_matrix([name])[:, 0]
 
     def predictor_matrix(self, names: Sequence[str]) -> np.ndarray:
         idx = []
@@ -692,17 +696,16 @@ def build_design_matrix(
     responses are dropped.
     """
     config = config or FeatureConfig()
-    decided = [
-        (i, j)
-        for i, j in enumerate(judgments)
-        if j.question == "A_vs_B" and j.choice != "not_sure"
-    ]
+    # A stable sort: records of one (triple, worker) keep their file order.
+    decided = sorted(
+        (j for j in judgments if j.question == "A_vs_B" and j.choice != "not_sure"),
+        key=lambda j: (j.triple_id, j.worker_id),
+    )
     if not decided:
         raise ValidationError("no definite A_vs_B judgments to build a matrix from")
-    decided.sort(key=lambda item: (item[1].triple_id, item[1].worker_id, item[0]))
 
     by_id = {t.id: t for t in triples}
-    referenced = {j.triple_id for _, j in decided}
+    referenced = {j.triple_id for j in decided}
     unknown = sorted(referenced - by_id.keys())
     if unknown:
         raise IntegrityError(f"judgment references unknown triple {unknown[0]!r}")
@@ -714,13 +717,9 @@ def build_design_matrix(
     raw_rows: list[list[float]] = []
     outcomes: list[float] = []
     row_ids: list[tuple] = []
-    for _, j in decided:
+    for j in decided:
         for side in ("a", "b"):
-            feats = dict(side_values[j.triple_id, side])
-            scores = j.scores(side)
-            for cat in CATEGORIES:
-                if cat in names:
-                    feats[cat] = float(scores.get(cat))
+            feats = {**side_values[j.triple_id, side], **vars(j.scores(side))}
             raw_rows.append([feats[name] for name in names])
             outcomes.append(1.0 if (side == "a") == (j.choice == "first") else 0.0)
             row_ids.append((j.triple_id, j.worker_id, side))

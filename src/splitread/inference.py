@@ -68,14 +68,6 @@ class ModelSpec:
     def sd_vector(self) -> np.ndarray:
         return np.full(len(self.predictors) + 1, float(self.prior_sd))
 
-    def without(self, predictor: str) -> "ModelSpec":
-        if predictor not in self.predictors:
-            raise ValidationError(f"no such predictor {predictor!r}")
-        return ModelSpec(
-            predictors=tuple(p for p in self.predictors if p != predictor),
-            prior_sd=self.prior_sd,
-        )
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -337,8 +329,8 @@ def sample_posterior(
     are counted and exposed on the result.
     """
     X = matrix.predictor_matrix(spec.predictors)
-    for name in spec.predictors:
-        if np.ptp(matrix.column(name)) == 0.0:
+    for name, column in zip(spec.predictors, X.T):
+        if np.ptp(column) == 0.0:
             raise ValidationError(f"predictor {name!r} has zero variance")
     chains = pool.run(
         _run_chain,

@@ -20,7 +20,7 @@ those of whole-array arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -237,7 +237,8 @@ def ablate(
         raise ValidationError("ablation needs at least 2 predictors")
     specs: dict[str, ModelSpec] = {"base": full_spec}
     for predictor in full_spec.predictors:
-        specs[predictor] = full_spec.without(predictor)
+        reduced = tuple(p for p in full_spec.predictors if p != predictor)
+        specs[predictor] = replace(full_spec, predictors=reduced)
     results: dict[str, WaicResult] = {}
     converged: dict[str, bool] = {}
     for name, spec in specs.items():

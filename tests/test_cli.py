@@ -837,6 +837,13 @@ _MALFORMED = [
     ("id", "t\r0", _BAD_ID + '"t\\r0"'),
     ("id", 5, _BAD_ID + "5"),
     ("id", ["a", "b"], _BAD_ID + '["a", "b"]'),
+    # A judgment's ids are JSON strings, and its triple must be loaded.
+    ("triple_id", "t9", ":1.triple_id: unknown triple 't9'"),
+    ("triple_id", 5, ":1.triple_id: expected a string, got 5"),
+    ("worker_id", 7, ":1.worker_id: expected a string, got 7"),
+    ("source.text", 5, ":1.source.text: expected a string, got 5"),
+    ("a.text", None, ":1.a.text: expected a string, got null"),
+    ("b.text", ["x"], ':1.b.text: expected a string, got ["x"]'),
 ]
 
 

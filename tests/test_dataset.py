@@ -34,6 +34,7 @@ from splitread.dataset import (
 from splitread.errors import (
     FormatError,
     IntegrityError,
+    ParseError,
     SplitreadError,
     StandardizationError,
     ValidationError,
@@ -88,6 +89,16 @@ class TestIngest:
         with pytest.raises(IntegrityError):
             ingest(bad, triples_path)
 
+    def test_first_error_in_file_order_wins(self, loaded, tmp_path):
+        # The reference is checked as each record is read, not after the
+        # whole file, so an unknown triple on line 1 beats a bad line 2.
+        bad = tmp_path / "judgments.jsonl"
+        lines = [_judgment_line(triple_id="t9"), _judgment_line(choice="firts")]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(IntegrityError) as info:
+            ingest(bad, loaded[2])
+        assert str(info.value) == f"{bad}:1.triple_id: unknown triple 't9'"
+
     def test_empty_judgments_file(self, loaded, tmp_path):
         triples_path = loaded[2]
         empty = tmp_path / "judgments.jsonl"
@@ -101,7 +112,7 @@ class TestIngest:
         bad = tmp_path / "judgments.jsonl"
         bad.write_text(_judgment_line(score=9) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError):
-            load_judgments(bad)
+            load_judgments(bad, {"t0000"})
 
     def test_bad_json_rejected(self, tmp_path):
         bad = tmp_path / "triples.jsonl"
@@ -146,15 +157,31 @@ class TestIngest:
         path = tmp_path / "judgments.jsonl"
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
         with pytest.raises(FormatError, match="judgments.jsonl:3: bad JSON"):
-            load_judgments(path)
+            load_judgments(path, {"t0000"})
         path.write_bytes((newline.join(lines[:2]) + newline).encode("utf-8"))
-        assert [j.worker_id for j in load_judgments(path)] == ["w\u2028\u0085"] * 2
+        assert [j.worker_id for j in load_judgments(path, {"t0000"})] == ["w\u2028\u0085"] * 2
 
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "judgments.jsonl"
         bad.write_text('{"schema": 2}\n', encoding="utf-8")
         with pytest.raises(FormatError):
-            load_judgments(bad)
+            load_judgments(bad, {"t0000"})
+
+    def test_unbalanced_side_tree_keeps_parse_error_and_offset(self, tmp_path):
+        record = {
+            "id": "t0",
+            "source": {"text": "x", "ptb": ["(S (NN x))"]},
+            "a": {"text": "x", "ptb": ["(S (NN x)) (S (NN y)"], "origin": "human"},
+            "b": {"text": "x", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
+        }
+        path = tmp_path / "triples.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_triples(path)
+        assert info.value.offset == 20
+        assert str(info.value) == (
+            f"{path}:1.a.ptb: unbalanced brackets (byte offset 20)"
+        )
 
     def test_wrong_sentence_count_rejected(self, tmp_path):
         record = {
@@ -199,7 +226,9 @@ class TestIngest:
         triples_path, judgments_path = make_demo_dataset(
             tmp_path, n_triples=221, n_workers=7, seed=3, bart_fraction=113 / 221
         )
-        judgments = load_judgments(judgments_path)
+        judgments = load_judgments(
+            judgments_path, {t.id for t in load_triples(triples_path)}
+        )
         ab = [j for j in judgments if j.question == "A_vs_B"]
         assert len(ab) == 1547
         _, rows = extract_features(load_triples(triples_path))
@@ -357,6 +386,19 @@ class TestDesignMatrix:
         assert matrix.n_rows == 2
         assert list(matrix.y) == [1.0, 0.0]
         assert list(matrix.column("split")) == [1.0, 0.0]
+
+    @pytest.mark.parametrize("choices", [("second", "first"), ("first", "second")])
+    def test_repeated_pair_keeps_file_order(self, loaded, tmp_path, choices):
+        # Rows are sorted by (triple, worker) alone; records of one pair
+        # keep the order of the file.
+        triples, *_ = loaded
+        path = tmp_path / "judgments.jsonl"
+        lines = [_judgment_line(choice=choice) for choice in choices]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        judgments = load_judgments(path, {t.id for t in triples})
+        matrix = build_design_matrix(triples, judgments, FeatureConfig(("split",)))
+        expected = [1.0 if c == "first" else 0.0 for c in choices]
+        assert list(matrix.y) == [y for e in expected for y in (e, 1.0 - e)]
 
     def test_not_sure_contributes_no_rows(self, loaded):
         triples, judgments, *_ = loaded
