@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -28,6 +28,7 @@ from .errors import (
     SplitreadError,
     StandardizationError,
     ValidationError,
+    read_text,
 )
 from .trees import DepGraph, ParseTree, parse_conllu, parse_ptb
 
@@ -166,7 +167,7 @@ def write_artifact(path: str | Path, header: str, lines: Iterable[str]) -> None:
 
 
 def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
-    text = Path(path).read_text("utf-8")
+    text = read_text(path)
     # Split on "\n" alone: JSON strings may hold a raw U+2028, U+2029 or
     # U+0085, which str.splitlines() would also break on. read_text has
     # already made every \r\n and lone \r a \n.
@@ -613,14 +614,10 @@ class DesignMatrix:
     X: np.ndarray  # standardized, shape (n, len(columns))
     y: np.ndarray  # binary outcome, shape (n,)
     meta: dict[str, ColumnMeta]
-    row_ids: tuple[tuple, ...] = field(default_factory=tuple)
 
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.predictor_matrix([name])[:, 0]
 
     def predictor_matrix(self, names: Sequence[str]) -> np.ndarray:
         idx = []
@@ -630,18 +627,9 @@ class DesignMatrix:
             idx.append(self.columns.index(name))
         return self.X[:, idx]
 
-    def raw_column(self, name: str) -> np.ndarray:
-        """Undo the standardization of one column."""
-        meta = self.meta[name]
-        return self.column(name) * meta.sd + meta.mean
-
     @classmethod
     def from_arrays(
-        cls,
-        columns: Sequence[str],
-        X: np.ndarray,
-        y: np.ndarray,
-        row_ids: Sequence[tuple] | None = None,
+        cls, columns: Sequence[str], X: np.ndarray, y: np.ndarray
     ) -> "DesignMatrix":
         """Standardize every column to mean 0 and sd 1, except the 0/1
         columns named in CATEGORICAL_PREDICTORS, which stay as they are."""
@@ -674,13 +662,7 @@ class DesignMatrix:
                 )
             Xs[:, j] = (col - mean) / sd
             meta[name] = ColumnMeta(mean, sd)
-        return cls(
-            columns=tuple(columns),
-            X=Xs,
-            y=y,
-            meta=meta,
-            row_ids=tuple(row_ids) if row_ids is not None else (),
-        )
+        return cls(columns=tuple(columns), X=Xs, y=y, meta=meta)
 
 
 def build_design_matrix(
@@ -716,17 +698,14 @@ def build_design_matrix(
     names = list(config.predictors)
     raw_rows: list[list[float]] = []
     outcomes: list[float] = []
-    row_ids: list[tuple] = []
     for j in decided:
         for side in ("a", "b"):
             feats = {**side_values[j.triple_id, side], **vars(j.scores(side))}
             raw_rows.append([feats[name] for name in names])
             outcomes.append(1.0 if (side == "a") == (j.choice == "first") else 0.0)
-            row_ids.append((j.triple_id, j.worker_id, side))
 
     return DesignMatrix.from_arrays(
         names,
         np.array(raw_rows, dtype=float),
         np.array(outcomes, dtype=float),
-        row_ids=row_ids,
     )

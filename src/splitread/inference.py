@@ -383,12 +383,6 @@ class PosteriorSummary:
     rows: tuple[CoefficientSummary, ...]
     histograms: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (edges, counts)
 
-    def row(self, name: str) -> CoefficientSummary:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def max_rhat(self) -> float:
         return max(r.rhat for r in self.rows)
 

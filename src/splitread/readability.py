@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 
 _VOWELS = frozenset("aeiouy")
 
@@ -97,7 +97,7 @@ def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
             resources.files("splitread").joinpath("data/dale_chall.txt").read_text("utf-8")
         )
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
     words = set()
     for line in text.splitlines():
         line = line.strip()

@@ -111,13 +111,6 @@ class DepGraph:
                 seen.add(cur)
                 cur = self.tokens[cur - 1].head
 
-    @property
-    def root(self) -> DepToken:
-        return next(tok for tok in self.tokens if tok.head == 0)
-
-    def forms(self) -> list[str]:
-        return [tok.form for tok in self.tokens]
-
 
 def is_punctuation_token(token: str) -> bool:
     """True when every character of the token is punctuation."""

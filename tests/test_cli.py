@@ -876,6 +876,35 @@ class TestMalformedRecords:
         assert "Traceback" not in err
 
 
+class TestNotUtf8:
+    # A byte that is not UTF-8 is a located format error; its line is one
+    # plus the newlines before it.
+    @pytest.mark.parametrize(
+        "command, name, line",
+        [("extract", "triples", 1), ("report", "judgments", 2), ("extract", "words", 3)],
+    )
+    def test_rejected_with_line(self, tmp_path, capsys, command, name, line):
+        files = {
+            "triples": (json.dumps(_TRIPLE) + "\n").encode(),
+            "judgments": (json.dumps(_JUDGMENT) + "\n" + json.dumps(_JUDGMENT)).encode(),
+            "words": b"the\nman\n",
+        }
+        bad = files[name]
+        cut = sum(len(s) + 1 for s in bad.split(b"\n")[: line - 1])
+        files[name] = bad[:cut] + b"\xff" + bad[cut:]
+        paths = {key: tmp_path / f"{key}.txt" for key in files}
+        for key, data in files.items():
+            paths[key].write_bytes(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"word_list": str(paths["words"])}), encoding="utf-8")
+        code = cli.main([
+            command, "--config", str(config), "--triples", str(paths["triples"]),
+            "--judgments", str(paths["judgments"]), "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {paths[name]}:{line}: not UTF-8 text\n"
+
+
 class TestDeepTrees:
     def test_extract_names_depth_limit_and_report_runs(self, tmp_path, capsys):
         triple = copy.deepcopy(_TRIPLE)

@@ -385,7 +385,7 @@ class TestDesignMatrix:
         matrix = build_design_matrix(triples, [one])
         assert matrix.n_rows == 2
         assert list(matrix.y) == [1.0, 0.0]
-        assert list(matrix.column("split")) == [1.0, 0.0]
+        assert list(matrix.X[:, matrix.columns.index("split")]) == [1.0, 0.0]
 
     @pytest.mark.parametrize("choices", [("second", "first"), ("first", "second")])
     def test_repeated_pair_keeps_file_order(self, loaded, tmp_path, choices):
@@ -426,7 +426,7 @@ class TestDesignMatrix:
         ]
         assert matrix.n_rows == 2 * len(decided)
         y = matrix.y.reshape(-1, 2)
-        split = matrix.column("split").reshape(-1, 2)
+        split = matrix.X[:, matrix.columns.index("split")].reshape(-1, 2)
         assert np.all(y.sum(axis=1) == 1.0)
         assert np.all(split.sum(axis=1) == 1.0)
 
@@ -439,28 +439,45 @@ class TestDesignMatrix:
     def test_standardized_columns(self, loaded):
         triples, judgments, *_ = loaded
         matrix = build_design_matrix(triples, judgments)
-        for name in matrix.columns:
-            col = matrix.column(name)
+        for name, col in zip(matrix.columns, matrix.X.T):
             if name in CATEGORICAL_PREDICTORS:
                 assert set(np.unique(col)) <= {0.0, 1.0}
             else:
                 assert abs(col.mean()) < 1e-9
                 assert col.std() == pytest.approx(1.0, abs=1e-9)
 
-    def test_destandardization_round_trip(self, loaded):
+    def test_rows_aligned_with_judgments_and_sides(self, loaded):
+        # The matrix rebuilt one judgment at a time: side a then side b,
+        # each row the side's features merged with that side's scores,
+        # and y = 1 on the chosen side's row.
         triples, judgments, *_ = loaded
+        by_id = {t.id: t for t in triples}
+        decided = sorted(
+            (j for j in judgments if j.question == "A_vs_B" and j.choice != "not_sure"),
+            key=lambda j: (j.triple_id, j.worker_id),
+        )
+        raw, y = [], []
+        for j in decided:
+            for side in ("a", "b"):
+                scores = j.scores_a if side == "a" else j.scores_b
+                feats = side_features(by_id[j.triple_id], side)
+                feats.update({cat: getattr(scores, cat) for cat in CATEGORIES})
+                raw.append([feats[name] for name in PREDICTORS])
+                y.append(1.0 if side == {"first": "a", "second": "b"}[j.choice] else 0.0)
+        X = np.array(raw, dtype=float)
+        for k, name in enumerate(PREDICTORS):
+            if name not in CATEGORICAL_PREDICTORS:
+                X[:, k] = (X[:, k] - X[:, k].mean()) / X[:, k].std()
         matrix = build_design_matrix(triples, judgments)
-        raw = matrix.raw_column("tnodes")
-        for row_id, value in zip(matrix.row_ids, raw):
-            triple = next(t for t in triples if t.id == row_id[0])
-            expected = side_features(triple, row_id[2])["tnodes"]
-            assert value == pytest.approx(expected, abs=1e-9)
+        assert matrix.columns == PREDICTORS
+        assert np.array_equal(matrix.X, X)
+        assert np.array_equal(matrix.y, np.array(y))
 
     def test_zscore_hand_value(self):
         matrix = DesignMatrix.from_arrays(
             ["x"], np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 0.0, 1.0]),
         )
-        assert matrix.column("x") == pytest.approx(
+        assert matrix.X[:, 0] == pytest.approx(
             [-1.224745, 0.0, 1.224745], abs=1e-6
         )
 
@@ -505,7 +522,7 @@ class TestDesignMatrix:
         matrix = build_design_matrix([*triples, unjudged], judgments)
         reference = build_design_matrix(triples, judgments)
         assert np.array_equal(matrix.X, reference.X)
-        assert matrix.row_ids == reference.row_ids
+        assert np.array_equal(matrix.y, reference.y)
 
     def test_each_side_featurized_once(self, loaded, monkeypatch):
         triples, judgments, *_ = loaded

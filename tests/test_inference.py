@@ -511,7 +511,7 @@ class TestSummarize:
             divergences=0,
         )
         summary = summarize(draws)
-        row = summary.row("intercept")
+        row = summary.rows[0]
         assert row.mean == 3.25
         assert row.sd == 0.0
         assert (row.hdi_low, row.hdi_high) == (3.25, 3.25)
@@ -529,7 +529,7 @@ class TestSummarize:
             accept_rate=np.ones(4),
             divergences=0,
         )
-        row = summarize(draws).row("intercept")
+        row = summarize(draws).rows[0]
         assert abs(row.mean) < 0.05
         assert abs(row.sd - 1.0) < 0.05
         assert row.hdi_low < 0 < row.hdi_high

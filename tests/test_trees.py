@@ -98,8 +98,10 @@ class TestParseConllu:
         text = "1\tVanya\t_\t_\t_\t_\t2\tnsubj\t_\t_\n2\twalks\t_\t_\t_\t_\t0\troot\t_\t_\n"
         graphs = parse_conllu(text)
         assert len(graphs) == 1
-        assert graphs[0].root.index == 2
-        assert graphs[0].forms() == ["Vanya", "walks"]
+        assert [(tok.form, tok.head) for tok in graphs[0].tokens] == [
+            ("Vanya", 2),
+            ("walks", 0),
+        ]
 
     def test_cycle_rejected(self):
         text = "1\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
@@ -153,7 +155,7 @@ class TestParseConllu:
                 for t in graph.tokens
             ]
             assert len(parse_conllu("\n".join(lines))) == 1
-            root = graph.root.index
+            root = next(t.index for t in graph.tokens if t.head == 0)
             bad = [
                 line if not line.startswith(f"{root}\t") else
                 line.replace(f"\t0\t", f"\t{root}\t", 1)
