@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import inference, selection
-from .errors import SplitreadError, ValidationError
+from .errors import SplitreadError, ValidationError, read_text
 from .inference import ModelSpec, SamplerConfig
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise SplitreadError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text("utf-8"))
+            data = json.loads(read_text(path))
         except ValueError as exc:  # also an integer past Python's digit limit
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
         if type(data) is not dict:

@@ -222,7 +222,8 @@ def kernel_similarity(
 
     For every sentence of ``doc_a``, its best normalized kernel value
     K(a,b)/sqrt(K(a,a) K(b,b)) over the sentences of ``doc_b``; the mean
-    of these maxima is returned.
+    of these maxima is returned. A self-kernel or a product K(a,a) K(b,b)
+    past the float range, as a large ``sigma`` gives, is a ValidationError.
     """
     if not doc_a or not doc_b:
         raise ValidationError("kernel_similarity requires two non-empty documents")
@@ -230,11 +231,13 @@ def kernel_similarity(
     best_values = []
     for a in doc_a:
         ka = _self_kernel(a, variant, sigma)
+        if not math.isfinite(ka * max(self_b)):
+            raise ValidationError(
+                f"tree kernel overflows the float range at kernel_sigma {sigma!r}"
+            )
         best = 0.0
         for b, kb in zip(doc_b, self_b):
-            kab = tree_kernel(a, b, variant, sigma)
-            if kab:
-                best = max(best, kab / math.sqrt(ka * kb))
+            best = max(best, tree_kernel(a, b, variant, sigma) / math.sqrt(ka * kb))
         best_values.append(best)
     return sum(best_values) / len(best_values)
 

@@ -103,21 +103,12 @@ class PosteriorDraws:
     step_size: np.ndarray | None = None
     grad_evals: np.ndarray | None = None
 
-    @property
-    def n_chains(self) -> int:
-        return self.draws.shape[0]
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[1]
-
     def pooled(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[2])
 
     @property
     def divergence_warning(self) -> bool:
-        kept = self.n_chains * self.n_draws
-        return self.divergences > 0.01 * kept
+        return self.divergences > 0.01 * self.logp.size
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
@@ -185,23 +176,24 @@ def _leapfrog(
     eps: float,
     n_steps: int,
     logpost: Callable[..., tuple[float, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, bool]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """``n_steps`` leapfrog steps from (q, p); interior steps compute only
-    the gradient, the endpoint also the log density."""
+    the gradient, the endpoint also the log density. A non-finite value
+    stops the trajectory with density -inf, which the energy test rejects."""
     q = q.copy()
     p = p + 0.5 * eps * grad
     for _ in range(n_steps - 1):
         q += eps * p
         _, grad = logpost(q, value=False)
         if not np.all(np.isfinite(grad)):
-            return q, p, -math.inf, grad, False
+            return q, p, -math.inf, grad
         p += eps * grad
     q += eps * p
     lp, grad = logpost(q)
     if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
-        return q, p, -math.inf, grad, False
+        return q, p, -math.inf, grad
     p += 0.5 * eps * grad
-    return q, p, lp, grad, True
+    return q, p, lp, grad
 
 
 def _find_reasonable_epsilon(
@@ -216,9 +208,7 @@ def _find_reasonable_epsilon(
     h0 = -lp + 0.5 * float(p @ p)
 
     def accept_ratio(eps: float) -> float:
-        q1, p1, lp1, _, ok = _leapfrog(q, p, grad, eps, 1, logpost)
-        if not ok:
-            return 0.0
+        _, p1, lp1, _ = _leapfrog(q, p, grad, eps, 1, logpost)
         h1 = -lp1 + 0.5 * float(p1 @ p1)
         return math.exp(min(0.0, h0 - h1))
 
@@ -284,14 +274,10 @@ def _run_chain(
         n_steps = max(1, round(config.num_steps * jitter))
         p0 = rng.standard_normal(dim)
         h0 = -lp + 0.5 * float(p0 @ p0)
-        q1, p1, lp1, grad1, ok = _leapfrog(q, p0, grad, eps, n_steps, logpost)
-        if ok:
-            h1 = -lp1 + 0.5 * float(p1 @ p1)
-            divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
-            accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
-        else:
-            divergent = True
-            accept_prob = 0.0
+        q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)
+        h1 = -lp1 + 0.5 * float(p1 @ p1)
+        divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
+        accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
         if rng.uniform() < accept_prob:
             q, lp, grad = q1, lp1, grad1
         if sampling:
@@ -394,9 +380,7 @@ class PosteriorSummary:
 def _hdi(samples: np.ndarray, prob: float) -> tuple[float, float]:
     xs = np.sort(samples)
     n = len(xs)
-    span = max(1, int(math.floor(prob * n)))
-    if span >= n:
-        return float(xs[0]), float(xs[-1])
+    span = int(math.floor(prob * n))
     widths = xs[span:] - xs[: n - span]
     i = int(np.argmin(widths))
     return float(xs[i]), float(xs[i + span])

@@ -51,9 +51,6 @@ class ParseTree:
     def tokens(self) -> list[str]:
         return [node.label for node in self.iter_nodes() if node.is_leaf]
 
-    def size(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
     def depth(self) -> int:
         """Nodes on the longest path from this node down to a leaf,
         counted level by level without recursion."""

@@ -114,9 +114,9 @@ def naive_ted(a: ParseTree, b: ParseTree) -> int:
         if not fa and not fb:
             return 0
         if not fa:
-            return sum(t.size() for t in fb)
+            return sum(1 for t in fb for _ in t.iter_nodes())
         if not fb:
-            return sum(t.size() for t in fa)
+            return sum(1 for t in fa for _ in t.iter_nodes())
         ta, tb = fa[-1], fb[-1]
         delete = 1 + forest_dist(fa[:-1] + ta.children, fb)
         insert = 1 + forest_dist(fa, fb[:-1] + tb.children)
@@ -250,11 +250,11 @@ def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
         q += eps * p
         lp, grad = logpost(q)
         if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
-            return q, p, -math.inf, grad, False
+            return q, p, -math.inf, grad
         if step < n_steps - 1:
             p += eps * grad
     p += 0.5 * eps * grad
-    return q, p, lp, grad, True
+    return q, p, lp, grad
 
 
 def pin_lanes(monkeypatch, lanes):
@@ -591,8 +591,9 @@ def reference_draws_text(draws, header_comment: str = "") -> str:
     if header_comment:
         lines.append(header_comment.rstrip("\n"))
     lines.append(",".join(["chain", "draw", *draws.names, "lp"]))
-    for c in range(draws.n_chains):
-        for d in range(draws.n_draws):
+    n_chains, n_draws = draws.logp.shape
+    for c in range(n_chains):
+        for d in range(n_draws):
             values = [repr(float(v)) for v in draws.draws[c, d]]
             lines.append(
                 ",".join([str(c), str(d), *values, repr(float(draws.logp[c, d]))])

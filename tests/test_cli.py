@@ -609,6 +609,18 @@ class TestErrors:
         assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert "config file is not valid JSON" in capsys.readouterr().err
 
+    def test_kernel_overflow_named(self, tmp_path, capsys):
+        # sigma + 1 is finite, but the product of two self-kernels is not.
+        triples, config = tmp_path / "triples.jsonl", tmp_path / "config.json"
+        triples.write_text(json.dumps(_TRIPLE) + "\n", encoding="utf-8")
+        config.write_text(json.dumps({"kernel_sigma": 1e200}), encoding="utf-8")
+        args = ["--triples", str(triples), "--out", str(tmp_path / "out")]
+        assert cli.main(["extract", "--config", str(config), *args]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: triple 't0', side a: tree kernel overflows the float range "
+            "at kernel_sigma 1e+200\n"
+        )
+
     def test_unknown_sampler_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(
@@ -881,24 +893,29 @@ class TestNotUtf8:
     # plus the newlines before it.
     @pytest.mark.parametrize(
         "command, name, line",
-        [("extract", "triples", 1), ("report", "judgments", 2), ("extract", "words", 3)],
+        [
+            ("extract", "triples", 1),
+            ("report", "judgments", 2),
+            ("extract", "words", 3),
+            ("extract", "config", 1),
+        ],
     )
     def test_rejected_with_line(self, tmp_path, capsys, command, name, line):
+        names = ("triples", "judgments", "words", "config")
+        paths = {key: tmp_path / f"{key}.txt" for key in names}
         files = {
             "triples": (json.dumps(_TRIPLE) + "\n").encode(),
             "judgments": (json.dumps(_JUDGMENT) + "\n" + json.dumps(_JUDGMENT)).encode(),
             "words": b"the\nman\n",
+            "config": json.dumps({"word_list": str(paths["words"])}).encode(),
         }
         bad = files[name]
         cut = sum(len(s) + 1 for s in bad.split(b"\n")[: line - 1])
         files[name] = bad[:cut] + b"\xff" + bad[cut:]
-        paths = {key: tmp_path / f"{key}.txt" for key in files}
         for key, data in files.items():
             paths[key].write_bytes(data)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"word_list": str(paths["words"])}), encoding="utf-8")
         code = cli.main([
-            command, "--config", str(config), "--triples", str(paths["triples"]),
+            command, "--config", str(paths["config"]), "--triples", str(paths["triples"]),
             "--judgments", str(paths["judgments"]), "--out", str(tmp_path / "out"),
         ])
         assert code == cli.EXIT_VALIDATION

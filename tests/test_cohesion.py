@@ -209,6 +209,23 @@ class TestKernelSimilarity:
         with pytest.raises(ValidationError):
             kernel_similarity([], [fig_tree])
 
+    @pytest.mark.parametrize(
+        "text, sigma",
+        [
+            # Each self-kernel is about sigma ** 9 and overflows.
+            ("(S" + " (A x)" * 9 + ")", 1e40),
+            # Each self-kernel is sigma + 1; their product overflows.
+            ("(S (A x))", 1e200),
+        ],
+        ids=["self-kernel", "product"],
+    )
+    def test_overflowing_kernel_rejected(self, text, sigma):
+        tree = t(text)
+        with pytest.raises(ValidationError, match="kernel_sigma"):
+            kernel_similarity([tree], [tree], "subset", sigma)
+        # A large sigma whose kernels stay finite keeps the formula.
+        assert kernel_similarity([tree], [tree], "subset", 1e10) == 1.0
+
 
 class TestReferenceTwins:
     """tree_edit_distance and tree_kernel against verbatim copies (in

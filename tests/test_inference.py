@@ -337,12 +337,39 @@ class TestLeapfrog:
             grad = np.full(q.size, math.nan if len(calls) == 2 else 0.5)
             return (0.0 if value else math.nan), grad
 
-        _, _, lp, _, ok = inference._leapfrog(
+        _, _, lp, _ = inference._leapfrog(
             np.zeros(2), np.ones(2), np.ones(2), 0.1, 5, logpost
         )
-        assert not ok
         assert lp == -math.inf
         assert calls == [False, False]
+
+    def test_failed_trajectories_rejected_and_counted(self, monkeypatch):
+        # The gradient is NaN outside the box max|beta| <= bound, so every
+        # trajectory that leaves it fails; none may be accepted.
+        bound = 0.6
+        real_logpost = inference._logpost_arrays
+
+        def boxed_logpost(beta, *args, value=True):
+            lp, grad = real_logpost(beta, *args, value=value)
+            if np.max(np.abs(beta)) > bound:
+                grad = np.full_like(grad, math.nan)
+            return lp, grad
+
+        matrix = make_logit_matrix(400, [0.3, 0.5, -0.4], seed=5)
+        spec = ModelSpec(predictors=matrix.columns)
+        config = SamplerConfig(chains=2, warmup=200, draws=200, seed=7, num_steps=12)
+        pin_lanes(monkeypatch, 1)
+        monkeypatch.setattr(inference, "_logpost_arrays", boxed_logpost)
+        fast = sample_posterior(matrix, spec, config)
+        assert fast.divergences > 0
+        assert np.max(np.abs(fast.draws)) <= bound
+        assert np.all(np.isfinite(fast.logp))
+        monkeypatch.setattr(inference, "_leapfrog", naive_leapfrog)
+        naive = sample_posterior(matrix, spec, config)
+        assert np.array_equal(fast.draws, naive.draws)
+        assert np.array_equal(fast.logp, naive.logp)
+        assert np.array_equal(fast.accept_rate, naive.accept_rate)
+        assert fast.divergences == naive.divergences
 
 
 @pytest.fixture(scope="module")
@@ -549,7 +576,7 @@ class TestDrawsCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "# test"
         assert lines[1].split(",") == ["chain", "draw", "intercept", "x1", "lp"]
-        assert len(lines) == 2 + draws.n_chains * draws.n_draws
+        assert len(lines) == 2 + draws.logp.size
         first = lines[2].split(",")
         assert float(first[2]) == draws.draws[0, 0, 0]
 
