@@ -972,7 +972,8 @@ def test_report_does_not_load_scipy_stats(tmp_path):
 
 def test_extract_does_not_load_scipy_special(tmp_path):
     # scipy.special costs about a third of a second of import, and the
-    # features need none of it; report's Welch test still loads it.
+    # features need none of it; report (its Welch test) and ablate (WAIC)
+    # still load it.
     make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -992,3 +993,31 @@ def test_extract_does_not_load_scipy_special(tmp_path):
     )
     printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
     assert printed == ["False", "0 False", "0"]
+
+
+def test_fit_does_not_load_scipy_special(tmp_path):
+    # The log density's sigmoid and softplus are numpy's, and chain 0 runs
+    # in the calling process, so a fit that used scipy.special would load it
+    # here.
+    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    (tmp_path / "fit.json").write_text(
+        json.dumps({"sampler": {"warmup": 20, "draws": 20}}), encoding="utf-8"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, splitread.cli\n"
+        "code = splitread.cli.main(['fit', '--config', 'fit.json', '--triples',"
+        " 'data/triples.jsonl', '--judgments', 'data/judgments.jsonl',"
+        " '--out', 'out'])\n"
+        "print(code, 'scipy.special' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    exit_code, loaded = result.stdout.splitlines()[-1].split()
+    assert int(exit_code) in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
+    assert (tmp_path / "out" / "draws.csv").is_file()
+    assert loaded == "False"

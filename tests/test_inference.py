@@ -5,6 +5,7 @@ import math
 import os
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,35 @@ class TestLogPosterior:
                     - log_posterior(down, matrix, spec)[0]
                 ) / (2 * h)
                 assert abs(grad[j] - fd) / max(1.0, abs(grad[j])) < 1e-5
+
+
+class TestKernels:
+    """The log density's sigmoid and softplus, on numpy's vectorized exp,
+    against scipy's and numpy's own references."""
+
+    GRID = np.linspace(-800.0, 800.0, 200001)
+
+    def test_sigmoid_within_two_ulp_of_scipy(self):
+        from scipy.special import expit
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inference._expit(self.GRID)
+        np.testing.assert_array_max_ulp(got, expit(self.GRID), maxulp=2)
+
+    def test_sigmoid_limits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inference._expit(np.array([math.inf, -math.inf, math.nan]))
+        assert got[0] == 1.0
+        assert got[1] == 0.0
+        assert math.isnan(got[2])
+
+    def test_softplus_within_two_ulp_of_logaddexp(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inference._softplus(self.GRID)
+        np.testing.assert_array_max_ulp(got, np.logaddexp(0.0, self.GRID), maxulp=2)
 
 
 class TestRhat:
