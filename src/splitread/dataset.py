@@ -15,7 +15,7 @@ import math
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -181,8 +181,10 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
         schema = obj.get("schema", 1)
-        if schema != 1:
-            raise FormatError(f"{path}:{lineno}: unsupported schema {schema!r}")
+        if type(schema) is not int or schema != 1:
+            raise FormatError(
+                f"{path}:{lineno}: unsupported schema {json.dumps(schema)}"
+            )
         yield lineno, obj
 
 
@@ -293,7 +295,7 @@ def load_triples(
                 raise ValidationError(
                     f"{at}: expected {sentences} sentences, got {len(trees)}"
                 )
-            origin = str(_require(record, "origin", at)) if name == "a" else "human"
+            origin = _string(record, "origin", at) if name == "a" else "human"
             if origin not in ORIGINS:
                 raise ValidationError(f"{at}: unknown origin {origin!r}")
             samsa = precomputed.get(f"samsa_{name}")
@@ -602,18 +604,12 @@ def extract_features(
     return header, [row for rows in per_triple for row in rows]
 
 
-@dataclass(frozen=True)
-class ColumnMeta:
-    mean: float  # a categorical column keeps mean 0 and sd 1
-    sd: float
-
-
 @dataclass
 class DesignMatrix:
     columns: tuple[str, ...]
     X: np.ndarray  # standardized, shape (n, len(columns))
     y: np.ndarray  # binary outcome, shape (n,)
-    meta: dict[str, ColumnMeta]
+    meta: dict = field(default_factory=dict)  # unread; callers may pass meta={}
 
     @property
     def n_rows(self) -> int:
@@ -642,7 +638,6 @@ class DesignMatrix:
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValidationError("y must be binary")
         Xs = X.copy()
-        meta: dict[str, ColumnMeta] = {}
         for j, name in enumerate(columns):
             col = X[:, j]
             if not np.all(np.isfinite(col)):
@@ -652,7 +647,6 @@ class DesignMatrix:
                     raise ValidationError(
                         f"categorical column {name!r} must be 0/1 valued"
                     )
-                meta[name] = ColumnMeta(0.0, 1.0)
                 continue
             mean = float(col.mean())
             sd = float(col.std())  # population standard deviation
@@ -661,8 +655,7 @@ class DesignMatrix:
                     f"column {name!r} has zero variance and cannot be standardized"
                 )
             Xs[:, j] = (col - mean) / sd
-            meta[name] = ColumnMeta(mean, sd)
-        return cls(columns=tuple(columns), X=Xs, y=y, meta=meta)
+        return cls(columns=tuple(columns), X=Xs, y=y)
 
 
 def build_design_matrix(

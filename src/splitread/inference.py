@@ -17,7 +17,8 @@ either way with the same random draws consumed.
 
 The sigmoid and softplus of the density are numpy's vectorized
 ``exp``/``log1p`` (within 2 ulp of scipy.special.expit and
-np.logaddexp), so fitting loads no scipy.special.
+numpy.logaddexp), the package's only logistic kernels: ``selection`` and
+``synth`` use them too, so fitting and ablating load no scipy.special.
 
 The chains run at the same time, striped over one process per CPU by
 ``pool.run``. Each chain owns its seed and random stream, so the draws

@@ -7,7 +7,8 @@ draws (S - 1 denominator). Standard errors follow the usual pointwise
 estimators, sqrt(n var(elpd_i)) and, for model differences, the variance
 of the per-row elpd gaps against the best model. A row whose
 p_waic_i exceeds P_WAIC_LIMIT makes the estimate unreliable (Vehtari,
-Gelman & Gabry 2017); such rows are counted, not dropped.
+Gelman & Gabry 2017); such rows are counted, not dropped. The softplus
+is ``inference``'s and the log-sum-exp numpy's: WAIC loads no scipy.special.
 
 Memory: scoring a model holds one S x n float64 array, the pointwise
 log-likelihood of S pooled draws on n rows (S·n·8 bytes: 96 MB at the
@@ -32,6 +33,7 @@ from .inference import (
     ModelSpec,
     PosteriorDraws,
     SamplerConfig,
+    _softplus,
     sample_posterior,
     summarize,
 )
@@ -52,6 +54,12 @@ def _row_blocks(n_rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *stops[:-1]], stops)]
 
 
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)), each column shifted by its maximum."""
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
 def pointwise_loglik(draws: PosteriorDraws, matrix: DesignMatrix) -> np.ndarray:
     """Log Bernoulli likelihood of every row under every pooled draw,
     shape (samples, rows)."""
@@ -68,7 +76,7 @@ def pointwise_loglik(draws: PosteriorDraws, matrix: DesignMatrix) -> np.ndarray:
     t += beta[:, :1]  # addition commutes: the bits of beta[:, :1] + t
     for rows in _row_blocks(t.shape[1]):
         logit = t[:, rows]
-        penalty = np.logaddexp(0.0, logit)
+        penalty = _softplus(logit)
         logit *= matrix.y[rows]
         logit -= penalty
     return t
@@ -89,9 +97,6 @@ class WaicResult:
 
 def waic(loglik: np.ndarray) -> WaicResult:
     """Score a pointwise log-likelihood array of shape (samples, rows)."""
-    # Imported on use: importing splitread loads no scipy.special.
-    from scipy.special import logsumexp
-
     loglik = np.asarray(loglik, dtype=float)
     if loglik.ndim != 2:
         raise ValidationError("loglik must be a (samples, rows) array")
@@ -104,7 +109,7 @@ def waic(loglik: np.ndarray) -> WaicResult:
     p_i = np.empty(n_rows)
     for rows in _row_blocks(n_rows):
         block = loglik[:, rows]
-        lppd_i[rows] = logsumexp(block, axis=0)
+        lppd_i[rows] = _log_sum_exp(block)
         # Centering on the first draw keeps the variance of coincident
         # draws exactly zero (the mean of k identical floats can round).
         p_i[rows] = (block - block[0]).var(axis=0, ddof=1)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DesignMatrix
+from .inference import _expit
 from .trees import ParseTree
 
 _VOCAB = (
@@ -173,15 +174,12 @@ def make_logit_matrix(
     """Design matrix with standardized Gaussian predictors and a binary
     outcome drawn from the logistic model with coefficients ``beta``
     (intercept first)."""
-    # Imported on use: importing splitread loads no scipy.special.
-    from scipy.special import expit
-
     beta = np.asarray(beta, dtype=float)
     k = beta.size - 1
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_rows, k))
     X = (X - X.mean(axis=0)) / X.std(axis=0)
-    probs = expit(beta[0] + X @ beta[1:])
+    probs = _expit(beta[0] + X @ beta[1:])
     y = (rng.uniform(size=n_rows) < probs).astype(float)
     names = [f"x{j}" for j in range(1, k + 1)]
     return DesignMatrix.from_arrays(names, X, y)

@@ -514,20 +514,21 @@ def reference_parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[Par
 
 
 def reference_pointwise_loglik(draws, matrix) -> np.ndarray:
-    """``selection.pointwise_loglik`` before the in-place row blocks."""
+    """``selection.pointwise_loglik`` as whole-array arithmetic: no row
+    blocks, no in-place updates, the softplus written out."""
     X = matrix.predictor_matrix(draws.names[1:])
     beta = draws.pooled()
     t = beta[:, :1] + beta[:, 1:] @ X.T  # (S, n)
-    return matrix.y[None, :] * t - np.logaddexp(0.0, t)
+    softplus = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return matrix.y[None, :] * t - softplus
 
 
 def reference_waic(loglik: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """``selection.waic`` before the row blocks, as (elpd_i, waic, p_waic,
-    se)."""
-    from scipy.special import logsumexp
-
+    """``selection.waic`` as whole-array arithmetic, as (elpd_i, waic,
+    p_waic, se)."""
     n_samples, n_rows = loglik.shape
-    lppd_i = logsumexp(loglik, axis=0) - math.log(n_samples)
+    top = loglik.max(axis=0)
+    lppd_i = top + np.log(np.exp(loglik - top).sum(axis=0)) - math.log(n_samples)
     p_i = (loglik - loglik[0]).var(axis=0, ddof=1)
     elpd_i = lppd_i - p_i
     se = math.sqrt(n_rows * float(elpd_i.var())) if n_rows > 1 else 0.0

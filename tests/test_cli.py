@@ -856,6 +856,10 @@ _MALFORMED = [
     ("source.text", 5, ":1.source.text: expected a string, got 5"),
     ("a.text", None, ":1.a.text: expected a string, got null"),
     ("b.text", ["x"], ':1.b.text: expected a string, got ["x"]'),
+    # Side a's origin is a JSON string naming one of the known origins.
+    ("a.origin", None, ":1.a.origin: expected a string, got null"),
+    ("a.origin", 5, ":1.a.origin: expected a string, got 5"),
+    ("a.origin", "robot", ":1.a: unknown origin 'robot'"),
 ]
 
 
@@ -972,8 +976,7 @@ def test_report_does_not_load_scipy_stats(tmp_path):
 
 def test_extract_does_not_load_scipy_special(tmp_path):
     # scipy.special costs about a third of a second of import, and the
-    # features need none of it; report (its Welch test) and ablate (WAIC)
-    # still load it.
+    # features need none of it; only report (its Welch test) loads it.
     make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -995,10 +998,18 @@ def test_extract_does_not_load_scipy_special(tmp_path):
     assert printed == ["False", "0 False", "0"]
 
 
-def test_fit_does_not_load_scipy_special(tmp_path):
-    # The log density's sigmoid and softplus are numpy's, and chain 0 runs
-    # in the calling process, so a fit that used scipy.special would load it
-    # here.
+@pytest.mark.parametrize(
+    "command, artifact",
+    [
+        (["fit"], "draws.csv"),
+        (["ablate", "--predictors", "fluency,split"], "ablation.csv"),
+    ],
+    ids=["fit", "ablate"],
+)
+def test_fit_does_not_load_scipy_special(tmp_path, command, artifact):
+    # The log density's sigmoid and softplus and WAIC's log-sum-exp are
+    # numpy's, and chain 0 and every WAIC run in the calling process, so a
+    # fit or an ablation that used scipy.special would load it here.
     make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
     (tmp_path / "fit.json").write_text(
         json.dumps({"sampler": {"warmup": 20, "draws": 20}}), encoding="utf-8"
@@ -1008,8 +1019,8 @@ def test_fit_does_not_load_scipy_special(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys, splitread.cli\n"
-        "code = splitread.cli.main(['fit', '--config', 'fit.json', '--triples',"
-        " 'data/triples.jsonl', '--judgments', 'data/judgments.jsonl',"
+        f"code = splitread.cli.main({command!r} + ['--config', 'fit.json',"
+        " '--triples', 'data/triples.jsonl', '--judgments', 'data/judgments.jsonl',"
         " '--out', 'out'])\n"
         "print(code, 'scipy.special' in sys.modules)"
     )
@@ -1019,5 +1030,5 @@ def test_fit_does_not_load_scipy_special(tmp_path):
     )
     exit_code, loaded = result.stdout.splitlines()[-1].split()
     assert int(exit_code) in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
-    assert (tmp_path / "out" / "draws.csv").is_file()
+    assert (tmp_path / "out" / artifact).is_file()
     assert loaded == "False"

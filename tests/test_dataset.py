@@ -162,10 +162,19 @@ class TestIngest:
         assert [j.worker_id for j in load_judgments(path, {"t0000"})] == ["w\u2028\u0085"] * 2
 
     def test_unknown_schema_rejected(self, tmp_path):
-        bad = tmp_path / "judgments.jsonl"
-        bad.write_text('{"schema": 2}\n', encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_judgments(bad, {"t0000"})
+        # The schema is the JSON integer 1; true and 1.0 compare equal to
+        # it in Python but are other JSON values.
+        loaders = {
+            "triples.jsonl": load_triples,
+            "judgments.jsonl": lambda path: load_judgments(path, {"t0000"}),
+        }
+        for value in ("2", "true", "1.0", '"1"', "null"):
+            for name, load in loaders.items():
+                bad = tmp_path / name
+                bad.write_text(f'{{"schema": {value}}}\n', encoding="utf-8")
+                with pytest.raises(FormatError) as info:
+                    load(bad)
+                assert str(info.value) == f"{bad}:1: unsupported schema {value}"
 
     def test_unbalanced_side_tree_keeps_parse_error_and_offset(self, tmp_path):
         record = {

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import reference_pointwise_loglik, reference_waic
+from scipy.special import logsumexp
 
 from splitread.dataset import DesignMatrix
 from splitread.errors import ValidationError
@@ -14,6 +15,7 @@ from splitread.selection import (
     P_WAIC_LIMIT,
     ROW_BLOCK,
     WaicResult,
+    _log_sum_exp,
     ablate,
     compare,
     pointwise_loglik,
@@ -166,7 +168,6 @@ class TestRowBlocks:
     def test_peak_memory_within_two_arrays(self, rng):
         n_samples, n_rows = 400, 3000
         draws, matrix = _random_fit(rng, n_rows, n_samples)
-        waic(np.zeros((2, 1)))  # imports scipy.special outside the trace
         tracemalloc.start()
         try:
             waic(pointwise_loglik(draws, matrix))
@@ -174,6 +175,50 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 2 * n_samples * n_rows * 8
+
+
+class TestOracles:
+    """The numpy kernels against the np.logaddexp and scipy.special.logsumexp
+    forms they replaced, to within rounding rather than to the bit."""
+
+    def test_pointwise_matches_logaddexp(self, rng):
+        draws, matrix = _random_fit(rng, 3 * ROW_BLOCK + 1, 120)
+        beta = draws.pooled()
+        t = beta[:, :1] + beta[:, 1:] @ matrix.X.T
+        expected = matrix.y * t - np.logaddexp(0.0, t)
+        got = pointwise_loglik(draws, matrix)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    def test_waic_matches_logsumexp_at_desk_size(self, rng):
+        # 4000 draws on 2994 rows of 17 predictors, spread about the
+        # coefficients that drew y as a fitted posterior's draws are. Each
+        # p_waic_i is below 0.1 and |elpd_i| below 8, so elpd_i rounds at
+        # far below 1e-13 and shows lppd_i's error.
+        beta = rng.normal(scale=0.5, size=18)
+        matrix = make_logit_matrix(2994, beta, seed=3)
+        draws = PosteriorDraws(
+            names=("intercept", *matrix.columns),
+            draws=beta + 0.05 * rng.standard_normal((1, 4000, 18)),
+            logp=np.zeros((1, 4000)),
+            accept_rate=np.ones(1),
+            divergences=0,
+        )
+        loglik = pointwise_loglik(draws, matrix)
+        expected = []
+        for start in range(0, loglik.shape[1], ROW_BLOCK):
+            block = loglik[:, start : start + ROW_BLOCK]
+            lppd = logsumexp(block, axis=0) - math.log(len(block))
+            expected.append(lppd - (block - block[0]).var(axis=0, ddof=1))
+        got = waic(loglik).pointwise
+        np.testing.assert_allclose(got, np.concatenate(expected), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("low, high", [(-700.0, 0.0), (-1450.0, -750.0)])
+    def test_log_sum_exp_matches_scipy(self, rng, low, high):
+        # Below -745 every exp underflows to 0 unless shifted by the max.
+        # Past 512 in magnitude one ulp exceeds 1e-13, hence the rtol.
+        a = rng.uniform(low, high, size=(4000, ROW_BLOCK))
+        expected = logsumexp(a, axis=0)
+        np.testing.assert_allclose(_log_sum_exp(a), expected, rtol=1e-15, atol=1e-13)
 
 
 class TestCompare:
