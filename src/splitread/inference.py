@@ -11,9 +11,18 @@ factor.
 Leapfrog steps need only the gradient of the log density; its value is
 computed only at trajectory endpoints, for the Metropolis test (Neal
 2011). The draws are unchanged by this: an interior step whose density
-alone is not finite needs X @ beta or beta @ beta to overflow the float
+alone is not finite needs A @ beta or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
 either way with the same random draws consumed.
+
+The density is computed in margin form. Once per fit, before the chains
+start, the intercept column and the outcome are folded into one
+column-major signed design A = diag(s) [1, X], with s = 2y - 1. The
+margin v = A @ beta is s * t for the logit t, so the log-likelihood
+sum y*t - log(1 + e^t) is -sum log(1 + e^-v) and its gradient is
+A^T sigmoid(-v), where sigmoid(-v) = 1 / (1 + e^v) is computed in v's own
+buffer. A gradient is two matrix-vector products and three elementwise
+passes, with no separate intercept and no y - lambda.
 
 The sigmoid and softplus of the density are numpy's vectorized
 ``exp``/``log1p`` (within 2 ulp of scipy.special.expit and
@@ -119,11 +128,19 @@ class PosteriorDraws:
         return self.divergences > 0.01 * self.logp.size
 
 
-def _expit(t: np.ndarray) -> np.ndarray:
-    """The logistic sigmoid 1 / (1 + e^-t), on numpy's vectorized exp.
-    Below t = -709.78, e^-t overflows to inf and the result is exactly 0."""
+def _expit_neg(v: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of -v, 1 / (1 + e^v), computed in ``v``'s own
+    buffer, which it returns. Above v = 709.78, e^v overflows to inf and
+    the result is exactly 0."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-t))
+        np.exp(v, out=v)
+    v += 1.0
+    return np.divide(1.0, v, out=v)
+
+
+def _expit(t: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + e^-t), on numpy's vectorized exp."""
+    return _expit_neg(np.negative(t))
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:
@@ -131,27 +148,36 @@ def _softplus(t: np.ndarray) -> np.ndarray:
     return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
+def _signed_design(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The column-major signed design A = diag(2y - 1) [1, X], whose
+    product with beta is every row's margin v = (2y - 1) * t."""
+    if not np.all(np.isin(y, (0.0, 1.0))):
+        raise ValidationError("y must be binary")
+    signs = 2.0 * y - 1.0
+    A = np.empty((X.shape[0], X.shape[1] + 1), order="F")
+    A[:, 0] = signs
+    np.multiply(X, signs[:, None], out=A[:, 1:])
+    return A
+
+
 def _logpost_arrays(
     beta: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray,
+    A: np.ndarray,
     prior_sd: np.ndarray,
     *,
     value: bool = True,
 ) -> tuple[float, np.ndarray]:
-    """Log density and gradient; with ``value=False`` only the gradient
-    (bit-identical to the full call's) and NaN in place of the density."""
-    t = beta[0] + X @ beta[1:]
-    lam = _expit(t)
-    resid = y - lam
-    grad = np.empty_like(beta)
-    grad[0] = resid.sum()
-    grad[1:] = X.T @ resid
+    """Log density and gradient on the signed design ``A``; with
+    ``value=False`` only the gradient (bit-identical to the full call's)
+    and NaN in place of the density."""
+    v = A @ beta
+    if value:
+        # log lik = sum y*t - log(1 + e^t) = -sum log(1 + e^-v).
+        loglik = -float(_softplus(np.negative(v)).sum())
+    grad = A.T @ _expit_neg(v)
     grad -= beta / prior_sd**2
     if not value:
         return math.nan, grad
-    # log lik = sum y*t - log(1 + e^t), computed stably.
-    loglik = float(y @ t - _softplus(t).sum())
     z = beta / prior_sd
     logprior = float(
         -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
@@ -166,7 +192,7 @@ def log_posterior(
     Normal and Bernoulli normalizers are included) and its gradient.
 
     ``beta`` holds the intercept followed by one coefficient per
-    predictor of ``spec``, in order.
+    predictor of ``spec``, in order. The outcome must be 0/1.
     """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (len(spec.predictors) + 1,):
@@ -175,8 +201,8 @@ def log_posterior(
         )
     if not np.all(np.isfinite(beta)):
         raise ValidationError("beta contains non-finite values")
-    X = matrix.predictor_matrix(spec.predictors)
-    return _logpost_arrays(beta, X, matrix.y, spec.sd_vector())
+    A = _signed_design(matrix.predictor_matrix(spec.predictors), matrix.y)
+    return _logpost_arrays(beta, A, spec.sd_vector())
 
 
 def _leapfrog(
@@ -250,8 +276,7 @@ class _Chain(NamedTuple):
 
 def _run_chain(
     chain: int,
-    X: np.ndarray,
-    y: np.ndarray,
+    A: np.ndarray,
     prior_sd: np.ndarray,
     config: SamplerConfig,
 ) -> _Chain:
@@ -262,7 +287,7 @@ def _run_chain(
     def logpost(beta: np.ndarray, *, value: bool = True) -> tuple[float, np.ndarray]:
         nonlocal grad_evals
         grad_evals += 1
-        return _logpost_arrays(beta, X, y, prior_sd, value=value)
+        return _logpost_arrays(beta, A, prior_sd, value=value)
 
     draws = np.empty((config.draws, dim))
     logp = np.empty(config.draws)
@@ -322,16 +347,19 @@ def sample_posterior(
     at the same time, striped over ``pool.lanes`` processes (lane k runs
     chains k, k + lanes, ...), and the result does not depend on the lane
     count. Warmup draws are discarded. Divergent transitions after warmup
-    are counted and exposed on the result.
+    are counted and exposed on the result. A zero-variance predictor or
+    an outcome that is not 0/1 raises ValidationError.
     """
     X = matrix.predictor_matrix(spec.predictors)
     for name, column in zip(spec.predictors, X.T):
         if np.ptp(column) == 0.0:
             raise ValidationError(f"predictor {name!r} has zero variance")
+    A = _signed_design(X, matrix.y)
+    del X  # the lanes need A alone
     chains = pool.run(
         _run_chain,
         config.chains,
-        (X, matrix.y, spec.sd_vector(), config),
+        (A, spec.sd_vector(), config),
         "sampler worker for chains",
     )
     return PosteriorDraws(

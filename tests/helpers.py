@@ -22,6 +22,7 @@ import numpy as np
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
 from splitread.errors import ParseError, ValidationError
+from splitread.inference import _LOG_2PI, _expit, _softplus
 from splitread.trees import (
     DepGraph,
     DepToken,
@@ -627,3 +628,37 @@ def reference_ablation_texts(config_header: str, table) -> tuple[str, str]:
         "\n".join([config_header, *lines]) + "\n",
         "\n".join([config_header, *table.to_text_lines()]) + "\n",
     )
+
+
+# Reference twin: the log density as it was before the signed design,
+# on the unsigned predictor matrix X and the outcome y, kept verbatim so
+# the margin form can be pinned to it. The sigmoid and softplus come from
+# the program (the sigmoid keeps its bits).
+
+
+def reference_logpost_arrays(
+    beta: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    prior_sd: np.ndarray,
+    *,
+    value: bool = True,
+) -> tuple[float, np.ndarray]:
+    """Log density and gradient; with ``value=False`` only the gradient
+    (bit-identical to the full call's) and NaN in place of the density."""
+    t = beta[0] + X @ beta[1:]
+    lam = _expit(t)
+    resid = y - lam
+    grad = np.empty_like(beta)
+    grad[0] = resid.sum()
+    grad[1:] = X.T @ resid
+    grad -= beta / prior_sd**2
+    if not value:
+        return math.nan, grad
+    # log lik = sum y*t - log(1 + e^t), computed stably.
+    loglik = float(y @ t - _softplus(t).sum())
+    z = beta / prior_sd
+    logprior = float(
+        -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
+    )
+    return loglik + logprior, grad

@@ -9,7 +9,12 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import naive_leapfrog, nan_density_in_children, pin_lanes
+from helpers import (
+    naive_leapfrog,
+    nan_density_in_children,
+    pin_lanes,
+    reference_logpost_arrays,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
@@ -106,6 +111,43 @@ class TestLogPosterior:
                 ) / (2 * h)
                 assert abs(grad[j] - fd) / max(1.0, abs(grad[j])) < 1e-5
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_margin_form_matches_reference_twin(self, beta):
+        # Beyond |t| = 709.78 the margin form's e^v overflows to inf. The
+        # two forms add the same terms in other orders and roundings, so
+        # each result may differ by a small multiple of its summed size.
+        matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
+        X = matrix.predictor_matrix(matrix.columns)
+        A = inference._signed_design(X, matrix.y)
+        beta = np.asarray(beta)
+        prior_sd = np.full(3, 2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lp, grad = inference._logpost_arrays(beta, A, prior_sd)
+        ref_lp, ref_grad = reference_logpost_arrays(beta, X, matrix.y, prior_sd)
+        t = beta[0] + X @ beta[1:]
+        z = beta / prior_sd
+        assert abs(lp - ref_lp) <= 1e-12 * (1.0 + np.abs(t).sum() + z @ z)
+        column_sums = np.abs(A).sum(axis=0)
+        grad_tol = 1e-12 * (1.0 + column_sums + np.abs(beta) / prior_sd**2)
+        assert np.all(np.abs(grad - ref_grad) <= grad_tol)
+
+    @pytest.mark.parametrize("outcome", [0.5, 2.0, -1.0, math.nan])
+    def test_non_binary_outcome_rejected(self, outcome):
+        # A hand-built matrix skips from_arrays' check.
+        matrix = DesignMatrix(
+            columns=("x1",), X=np.array([[1.0], [-1.0]]), y=np.array([1.0, outcome])
+        )
+        with pytest.raises(ValidationError, match="y must be binary"):
+            log_posterior([0.0, 1.0], matrix, ModelSpec(predictors=("x1",)))
+
 
 class TestKernels:
     """The log density's sigmoid and softplus, on numpy's vectorized exp,
@@ -128,6 +170,11 @@ class TestKernels:
         assert got[0] == 1.0
         assert got[1] == 0.0
         assert math.isnan(got[2])
+
+    def test_sigmoid_bits_are_one_over_one_plus_exp(self):
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-self.GRID))
+        assert np.array_equal(inference._expit(self.GRID), expected)
 
     def test_softplus_within_two_ulp_of_logaddexp(self):
         with warnings.catch_warnings():
@@ -203,6 +250,30 @@ class TestSampler:
             sample_posterior(
                 matrix, ModelSpec(predictors=("x1",)), SamplerConfig(seed=1)
             )
+
+    @pytest.mark.parametrize("outcome", [0.5, 2.0, -1.0, math.nan])
+    def test_non_binary_outcome_rejected(self, outcome):
+        # A hand-built matrix skips from_arrays' check.
+        matrix = DesignMatrix(
+            columns=("x1",),
+            X=np.array([[1.0], [-1.0], [0.0]]),
+            y=np.array([1.0, 0.0, outcome]),
+        )
+        with pytest.raises(ValidationError, match="y must be binary"):
+            sample_posterior(
+                matrix, ModelSpec(predictors=("x1",)), SamplerConfig(seed=1)
+            )
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_no_floating_point_warning(self, monkeypatch, lanes):
+        # On 1000 rows the epsilon search's first steps overflow e^v.
+        matrix = make_logit_matrix(1000, [0.3, 1.0, -0.5], seed=1)
+        spec = ModelSpec(predictors=matrix.columns)
+        config = SamplerConfig(chains=2, warmup=20, draws=20, seed=1, num_steps=4)
+        pin_lanes(monkeypatch, lanes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample_posterior(matrix, spec, config)
 
     def test_posterior_mean_near_penalized_likelihood_optimum(self, small_fit):
         matrix, spec, config, draws = small_fit
@@ -349,13 +420,11 @@ class TestLeapfrog:
     )
     def test_gradient_only_call_matches_full_call(self, beta):
         matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
-        X = matrix.predictor_matrix(matrix.columns)
+        A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
         beta = np.asarray(beta)
         prior_sd = np.full(3, 2.5)
-        _, grad = inference._logpost_arrays(beta, X, matrix.y, prior_sd)
-        lp, grad_only = inference._logpost_arrays(
-            beta, X, matrix.y, prior_sd, value=False
-        )
+        _, grad = inference._logpost_arrays(beta, A, prior_sd)
+        lp, grad_only = inference._logpost_arrays(beta, A, prior_sd, value=False)
         assert math.isnan(lp)
         assert np.array_equal(grad_only, grad)
 
