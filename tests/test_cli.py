@@ -974,9 +974,38 @@ def test_report_does_not_load_scipy_stats(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 False"
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy blocked, so that any
+    # import of it raises ImportError, all four commands still run.
+    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    (tmp_path / "fit.json").write_text(
+        json.dumps({"sampler": {"warmup": 50, "draws": 50}}), encoding="utf-8"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import splitread.cli\n"
+        "data = ['--triples', 'data/triples.jsonl',"
+        " '--judgments', 'data/judgments.jsonl']\n"
+        "for argv in (['extract', '--triples', 'data/triples.jsonl'],"
+        " ['report', *data], ['fit', '--config', 'fit.json', *data],"
+        " ['ablate', '--config', 'fit.json', '--predictors', 'fluency,split', *data]):\n"
+        "    print(argv[0], splitread.cli.main(argv + ['--out', argv[0]]))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
+    assert printed == ["extract 0", "report 0", "fit 0", "ablate 0"], result.stderr
+
+
 def test_extract_does_not_load_scipy_special(tmp_path):
-    # scipy.special costs about a third of a second of import, and the
-    # features need none of it; only report (its Welch test) loads it.
+    # scipy.special costs about a third of a second of import, and no
+    # command needs it.
     make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -4,13 +4,16 @@ import json
 import math
 import os
 import signal
+import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from helpers import pin_lanes
 from scipy import stats
+from scipy.special import stdtr
 
 from splitread import cohesion, dataset
 from splitread.dataset import (
@@ -367,6 +370,65 @@ class TestScoreSummary:
         scores = quality_scores(judgments, "a")
         # One observation per (triple, worker) even with 3 question records.
         assert len(scores["fluency"]) == 8 * 3
+
+
+class TestTPValue:
+    """The math-only Student t p-value against scipy.special.stdtr, and its
+    log-gamma ratio against exact values."""
+
+    def test_grid_matches_stdtr(self):
+        # Below the smallest normal double both lose bits, and stdtr flushes
+        # to 0 near 1e-310, so there p is compared within that double.
+        for df in np.geomspace(1, 1e7, 64):
+            for t in np.exp(np.linspace(-10, 4, 57)):
+                ref = 2 * stdtr(df, -t)
+                for signed in (t, -t):
+                    assert dataset._t_pvalue(float(df), float(signed)) == pytest.approx(
+                        ref, rel=1e-12, abs=sys.float_info.min
+                    ), (df, signed)
+
+    @pytest.mark.parametrize(
+        "df, t",
+        [(1.5, 1e140), (2.0, 1e101), (3.0, 1e70), (10.0, 1e21), (30.0, 3e7),
+         (333.3, 100.0), (1000.0, 45.0), (1e4, 31.0)],
+    )
+    def test_far_tail_matches_stdtr(self, df, t):
+        ref = 2 * stdtr(df, -t)
+        assert sys.float_info.min < ref < 1e-200
+        assert dataset._t_pvalue(df, t) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("df", [1.0, 2.5, 1e4])
+    def test_exact_cases(self, df):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dataset._t_pvalue(df, 0.0) == 1.0
+            assert dataset._t_pvalue(df, -0.0) == 1.0
+            assert dataset._t_pvalue(df, math.inf) == 0.0
+            assert dataset._t_pvalue(df, -math.inf) == 0.0
+            assert math.isnan(dataset._t_pvalue(df, math.nan))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 20, 100, 1000])
+    def test_log_gamma_ratio_exact(self, n):
+        # Gamma(n + 1/2) / Gamma(n) = sqrt(pi) (2n)! / (4^n n! (n - 1)!) and
+        # Gamma(n + 1) / Gamma(n + 1/2) = 4^n n!^2 / (sqrt(pi) (2n)!), both
+        # exact rationals times sqrt(pi). Below a = 10 the ratio is lgamma's
+        # difference, good to two ulp of lgamma(10) ~ 12.8; from there on the
+        # series is good to ~1e-15, where lgamma's is off by 7e-13 at 1000.
+        f = math.factorial
+        log_sqrt_pi = 0.5 * math.log(math.pi)
+        whole = math.log(Fraction(f(2 * n), 4**n * f(n) * f(n - 1))) + log_sqrt_pi
+        half = math.log(Fraction(4**n * f(n) ** 2, f(2 * n))) - log_sqrt_pi
+        assert dataset._log_gamma_ratio(n) == pytest.approx(whole, rel=0, abs=4e-15)
+        assert dataset._log_gamma_ratio(n + 0.5) == pytest.approx(
+            half, rel=0, abs=4e-15
+        )
+
+    @pytest.mark.parametrize("a", [9.75, 9.999, 10.0, 10.001, 10.25, 12.7])
+    def test_log_gamma_ratio_matches_lgamma_at_switch(self, a):
+        # The Stirling series starts at a = 10; near there lgamma's
+        # difference is good to a few ulp of lgamma(10.5) ~ 13.9.
+        ref = math.lgamma(a + 0.5) - math.lgamma(a)
+        assert dataset._log_gamma_ratio(a) == pytest.approx(ref, rel=0, abs=1e-14)
 
 
 class TestAtomicWrite:
