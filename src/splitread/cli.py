@@ -44,6 +44,12 @@ TALLY_SECTIONS = (
      "bart", "A_vs_B"),
     ("Two- vs three-sentence split (manual)", "<HUM-A, HUM-B>", "human", "A_vs_B"),
 )
+# The report's quality-score sections: (title, side-a heading, origin). Side
+# b, the three-sentence split, is manual for both origins.
+SCORE_SECTIONS = (
+    ("Quality scores, manual splits (** = p < 0.01)", "HUM-A", "human"),
+    ("Quality scores, model vs manual (** = p < 0.01)", "BART-A", "bart"),
+)
 
 # Sampler seed used when neither the config nor --seed sets one.
 DEFAULT_SEED = 20240501
@@ -148,7 +154,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise SplitreadError(f"config file not found: {path}")
         try:
             data = json.loads(read_text(path))
-        except ValueError as exc:  # also an integer past Python's digit limit
+        # ValueError also covers an integer past Python's digit limit, and
+        # RecursionError a file nested deeper than the decoder's stack.
+        except (ValueError, RecursionError) as exc:
             raise SplitreadError(f"config file is not valid JSON: {exc}") from None
         if type(data) is not dict:
             raise SplitreadError("config file must hold a JSON object")
@@ -274,22 +282,14 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _score_block(
-    title: str,
-    head_a: str,
-    head_b: str,
-    judgments: list[ds.JudgmentRecord],
-) -> list[str]:
-    lines = [f"## {title}"]
+def _score_lines(head_a: str, judgments: list[ds.JudgmentRecord]) -> list[str]:
     if not judgments:
-        return lines + ["(no responses; table omitted)", ""]
+        return ["(no responses; table omitted)"]
     try:
-        comparison = ds.score_summary(
-            ds.quality_scores(judgments, "a"), ds.quality_scores(judgments, "b")
-        )
+        comparison = ds.score_summary(*ds.quality_scores(judgments))
     except ValidationError as exc:  # a group too small for a t-test
-        return lines + [f"({exc}; table omitted)", ""]
-    lines.append(f"category | {head_a} | {head_b}")
+        return [f"({exc}; table omitted)"]
+    lines = [f"category | {head_a} | HUM-B"]
     for cat in ds.CATEGORIES:
         c = comparison[cat]
         marker = "**" if c.p_value < 0.01 else ""
@@ -297,7 +297,6 @@ def _score_block(
             f"{marker}{cat} | {c.mean_a:.2f} ({c.sd_a:.2f}) | "
             f"{c.mean_b:.2f} ({c.sd_b:.2f})"
         )
-    lines.append("")
     return lines
 
 
@@ -309,22 +308,19 @@ def cmd_report(cfg: RunConfig, args: argparse.Namespace) -> int:
     by_origin: dict[str, list[ds.JudgmentRecord]] = {o: [] for o in ds.ORIGINS}
     for j in judgments:
         by_origin[origin[j.triple_id]].append(j)
-    bart, human = by_origin["bart"], by_origin["human"]
 
     lines = ["# Readability preference report", ""]
     for title, label, group, question in TALLY_SECTIONS:
-        lines.append(f"## {title}")
-        try:
-            lines.append(f"{label} | {ds.tally(by_origin[group], question).cells()}")
-        except ValidationError:  # no judgments for this question
-            lines.append(f"(no responses for {label}; table omitted)")
-        lines.append("")
-    lines += _score_block(
-        "Quality scores, manual splits (** = p < 0.01)", "HUM-A", "HUM-B", human
-    )
-    lines += _score_block(
-        "Quality scores, model vs manual (** = p < 0.01)", "BART-A", "HUM-B", bart
-    )
+        counts = ds.tally(by_origin[group], question).values()
+        total = sum(counts)
+        if total:
+            cells = [f"{n} ({n / total:.2f})" for n in counts]
+            row = " | ".join([label, *cells, str(total)])
+        else:
+            row = f"(no responses for {label}; table omitted)"
+        lines += [f"## {title}", row, ""]
+    for title, head_a, group in SCORE_SECTIONS:
+        lines += [f"## {title}", *_score_lines(head_a, by_origin[group]), ""]
     out = Path(cfg.out) / "report.txt"
     ds.write_artifact(out, cfg.header(), lines)
     print(f"wrote {out}")

@@ -175,7 +175,7 @@ def tree_kernel(
     """
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"unknown kernel variant {variant!r}")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN included
         raise ValueError(f"sigma must be positive, got {sigma}")
     prod_a, kids_a, _, subtrees_a = _kernel_index(a)
     prod_b, kids_b, by_production, subtrees_b = _kernel_index(b)

@@ -177,7 +177,9 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # also an integer past Python's digit limit
+        # ValueError also covers an integer past Python's digit limit, and
+        # RecursionError a line nested deeper than the decoder's stack.
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}:{lineno}: bad JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError(f"{path}:{lineno}: expected a JSON object")
@@ -372,34 +374,15 @@ def ingest(
     return triples, load_judgments(judgments_path, {t.id for t in triples})
 
 
-@dataclass(frozen=True)
-class Tally:
-    question: str
-    counts: Mapping[str, int]
-    total: int
-
-    def share(self, choice: str) -> float:
-        return round(self.counts[choice] / self.total, 2)
-
-    def cells(self) -> str:
-        parts = [
-            f"{self.counts[c]} ({self.share(c):.2f})" for c in CHOICES
-        ]
-        parts.append(str(self.total))
-        return " | ".join(parts)
-
-
-def tally(judgments: Sequence[JudgmentRecord], question: str) -> Tally:
-    """Choice counts and 2-decimal shares for one comparison question."""
+def tally(judgments: Sequence[JudgmentRecord], question: str) -> dict[str, int]:
+    """Choice counts, in ``CHOICES`` order, for one comparison question."""
     if question not in QUESTIONS:
         raise ValidationError(f"unknown question {question!r}")
-    subset = [j for j in judgments if j.question == question]
-    if not subset:
-        raise ValidationError(f"no judgments for question {question}")
-    counts = {c: 0 for c in CHOICES}
-    for j in subset:
-        counts[j.choice] += 1
-    return Tally(question=question, counts=counts, total=len(subset))
+    counts = dict.fromkeys(CHOICES, 0)
+    for j in judgments:
+        if j.question == question:
+            counts[j.choice] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -413,24 +396,23 @@ class GroupComparison:
 
 
 def quality_scores(
-    judgments: Sequence[JudgmentRecord], side: str
-) -> dict[str, list[int]]:
-    """Per-category score observations for one simplification side.
+    judgments: Sequence[JudgmentRecord],
+) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Per-category score observations of side a and of side b.
 
     Each (triple, worker) pair contributes a single observation per
-    category, no matter how many question records it produced.
+    category, from its first record in file order, no matter how many
+    question records it produced.
     """
-    seen: set[tuple[str, str]] = set()
-    out: dict[str, list[int]] = {cat: [] for cat in CATEGORIES}
+    first: dict[tuple[str, str], JudgmentRecord] = {}
     for j in judgments:
-        key = (j.triple_id, j.worker_id)
-        if key in seen:
-            continue
-        seen.add(key)
-        scores = j.scores(side)
-        for cat in CATEGORIES:
-            out[cat].append(getattr(scores, cat))
-    return out
+        first.setdefault((j.triple_id, j.worker_id), j)
+    side_a, side_b = (
+        {cat: [getattr(j.scores(side), cat) for j in first.values()]
+         for cat in CATEGORIES}
+        for side in ("a", "b")
+    )
+    return side_a, side_b
 
 
 # B_2k / (2k (2k - 1)) for k = 1..6: the Stirling series of log Gamma,
@@ -570,7 +552,7 @@ class FeatureConfig:
         unknown = [p for p in self.predictors if p not in PREDICTORS]
         if unknown:
             raise ValidationError(f"unknown predictors: {unknown}")
-        if self.kernel_sigma <= 0:
+        if not self.kernel_sigma > 0:  # NaN included
             raise ValidationError("kernel_sigma must be positive")
 
 

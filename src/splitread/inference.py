@@ -25,9 +25,8 @@ buffer. A gradient is two matrix-vector products and three elementwise
 passes, with no separate intercept and no y - lambda.
 
 The sigmoid and softplus of the density are numpy's vectorized
-``exp``/``log1p`` (within 2 ulp of scipy.special.expit and
-numpy.logaddexp), the package's only logistic kernels: ``selection`` and
-``synth`` use them too, so fitting and ablating load no scipy.special.
+``exp``/``log1p``, the package's only logistic kernels: ``selection`` and
+``synth`` use them too.
 
 The chains run at the same time, striped over one process per CPU by
 ``pool.run``. Each chain owns its seed and random stream, so the draws

@@ -8,7 +8,7 @@ estimators, sqrt(n var(elpd_i)) and, for model differences, the variance
 of the per-row elpd gaps against the best model. A row whose
 p_waic_i exceeds P_WAIC_LIMIT makes the estimate unreliable (Vehtari,
 Gelman & Gabry 2017); such rows are counted, not dropped. The softplus
-is ``inference``'s and the log-sum-exp numpy's: WAIC loads no scipy.special.
+is ``inference``'s and the log-sum-exp numpy's.
 
 Memory: scoring a model holds one S x n float64 array, the pointwise
 log-likelihood of S pooled draws on n rows (S·n·8 bytes: 96 MB at the

@@ -508,8 +508,14 @@ class TestReport:
         out = tmp_path / "report_empty"
         config = _write_config(tmp_path, t2, j2, out)
         assert cli.main(["report", "--config", str(config)]) == 0
-        text = (out / "report.txt").read_text()
-        assert "table omitted" in text
+        lines = (out / "report.txt").read_text().splitlines()
+        # The manual-origin tallies and score table have no judgments.
+        for label in ("<S, HUM-A>", "<S, HUM-B>", "<HUM-A, HUM-B>"):
+            assert f"(no responses for {label}; table omitted)" in lines
+        # The model-output <S, HUM-B> tally has responses; only the manual
+        # one is omitted.
+        assert lines.count("(no responses for <S, HUM-B>; table omitted)") == 1
+        assert lines.count("(no responses; table omitted)") == 1
 
     def test_constant_score_group_prints_no_warning(self, tmp_path, monkeypatch):
         # HUM-A fluency is 3.00 (0.00) here; scipy warns about precision
@@ -606,6 +612,14 @@ class TestErrors:
     def test_config_integer_past_digit_limit(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"kernel_sigma": ' + "1" * 5000 + "}", encoding="utf-8")
+        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
+    def test_config_nested_past_recursion_limit(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"sampler": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8"
+        )
         assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert "config file is not valid JSON" in capsys.readouterr().err
 

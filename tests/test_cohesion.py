@@ -151,6 +151,8 @@ class TestTreeKernel:
             tree_kernel(fig_tree, fig_tree, "subset", 0.0)
         with pytest.raises(ValueError):
             tree_kernel(fig_tree, fig_tree, "subset", -1.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            tree_kernel(fig_tree, fig_tree, "subset", float("nan"))
 
     def test_invalid_variant(self, fig_tree):
         with pytest.raises(ValueError):

@@ -122,6 +122,15 @@ class TestIngest:
         bad.write_text("{not json}\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_triples(bad)
+        # Nested deeper than the JSON decoder's recursion limit.
+        deep = '{"id": "x", "n": ' + "[" * 100000 + "]" * 100000 + "}"
+        bad.write_text(deep + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="triples.jsonl:1: bad JSON"):
+            load_triples(bad)
+        judgments = tmp_path / "judgments.jsonl"
+        judgments.write_text(_judgment_line() + "\n" + deep + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="judgments.jsonl:2: bad JSON"):
+            load_judgments(judgments, {"t0000"})
 
     def test_integer_past_digit_limit_rejected(self, tmp_path):
         bad = tmp_path / "triples.jsonl"
@@ -259,26 +268,29 @@ class TestTally:
         records = [
             load_judgments_obj(obj) for obj in judgments
         ]
-        t = tally(records, "A_vs_B")
-        assert t.total == 791
-        assert t.cells() == "254 (0.32) | 527 (0.67) | 10 (0.01) | 791"
+        counts = tally(records, "A_vs_B")
+        assert counts == {"first": 254, "second": 527, "not_sure": 10}
+        assert list(counts) == ["first", "second", "not_sure"]
 
-    def test_single_choice_share_is_one(self):
+    def test_single_choice(self):
         records = [load_judgments_obj(json.loads(_judgment_line())) for _ in range(5)]
-        t = tally(records, "A_vs_B")
-        assert t.share("first") == 1.0
+        assert tally(records, "A_vs_B") == {"first": 5, "second": 0, "not_sure": 0}
+        assert tally(records, "S_vs_A") == {"first": 0, "second": 0, "not_sure": 0}
 
-    def test_shares_sum_to_one_within_rounding(self, loaded):
+    def test_counts_sum_to_question_records(self, loaded):
         _, judgments, *_ = loaded
         for question in ("S_vs_A", "S_vs_B", "A_vs_B"):
-            t = tally(judgments, question)
-            assert sum(t.share(c) for c in ("first", "second", "not_sure")) == pytest.approx(
-                1.0, abs=0.011
+            counts = tally(judgments, question)
+            assert sum(counts.values()) == sum(
+                j.question == question for j in judgments
             )
 
-    def test_empty_question_rejected(self):
-        with pytest.raises(ValidationError):
-            tally([], "A_vs_B")
+    def test_no_judgments_give_zero_counts(self):
+        assert tally([], "A_vs_B") == {"first": 0, "second": 0, "not_sure": 0}
+
+    def test_unknown_question_rejected(self):
+        with pytest.raises(ValidationError, match="unknown question"):
+            tally([], "A_vs_C")
 
 
 def load_judgments_obj(obj):
@@ -367,9 +379,23 @@ class TestScoreSummary:
 
     def test_quality_scores_dedupe_by_worker_and_triple(self, loaded):
         _, judgments, *_ = loaded
-        scores = quality_scores(judgments, "a")
-        # One observation per (triple, worker) even with 3 question records.
-        assert len(scores["fluency"]) == 8 * 3
+        side_a, side_b = quality_scores(judgments)
+        # One observation per (triple, worker) even with 3 question records,
+        # taken from the pair's first record in file order.
+        first = {}
+        for j in judgments:
+            first.setdefault((j.triple_id, j.worker_id), j)
+        assert len(first) == 8 * 3
+        for cat in CATEGORIES:
+            assert side_a[cat] == [getattr(j.scores_a, cat) for j in first.values()]
+            assert side_b[cat] == [getattr(j.scores_b, cat) for j in first.values()]
+
+    def test_quality_scores_keep_first_record(self):
+        # Two records of one (triple, worker): only the first one's scores count.
+        lines = [_judgment_line(score=2), _judgment_line(question="S_vs_A", score=5)]
+        records = [load_judgments_obj(json.loads(line)) for line in lines]
+        side_a, side_b = quality_scores(records)
+        assert side_a == side_b == {cat: [2] for cat in CATEGORIES}
 
 
 class TestTPValue:
@@ -708,6 +734,11 @@ class TestFeatureLanes:
 
 
 class TestExtractFeatures:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_non_positive_kernel_sigma_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="kernel_sigma must be positive"):
+            FeatureConfig(kernel_sigma=sigma)
+
     def test_two_rows_per_triple_and_stable_order(self, loaded):
         triples, *_ = loaded
         header, rows = extract_features(triples)
