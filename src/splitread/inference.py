@@ -25,8 +25,8 @@ buffer. A gradient is two matrix-vector products and three elementwise
 passes, with no separate intercept and no y - lambda.
 
 The sigmoid and softplus of the density are numpy's vectorized
-``exp``/``log1p``, the package's only logistic kernels: ``selection`` and
-``synth`` use them too.
+``exp``/``log1p``, the package's only logistic kernels. ``selection``'s
+WAIC terms are the density's -softplus(-v); ``synth`` draws with the sigmoid.
 
 The chains run at the same time, striped over one process per CPU by
 ``pool.run``. Each chain owns its seed and random stream, so the draws

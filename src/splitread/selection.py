@@ -7,8 +7,9 @@ draws (S - 1 denominator). Standard errors follow the usual pointwise
 estimators, sqrt(n var(elpd_i)) and, for model differences, the variance
 of the per-row elpd gaps against the best model. A row whose
 p_waic_i exceeds P_WAIC_LIMIT makes the estimate unreliable (Vehtari,
-Gelman & Gabry 2017); such rows are counted, not dropped. The softplus
-is ``inference``'s and the log-sum-exp numpy's.
+Gelman & Gabry 2017); such rows are counted, not dropped. The pointwise
+terms are ``inference``'s -softplus(-v) on the sampler's signed design,
+and the log-sum-exp is numpy's.
 
 Memory: scoring a model holds one S x n float64 array, the pointwise
 log-likelihood of S pooled draws on n rows (S·n·8 bytes: 96 MB at the
@@ -33,6 +34,7 @@ from .inference import (
     ModelSpec,
     PosteriorDraws,
     SamplerConfig,
+    _signed_design,
     _softplus,
     sample_posterior,
     summarize,
@@ -61,25 +63,21 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
 
 
 def pointwise_loglik(draws: PosteriorDraws, matrix: DesignMatrix) -> np.ndarray:
-    """Log Bernoulli likelihood of every row under every pooled draw,
-    shape (samples, rows)."""
+    """Log Bernoulli likelihood of every row under every pooled draw, shape
+    (samples, rows): the -softplus(-v) that ``inference``'s density sums."""
     if not draws.names or draws.names[0] != "intercept":
         raise ValidationError("draws must carry an intercept as first coefficient")
-    predictors = draws.names[1:]
-    X = matrix.predictor_matrix(predictors)
+    A = _signed_design(matrix.predictor_matrix(draws.names[1:]), matrix.y)
     beta = draws.pooled()
-    if beta.shape[1] != X.shape[1] + 1:
+    if beta.shape[1] != A.shape[1]:
         raise ValidationError("draw dimension does not match the design matrix")
     # One GEMM for all rows: split into row blocks, OpenBLAS's edge
     # kernels would change the bits of the last columns.
-    t = beta[:, 1:] @ X.T  # (S, n)
-    t += beta[:, :1]  # addition commutes: the bits of beta[:, :1] + t
-    for rows in _row_blocks(t.shape[1]):
-        logit = t[:, rows]
-        penalty = _softplus(logit)
-        logit *= matrix.y[rows]
-        logit -= penalty
-    return t
+    v = beta @ A.T  # (S, n) margins
+    for rows in _row_blocks(v.shape[1]):
+        block = v[:, rows]
+        block[...] = -_softplus(-block)
+    return v
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,8 @@ def waic(loglik: np.ndarray) -> WaicResult:
     if loglik.ndim != 2:
         raise ValidationError("loglik must be a (samples, rows) array")
     n_samples, n_rows = loglik.shape
-    if n_samples < 2:
-        raise ValidationError("WAIC needs at least 2 posterior samples")
+    if n_samples < 2 or n_rows < 1:
+        raise ValidationError("WAIC needs at least 2 posterior samples and 1 row")
     # Each row's terms reduce over draws alone, so a block of rows gives
     # them bit for bit as the whole array would.
     lppd_i = np.empty(n_rows)
@@ -115,11 +113,10 @@ def waic(loglik: np.ndarray) -> WaicResult:
         p_i[rows] = (block - block[0]).var(axis=0, ddof=1)
     lppd_i -= math.log(n_samples)
     elpd_i = lppd_i - p_i
-    se = math.sqrt(n_rows * float(elpd_i.var())) if n_rows > 1 else 0.0
     return WaicResult(
         waic=float(elpd_i.sum()),
         p_waic=float(p_i.sum()),
-        se=se,
+        se=math.sqrt(n_rows * float(elpd_i.var())),
         pointwise=elpd_i,
         unreliable_rows=int(np.count_nonzero(p_i > P_WAIC_LIMIT)),
     )

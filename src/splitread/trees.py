@@ -7,6 +7,7 @@ they never attempt to parse raw text.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -191,6 +192,15 @@ def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     return trees
 
 
+def _conllu_int(text: str, where: str) -> int:
+    """``text`` as an int, from ASCII digits alone: int() would also take
+    '1_2', '+2', ' 3' and other scripts' digits."""
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(ValueError):  # past int()'s digit limit
+            return int(text)
+    raise FormatError(f"{where} {text!r}")
+
+
 def parse_conllu(text: str) -> list[DepGraph]:
     """Parse CoNLL-U sentences into dependency graphs.
 
@@ -225,16 +235,8 @@ def parse_conllu(text: str) -> list[DepGraph]:
         token_id = cols[0]
         if "-" in token_id or "." in token_id:
             continue
-        try:
-            index = int(token_id)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad token id {token_id!r}") from None
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise FormatError(
-                f"line {lineno}: bad HEAD value {cols[6]!r}"
-            ) from None
+        index = _conllu_int(token_id, f"line {lineno}: bad token id")
+        head = _conllu_int(cols[6], f"line {lineno}: bad HEAD value")
         block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))
     flush()
     return graphs

@@ -22,7 +22,7 @@ import numpy as np
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
 from splitread.errors import ParseError, ValidationError
-from splitread.inference import _LOG_2PI, _expit, _softplus
+from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
 from splitread.trees import (
     DepGraph,
     DepToken,
@@ -515,13 +515,12 @@ def reference_parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[Par
 
 
 def reference_pointwise_loglik(draws, matrix) -> np.ndarray:
-    """``selection.pointwise_loglik`` as whole-array arithmetic: no row
-    blocks, no in-place updates, the softplus written out."""
-    X = matrix.predictor_matrix(draws.names[1:])
-    beta = draws.pooled()
-    t = beta[:, :1] + beta[:, 1:] @ X.T  # (S, n)
-    softplus = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    return matrix.y[None, :] * t - softplus
+    """``selection.pointwise_loglik`` as whole-array arithmetic on the
+    sampler's signed design: -softplus(-v) of the margins v = beta A^T,
+    with no row blocks, no in-place updates and the softplus written out."""
+    A = _signed_design(matrix.predictor_matrix(draws.names[1:]), matrix.y)
+    v = draws.pooled() @ A.T  # (S, n)
+    return -(np.maximum(-v, 0.0) + np.log1p(np.exp(-np.abs(v))))
 
 
 def reference_waic(loglik: np.ndarray) -> tuple[np.ndarray, float, float, float]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import reference_pointwise_loglik, reference_waic
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from splitread.dataset import DesignMatrix
 from splitread.errors import ValidationError
@@ -69,6 +70,28 @@ class TestPointwiseLoglik:
         with pytest.raises(ValidationError):
             pointwise_loglik(draws, matrix)
 
+    def test_non_binary_outcome_rejected(self):
+        matrix = DesignMatrix(
+            columns=("x1",), X=np.array([[1.0], [2.0]]), y=np.array([0.5, 1.0]), meta={}
+        )
+        draws = _draws_from([[0.0, 0.0]], ["intercept", "x1"])
+        with pytest.raises(ValidationError, match="binary"):
+            pointwise_loglik(draws, matrix)
+
+    def test_rows_sum_to_sampler_log_density(self):
+        # The sampler's logp of each draw is its log likelihood plus the
+        # Normal log prior: WAIC's terms must be that likelihood, row by row.
+        matrix = make_logit_matrix(200, [0.3, 1.0, -0.5], seed=6)
+        spec = ModelSpec(predictors=matrix.columns)
+        config = SamplerConfig(chains=2, warmup=100, draws=100, seed=9, num_steps=8)
+        draws = sample_posterior(matrix, spec, config)
+        beta = draws.pooled()
+        loglik = pointwise_loglik(draws, matrix).sum(axis=1)
+        logprior = norm.logpdf(beta, scale=spec.prior_sd).sum(axis=1)
+        np.testing.assert_allclose(
+            loglik + logprior, draws.logp.reshape(-1), rtol=1e-12, atol=0
+        )
+
 
 class TestWaic:
     def test_identical_draws_hand_value(self):
@@ -89,6 +112,11 @@ class TestWaic:
     def test_single_sample_rejected(self):
         with pytest.raises(ValidationError):
             waic(np.array([[math.log(0.5)]]))
+
+    def test_no_rows_rejected(self):
+        # Scored on nothing, a model would get waic 0 and tie in compare.
+        with pytest.raises(ValidationError):
+            waic(np.zeros((3, 0)))
 
     def test_p_waic_nonnegative_and_zero_iff_constant(self, rng):
         loglik = -rng.uniform(0.1, 2.0, size=(20, 30))

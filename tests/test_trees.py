@@ -144,6 +144,22 @@ class TestParseConllu:
         assert len(graphs) == 1
         assert len(graphs[0].tokens) == 2
 
+    @pytest.mark.parametrize("value", ["1_2", "+2", " 3", "\u0663", "2" * 5000])
+    def test_non_decimal_head_rejected(self, value):
+        # int() reads '1_2' as 12: the 12-token sentence would parse with
+        # token 2 headed by token 12.
+        lines = [f"{i}\tw{i}\t_\t_\t_\t_\t{i + 1}\tdep\t_\t_" for i in range(1, 12)]
+        lines.append("12\tw12\t_\t_\t_\t_\t0\troot\t_\t_")
+        lines[1] = lines[1].replace("\t3\t", f"\t{value}\t")
+        with pytest.raises(FormatError, match="line 2: bad HEAD value"):
+            parse_conllu("\n".join(lines))
+
+    @pytest.mark.parametrize("value", ["1_0", "+1", " 1", "\u0661"])
+    def test_non_decimal_token_id_rejected(self, value):
+        text = f"{value}\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        with pytest.raises(FormatError, match="line 1: bad token id"):
+            parse_conllu(text)
+
     def test_accepts_exactly_single_rooted_acyclic(self, rng):
         # Valid random arborescences parse; rewiring the root into a cycle
         # must be rejected.
