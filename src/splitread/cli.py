@@ -3,7 +3,9 @@
 Subcommands: ``extract`` (materialize the per-side predictor table),
 ``fit`` (sample the full preference model and summarize the posterior),
 ``ablate`` (leave-one-predictor-out WAIC comparison) and ``report``
-(descriptive preference tallies and quality-score tables).
+(descriptive preference tallies and quality-score tables). This module
+lays out every artifact and message but ``draws.csv``, which
+``inference.draws_to_csv`` writes.
 
 Exit codes: 0 ok, 1 validation problem, 2 convergence gate tripped,
 3 I/O failure.
@@ -242,12 +244,12 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     ds.write_artifact(out_dir / "histograms.csv", header, [columns, *rows])
     inference.draws_to_csv(draws, out_dir / "draws.csv", header)
 
-    if draws.divergence_warning:
+    if draws.divergences > 0.01 * draws.logp.size:
         print(
             f"warning: {draws.divergences} divergent transitions after warmup",
             file=sys.stderr,
         )
-    worst = summary.max_rhat()
+    worst = max(r.rhat for r in summary.rows)
     print(f"wrote {out_dir / 'summary.csv'} (max R-hat {worst:.4f})")
     if not summary.converged():
         print(
@@ -276,10 +278,45 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     out_dir, header = Path(cfg.out), cfg.header()
-    ds.write_artifact(out_dir / "ablation.csv", header, table.to_csv_lines())
-    ds.write_artifact(out_dir / "ablation.txt", header, table.to_text_lines())
+    ds.write_artifact(out_dir / "ablation.csv", header, _ablation_csv_lines(table))
+    ds.write_artifact(out_dir / "ablation.txt", header, _ablation_text_lines(table))
     print(f"wrote {out_dir / 'ablation.csv'} ({len(table.rows)} rows)")
     return EXIT_OK
+
+
+# ablation.csv's columns; ablation.txt shows all but ``flag``.
+_ABLATION_COLUMNS = ("predictor", "rank", "waic", "p_waic", "d_waic", "se", "dse", "flag")
+
+
+def _ablation_csv_lines(table: selection.ComparisonTable) -> list[str]:
+    rows = (
+        (r.name, r.rank, r.waic, r.p_waic, r.d_waic, r.se, r.dse,
+         "" if r.converged else f"rhat>{inference.RHAT_THRESHOLD}")
+        for r in table.rows
+    )
+    return [ds.csv_line(row) for row in (_ABLATION_COLUMNS, *rows)]
+
+
+def _ablation_text_lines(table: selection.ComparisonTable) -> list[str]:
+    """Aligned columns, numbers to three decimals; a flagged model's name
+    ends in " *", explained by a footnote."""
+    cells = [list(_ABLATION_COLUMNS[:-1])]
+    for r in table.rows:
+        numbers = (r.waic, r.p_waic, r.d_waic, r.se, r.dse)
+        name = r.name if r.converged else r.name + " *"
+        cells.append([name, str(r.rank), *(f"{x:.3f}" for x in numbers)])
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = [
+        "  ".join(
+            [row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]
+        ).rstrip()
+        for row in cells
+    ]
+    if not all(r.converged for r in table.rows):
+        lines.append(
+            f"* convergence flagged (some R-hat above {inference.RHAT_THRESHOLD})"
+        )
+    return lines
 
 
 def _score_lines(head_a: str, judgments: list[ds.JudgmentRecord]) -> list[str]:

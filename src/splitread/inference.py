@@ -39,6 +39,7 @@ dispatch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -75,8 +76,10 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         check_unique_predictors(self.predictors)
-        if not isinstance(self.prior_sd, (int, float)) or not self.prior_sd > 0:
-            raise ValidationError("prior_sd must be one positive number")
+        sd = self.prior_sd
+        number = isinstance(sd, (int, float)) and not isinstance(sd, bool)
+        if not (number and 0 < sd <= sys.float_info.max):
+            raise ValidationError("prior_sd must be one positive finite number")
 
     def coefficient_names(self) -> tuple[str, ...]:
         return ("intercept", *self.predictors)
@@ -122,10 +125,6 @@ class PosteriorDraws:
     def pooled(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[2])
 
-    @property
-    def divergence_warning(self) -> bool:
-        return self.divergences > 0.01 * self.logp.size
-
 
 def _expit_neg(v: np.ndarray) -> np.ndarray:
     """The logistic sigmoid of -v, 1 / (1 + e^v), computed in ``v``'s own
@@ -152,6 +151,8 @@ def _signed_design(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     product with beta is every row's margin v = (2y - 1) * t."""
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValidationError("y must be binary")
+    if not np.isfinite(X).all():
+        raise ValidationError("design matrix has non-finite values")
     signs = 2.0 * y - 1.0
     A = np.empty((X.shape[0], X.shape[1] + 1), order="F")
     A[:, 0] = signs
@@ -405,9 +406,6 @@ class CoefficientSummary:
 class PosteriorSummary:
     rows: tuple[CoefficientSummary, ...]
     histograms: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (edges, counts)
-
-    def max_rhat(self) -> float:
-        return max(r.rhat for r in self.rows)
 
     def converged(self) -> bool:
         # NaN R-hat (zero-variance chains) counts as a failure.

@@ -9,7 +9,8 @@ of the per-row elpd gaps against the best model. A row whose
 p_waic_i exceeds P_WAIC_LIMIT makes the estimate unreliable (Vehtari,
 Gelman & Gabry 2017); such rows are counted, not dropped. The pointwise
 terms are ``inference``'s -softplus(-v) on the sampler's signed design,
-and the log-sum-exp is numpy's.
+and the log-sum-exp is numpy's. This module computes, ranks and flags;
+``cli`` lays out ``ablation.csv`` and ``ablation.txt``.
 
 Memory: scoring a model holds one S x n float64 array, the pointwise
 log-likelihood of S pooled draws on n rows (S·n·8 bytes: 96 MB at the
@@ -27,10 +28,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import DesignMatrix, csv_line
+from .dataset import DesignMatrix
 from .errors import ValidationError
 from .inference import (
-    RHAT_THRESHOLD,
     ModelSpec,
     PosteriorDraws,
     SamplerConfig,
@@ -139,51 +139,11 @@ class ComparisonRow:
 class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
 
-    HEADER = ("predictor", "rank", "waic", "p_waic", "d_waic", "se", "dse", "flag")
-
     def row(self, name: str) -> ComparisonRow:
         for r in self.rows:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def to_csv_lines(self) -> list[str]:
-        rows = (
-            (r.name, r.rank, r.waic, r.p_waic, r.d_waic, r.se, r.dse,
-             "" if r.converged else f"rhat>{RHAT_THRESHOLD}")
-            for r in self.rows
-        )
-        return [csv_line(row) for row in (self.HEADER, *rows)]
-
-    def to_text_lines(self) -> list[str]:
-        cells = [list(self.HEADER[:-1])]
-        for r in self.rows:
-            name = r.name if r.converged else r.name + " *"
-            cells.append(
-                [
-                    name,
-                    str(r.rank),
-                    f"{r.waic:.3f}",
-                    f"{r.p_waic:.3f}",
-                    f"{r.d_waic:.3f}",
-                    f"{r.se:.3f}",
-                    f"{r.dse:.3f}",
-                ]
-            )
-        widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
-        lines = []
-        for row in cells:
-            lines.append(
-                "  ".join(
-                    cell.ljust(w) if j == 0 else cell.rjust(w)
-                    for j, (cell, w) in enumerate(zip(row, widths))
-                ).rstrip()
-            )
-        if any(not r.converged for r in self.rows):
-            lines.append(
-                f"* convergence flagged (some R-hat above {RHAT_THRESHOLD})"
-            )
-        return lines
 
 
 def compare(
@@ -199,6 +159,8 @@ def compare(
     if len(sizes) != 1:
         raise ValidationError("models were evaluated on different row sets")
     n = sizes.pop()
+    if n < 1:
+        raise ValidationError("compare needs models scored on at least 1 row")
     order = sorted(results, key=lambda name: (-results[name].waic, name))
     top = results[order[0]]
     rows = []
@@ -209,7 +171,7 @@ def compare(
         else:
             diff = top.pointwise - res.pointwise
             d_waic = top.waic - res.waic
-            dse = math.sqrt(n * float(diff.var())) if n > 1 else 0.0
+            dse = math.sqrt(n * float(diff.var()))
         rows.append(
             ComparisonRow(
                 name=name,
@@ -233,8 +195,8 @@ def ablate(
     sample_fn: Callable[[DesignMatrix, ModelSpec, SamplerConfig], PosteriorDraws] = sample_posterior,
 ) -> ComparisonTable:
     """Fit the full model plus one model per removed predictor and rank
-    them by WAIC on identical rows. Fits whose R-hat exceeds RHAT_THRESHOLD
-    on any coefficient are flagged in the table rather than dropped."""
+    them by WAIC on identical rows. A fit that fails the convergence gate
+    (``PosteriorSummary.converged``) is flagged, not dropped."""
     if len(full_spec.predictors) < 2:
         raise ValidationError("ablation needs at least 2 predictors")
     specs: dict[str, ModelSpec] = {"base": full_spec}

@@ -205,8 +205,9 @@ def parse_conllu(text: str) -> list[DepGraph]:
     """Parse CoNLL-U sentences into dependency graphs.
 
     Only the ID, FORM, HEAD and DEPREL columns are consumed. Multiword-token
-    ranges (``1-2``) and empty nodes (``1.1``) are skipped; comment lines
-    start with '#'; blank lines separate sentences.
+    ranges (``1-2``) and empty nodes (``1.1``) are skipped, and any other
+    ID that is not ASCII digits is an error; comment lines start with '#';
+    blank lines separate sentences.
     """
     graphs: list[DepGraph] = []
     block: list[DepToken] = []
@@ -233,8 +234,8 @@ def parse_conllu(text: str) -> list[DepGraph]:
                 f"(HEAD/DEPREL missing): {line!r}"
             )
         token_id = cols[0]
-        if "-" in token_id or "." in token_id:
-            continue
+        if re.fullmatch(r"[0-9]+[-.][0-9]+", token_id):
+            continue  # a multiword range or an empty node
         index = _conllu_int(token_id, f"line {lineno}: bad token id")
         head = _conllu_int(cols[6], f"line {lineno}: bad HEAD value")
         block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))

@@ -602,12 +602,10 @@ def reference_draws_text(draws, header_comment: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_ablation_texts(config_header: str, table) -> tuple[str, str]:
-    """``cli.cmd_ablate``'s (ablation.csv, ablation.txt) before the
-    artifact writer, with ``ComparisonTable.to_csv_lines`` as it was."""
-    from splitread.inference import RHAT_THRESHOLD
-
-    lines = [",".join(table.HEADER)]
+def reference_ablation_csv(config_header: str, table) -> str:
+    """``cli.cmd_ablate``'s ablation.csv, joined cell by cell without
+    ``dataset.csv_line`` or the artifact writer."""
+    lines = ["predictor,rank,waic,p_waic,d_waic,se,dse,flag"]
     for r in table.rows:
         lines.append(
             ",".join(
@@ -619,14 +617,11 @@ def reference_ablation_texts(config_header: str, table) -> tuple[str, str]:
                     repr(r.d_waic),
                     repr(r.se),
                     repr(r.dse),
-                    "" if r.converged else f"rhat>{RHAT_THRESHOLD}",
+                    "" if r.converged else "rhat>1.05",
                 ]
             )
         )
-    return (
-        "\n".join([config_header, *lines]) + "\n",
-        "\n".join([config_header, *table.to_text_lines()]) + "\n",
-    )
+    return "\n".join([config_header, *lines]) + "\n"
 
 
 # Reference twin: the log density as it was before the signed design,

@@ -9,12 +9,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import nan_density_in_children, pin_lanes
 
 from splitread import cli
 from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS
-from splitread.inference import ModelSpec
+from splitread.inference import ModelSpec, PosteriorDraws
 from splitread.synth import make_demo_dataset
 
 
@@ -171,6 +172,28 @@ class TestFit:
         config = _write_config(tmp, triples, judgments, out)
         monkeypatch.setattr(cli.inference, "rhat", lambda chains: 2.0)
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_CONVERGENCE
+
+    @pytest.mark.parametrize("divergences, warned", [(0, False), (2, False), (3, True)])
+    def test_divergence_warning_above_one_percent(
+        self, workspace, monkeypatch, capsys, divergences, warned
+    ):
+        # 2 chains x 100 kept draws: 2 divergences are 1%, not above it.
+        tmp, triples, judgments = workspace
+        draws = PosteriorDraws(
+            names=("intercept", "x1"),
+            draws=np.random.default_rng(0).standard_normal((2, 100, 2)),
+            logp=np.zeros((2, 100)),
+            accept_rate=np.ones(2),
+            divergences=divergences,
+            step_size=np.ones(2),
+            grad_evals=np.ones(2, dtype=int),
+        )
+        monkeypatch.setattr(cli, "_fit_matrix", lambda cfg: None)
+        monkeypatch.setattr(cli.inference, "sample_posterior", lambda *args: draws)
+        config = _write_config(tmp, triples, judgments, tmp / "fit_divergences")
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_OK
+        warning = f"warning: {divergences} divergent transitions after warmup\n"
+        assert capsys.readouterr().err == (warning if warned else "")
 
     def test_zero_variance_column_named(self, workspace, tmp_path):
         tmp, triples, judgments = workspace

@@ -19,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from splitread import inference, pool, selection
+from splitread import cli, inference, pool, selection
 from splitread.dataset import DesignMatrix
 from splitread.errors import SplitreadError, ValidationError
 from splitread.inference import (
     ModelSpec,
+    PosteriorDraws,
     SamplerConfig,
     draws_to_csv,
     log_posterior,
@@ -147,6 +148,32 @@ class TestLogPosterior:
         )
         with pytest.raises(ValidationError, match="y must be binary"):
             log_posterior([0.0, 1.0], matrix, ModelSpec(predictors=("x1",)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_rejected(self, value):
+        # A hand-built matrix skips from_arrays' check. Unchecked, the
+        # density and WAIC come out NaN and the sampler fails with a
+        # misleading "not finite at initialization".
+        matrix = DesignMatrix(
+            columns=("x1",),
+            X=np.array([[1.0], [-1.0], [value]]),
+            y=np.array([1.0, 0.0, 1.0]),
+        )
+        spec = ModelSpec(predictors=("x1",))
+        draws = PosteriorDraws(
+            names=spec.coefficient_names(),
+            draws=np.zeros((2, 3, 2)),
+            logp=np.zeros((2, 3)),
+            accept_rate=np.ones(2),
+            divergences=0,
+        )
+        message = "design matrix has non-finite values"
+        with pytest.raises(ValidationError, match=message):
+            log_posterior([0.0, 1.0], matrix, spec)
+        with pytest.raises(ValidationError, match=message):
+            selection.waic(selection.pointwise_loglik(draws, matrix))
+        with pytest.raises(ValidationError, match=message):
+            sample_posterior(matrix, spec, SamplerConfig(seed=1))
 
 
 class TestKernels:
@@ -524,8 +551,8 @@ class TestLanes:
         serial = selection.ablate(matrix, spec, config)
         pin_lanes(monkeypatch, 2)
         pooled = selection.ablate(matrix, spec, config)
-        assert pooled.to_csv_lines() == serial.to_csv_lines()
-        assert pooled.to_text_lines() == serial.to_text_lines()
+        for lines in (cli._ablation_csv_lines, cli._ablation_text_lines):
+            assert lines(pooled) == lines(serial)
 
     @pytest.mark.parametrize(
         "cpus, chains, expected", [({0}, 4, 1), ({0, 1}, 4, 2), ({0, 1, 2, 3, 5}, 4, 4)]
@@ -726,8 +753,11 @@ class TestConfigValidation:
             SamplerConfig(target_accept=1.0)
 
     def test_nonpositive_prior_sd_rejected(self):
-        with pytest.raises(ValidationError):
-            ModelSpec(predictors=("x",), prior_sd=0.0)
+        # True would run as 1.0, and inf or 10**400 would fail only at
+        # sampling.
+        for prior_sd in (0.0, True, math.inf, math.nan, 10**400):
+            with pytest.raises(ValidationError):
+                ModelSpec(predictors=("x",), prior_sd=prior_sd)
 
     def test_repeated_predictor_named(self):
         with pytest.raises(ValidationError, match=r"duplicate predictor names: \['x'\]"):

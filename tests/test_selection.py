@@ -9,6 +9,7 @@ from helpers import reference_pointwise_loglik, reference_waic
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from splitread import cli
 from splitread.dataset import DesignMatrix
 from splitread.errors import ValidationError
 from splitread.inference import ModelSpec, PosteriorDraws, SamplerConfig, sample_posterior
@@ -310,6 +311,16 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare({"a": self._result([-0.5])})
 
+    def test_no_rows_rejected(self):
+        # waic rejects such results; hand-built ones would rank with dse 0.
+        empty = WaicResult(0.0, 0.0, 0.0, np.empty(0))
+        with pytest.raises(ValidationError, match="at least 1 row"):
+            compare({"a": empty, "b": empty})
+
+    def test_one_row_dse_is_zero(self):
+        table = compare({"a": self._result([-0.5]), "b": self._result([-0.7])})
+        assert table.row("b").dse == 0.0
+
 
 class TestAblate:
     def test_row_count_and_layout(self):
@@ -344,7 +355,7 @@ class TestAblate:
         table = ablate(matrix, spec, config, sample_fn=stuck_sampler)
         assert len(table.rows) == 3
         assert all(not r.converged for r in table.rows)
-        assert any("*" in line for line in table.to_text_lines())
+        assert any("*" in line for line in cli._ablation_text_lines(table))
 
     def test_single_predictor_spec_rejected(self):
         matrix = make_logit_matrix(50, [0.0, 1.0], seed=1)
@@ -376,9 +387,9 @@ class TestTableOutput:
             "x1": WaicResult(-12.0, 1.1, 0.6, np.array([-6.0, -6.0])),
         }
         table = compare(rows)
-        csv_lines = table.to_csv_lines()
+        csv_lines = cli._ablation_csv_lines(table)
         assert csv_lines[0].startswith("predictor,rank,waic")
         assert csv_lines[1].startswith("base,0,")
-        text = table.to_text_lines()
+        text = cli._ablation_text_lines(table)
         assert text[0].split()[0] == "predictor"
         assert "base" in text[1]

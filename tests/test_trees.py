@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,15 @@ class TestParseConllu:
     def test_non_decimal_token_id_rejected(self, value):
         text = f"{value}\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(FormatError, match="line 1: bad token id"):
+            parse_conllu(text)
+
+    @pytest.mark.parametrize("value", ["2-", "-1", "x.y", "1.", "1-2-3", "1.x"])
+    def test_malformed_range_or_empty_node_rejected(self, value):
+        # Only N-M ranges and N.M empty nodes are skipped: any other ID
+        # with '-' or '.' would silently drop its token.
+        text = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n" f"{value}\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+        message = re.escape(f"line 2: bad token id '{value}'")
+        with pytest.raises(FormatError, match=message):
             parse_conllu(text)
 
     def test_accepts_exactly_single_rooted_acyclic(self, rng):
