@@ -5,7 +5,9 @@ Subcommands: ``extract`` (materialize the per-side predictor table),
 ``ablate`` (leave-one-predictor-out WAIC comparison) and ``report``
 (descriptive preference tallies and quality-score tables). This module
 lays out every artifact and message but ``draws.csv``, which
-``inference.draws_to_csv`` writes.
+``inference.draws_to_csv`` writes. ``inference`` and ``selection``, the
+modules that import numpy, are imported only by the code that fits, so
+``extract`` and ``report`` run without numpy.
 
 Exit codes: 0 ok, 1 validation problem, 2 convergence gate tripped,
 3 I/O failure.
@@ -17,15 +19,19 @@ import argparse
 import errno
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import dataset as ds
-from . import inference, selection
+from .dataset import ModelSpec, SamplerConfig
 from .errors import SplitreadError, ValidationError, read_text
-from .inference import ModelSpec, SamplerConfig
+
+if TYPE_CHECKING:
+    from .selection import ComparisonTable
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -222,6 +228,8 @@ def _fit_matrix(cfg: RunConfig):
 
 
 def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import inference
+
     draws = inference.sample_posterior(_fit_matrix(cfg), cfg.model, cfg.sampler)
     summary = inference.summarize(draws)
 
@@ -249,7 +257,9 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"warning: {draws.divergences} divergent transitions after warmup",
             file=sys.stderr,
         )
-    worst = max(r.rhat for r in summary.rows)
+    # max() skips a NaN that follows a number; a NaN R-hat is the worst.
+    rhats = [r.rhat for r in summary.rows]
+    worst = math.nan if any(map(math.isnan, rhats)) else max(rhats)
     print(f"wrote {out_dir / 'summary.csv'} (max R-hat {worst:.4f})")
     if not summary.converged():
         print(
@@ -261,6 +271,8 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
+    from . import selection
+
     predictors = args.predictors or cfg.features.predictors
     # The design matrix has one column per configured predictor.
     missing = [p for p in predictors if p not in cfg.features.predictors]
@@ -288,18 +300,22 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
 _ABLATION_COLUMNS = ("predictor", "rank", "waic", "p_waic", "d_waic", "se", "dse", "flag")
 
 
-def _ablation_csv_lines(table: selection.ComparisonTable) -> list[str]:
+def _ablation_csv_lines(table: ComparisonTable) -> list[str]:
+    from .inference import RHAT_THRESHOLD
+
     rows = (
         (r.name, r.rank, r.waic, r.p_waic, r.d_waic, r.se, r.dse,
-         "" if r.converged else f"rhat>{inference.RHAT_THRESHOLD}")
+         "" if r.converged else f"rhat>{RHAT_THRESHOLD}")
         for r in table.rows
     )
     return [ds.csv_line(row) for row in (_ABLATION_COLUMNS, *rows)]
 
 
-def _ablation_text_lines(table: selection.ComparisonTable) -> list[str]:
+def _ablation_text_lines(table: ComparisonTable) -> list[str]:
     """Aligned columns, numbers to three decimals; a flagged model's name
     ends in " *", explained by a footnote."""
+    from .inference import RHAT_THRESHOLD
+
     cells = [list(_ABLATION_COLUMNS[:-1])]
     for r in table.rows:
         numbers = (r.waic, r.p_waic, r.d_waic, r.se, r.dse)
@@ -314,7 +330,7 @@ def _ablation_text_lines(table: selection.ComparisonTable) -> list[str]:
     ]
     if not all(r.converged for r in table.rows):
         lines.append(
-            f"* convergence flagged (some R-hat above {inference.RHAT_THRESHOLD})"
+            f"* convergence flagged (some R-hat above {RHAT_THRESHOLD})"
         )
     return lines
 

@@ -1,4 +1,5 @@
-"""Judgment-study ingestion, descriptive tallies and the design matrix.
+"""Judgment-study ingestion, descriptive tallies, the run configuration
+types and the design matrix.
 
 The inputs are two JSONL files: one triple record per source sentence
 (with its two- and three-sentence simplifications and their parses), and
@@ -6,6 +7,10 @@ one judgment record per (triple, worker, question). The design matrix is
 assembled in long format: every definite two-vs-three preference yields
 two rows, one per simplification side, with a binary outcome marking the
 chosen side.
+
+Everything up to the design matrix runs on the standard library, so
+``extract`` and ``report`` never load numpy: it is imported inside
+``DesignMatrix.from_arrays`` alone.
 """
 
 from __future__ import annotations
@@ -18,9 +23,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import cohesion, complexity, pool, readability
 from .errors import (
@@ -32,6 +35,9 @@ from .errors import (
     read_text,
 )
 from .trees import DepGraph, ParseTree, parse_conllu, parse_ptb
+
+if TYPE_CHECKING:
+    import numpy as np
 
 QUESTIONS = ("S_vs_A", "S_vs_B", "A_vs_B")
 CHOICES = ("first", "second", "not_sure")
@@ -155,10 +161,10 @@ def atomic_write(path: str | Path, text: str) -> None:
 
 
 def csv_line(cells: Iterable) -> str:
-    """A float cell, numpy's included, is written as the shortest repr that
-    reads back to the same bits; any other cell as its ``str``."""
-    floats = (float, np.floating)
-    text = [repr(float(c)) if isinstance(c, floats) else str(c) for c in cells]
+    """A float cell, numpy's float64 included (a ``float`` subclass), is
+    written as the shortest repr that reads back to the same bits; any
+    other cell as its ``str``."""
+    text = [repr(float(c)) if isinstance(c, float) else str(c) for c in cells]
     return ",".join(text)
 
 
@@ -495,6 +501,15 @@ def _t_pvalue(df: float, t: float) -> float:
     return 1 - front * _beta_fraction(0.5, a, y, x, -lam)
 
 
+def _mean_var(values: Sequence[float]) -> tuple[float, float]:
+    """The mean and the ddof=1 variance of ``values``, each sum taken by
+    ``math.fsum``: for integer scores the mean is exact, so it has the
+    same bits as numpy's."""
+    mean = math.fsum(values) / len(values)
+    deviations = [x - mean for x in values]
+    return mean, math.fsum(d * d for d in deviations) / (len(values) - 1)
+
+
 def score_summary(
     group_a: Mapping[str, Sequence[float]],
     group_b: Mapping[str, Sequence[float]],
@@ -503,33 +518,36 @@ def score_summary(
 
     Welch (1947): t = (mean_a - mean_b) / sqrt(va/na + vb/nb) with ddof=1
     variances, Welch-Satterthwaite degrees of freedom, and p the two-sided
-    Student t tail at df, computed by ``_t_pvalue`` without scipy. The
-    values are scipy's ``ttest_ind(a, b, equal_var=False)``, p within
-    1e-12 relative.
+    Student t tail at df, computed by ``_t_pvalue``; everything is
+    ``math``. For groups of finite numbers the values are scipy's
+    ``ttest_ind(a, b, equal_var=False)``, p within 1e-12 relative.
     """
     out: dict[str, GroupComparison] = {}
     for cat in CATEGORIES:
-        a = np.asarray(group_a[cat], dtype=float)
-        b = np.asarray(group_b[cat], dtype=float)
+        a, b = group_a[cat], group_b[cat]
         if len(a) < 2 or len(b) < 2:
             raise ValidationError(
                 f"{cat}: need at least 2 observations per group for a t-test"
             )
-        va = a.var(ddof=1) / len(a)
-        vb = b.var(ddof=1) / len(b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_stat = (a.mean() - b.mean()) / np.sqrt(va + vb)
+        mean_a, var_a = _mean_var(a)
+        mean_b, var_b = _mean_var(b)
+        va, vb = var_a / len(a), var_b / len(b)
+        diff = mean_a - mean_b
+        if va + vb == 0:
+            # Both groups constant: t = +-inf gives p = 0 and t = NaN gives
+            # p = NaN whatever df is.
+            t_stat = math.copysign(math.inf, diff) if diff else math.nan
+            df = 1.0
+        else:
+            t_stat = diff / math.sqrt(va + vb)
             df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
-        # Both groups constant: df is 0/0, yet t = +-inf gives p = 0 and
-        # t = NaN gives p = NaN whatever df is.
-        p_value = _t_pvalue(1.0 if np.isnan(df) else float(df), float(t_stat))
         out[cat] = GroupComparison(
-            mean_a=float(a.mean()),
-            sd_a=float(a.std(ddof=1)),
-            mean_b=float(b.mean()),
-            sd_b=float(b.std(ddof=1)),
-            t_stat=float(t_stat),
-            p_value=float(p_value),
+            mean_a=mean_a,
+            sd_a=math.sqrt(var_a),
+            mean_b=mean_b,
+            sd_b=math.sqrt(var_b),
+            t_stat=t_stat,
+            p_value=_t_pvalue(df, t_stat),
         )
     return out
 
@@ -554,6 +572,47 @@ class FeatureConfig:
             raise ValidationError(f"unknown predictors: {unknown}")
         if not self.kernel_sigma > 0:  # NaN included
             raise ValidationError("kernel_sigma must be positive")
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Named predictors plus the one Normal(0, prior_sd) prior scale that
+    every coefficient, intercept included, shares."""
+
+    predictors: tuple[str, ...]
+    prior_sd: float = 2.5
+
+    def __post_init__(self) -> None:
+        check_unique_predictors(self.predictors)
+        sd = self.prior_sd
+        number = isinstance(sd, (int, float)) and not isinstance(sd, bool)
+        if not (number and 0 < sd <= sys.float_info.max):
+            raise ValidationError("prior_sd must be one positive finite number")
+
+    def coefficient_names(self) -> tuple[str, ...]:
+        return ("intercept", *self.predictors)
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    chains: int = 4
+    warmup: int = 1000
+    draws: int = 1000
+    seed: int = 0
+    target_accept: float = 0.8
+    num_steps: int = 32  # leapfrog path length, jittered +-20% per iteration
+
+    def __post_init__(self) -> None:
+        if self.chains < 2:
+            raise ValidationError("at least 2 chains are required for R-hat")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.warmup < 1 or self.draws < 2:
+            raise ValidationError("need warmup >= 1 and draws >= 2")
+        if not 0.0 < self.target_accept < 1.0:
+            raise ValidationError("target_accept must lie in (0, 1)")
+        if self.num_steps < 1:
+            raise ValidationError("num_steps must be >= 1")
 
 
 def side_features(
@@ -597,21 +656,19 @@ def side_features(
             ]
             feats["overlap"] = sum(pairs) / len(pairs)
         if "yngve" in enabled:
-            feats["yngve"] = float(
-                np.mean([complexity.yngve_score(t) for t in trees])
-            )
+            values = [complexity.yngve_score(t) for t in trees]
+            feats["yngve"] = sum(values) / len(values)
         if "frazier" in enabled:
-            feats["frazier"] = float(
-                np.mean([complexity.frazier_score(t) for t in trees])
-            )
+            values = [complexity.frazier_score(t) for t in trees]
+            feats["frazier"] = sum(values) / len(values)
         if "tnodes" in enabled:
-            feats["tnodes"] = float(np.mean([complexity.tnodes(t) for t in trees]))
+            values = [complexity.tnodes(t) for t in trees]
+            feats["tnodes"] = sum(values) / len(values)
         if "dep_length" in enabled:
             if not simp.graphs:
                 raise ValidationError("dependency parses missing (dep_length enabled)")
-            feats["dep_length"] = float(
-                np.mean([complexity.dep_distance(g) for g in simp.graphs])
-            )
+            values = [complexity.dep_distance(g) for g in simp.graphs]
+            feats["dep_length"] = sum(values) / len(values)
         if enabled & {"dale", "ease", "fk_grade"}:
             stats = readability.text_stats([t.tokens() for t in trees], easy_words)
             if "dale" in enabled:
@@ -685,11 +742,12 @@ class DesignMatrix:
         return self.X[:, idx]
 
     @classmethod
-    def from_arrays(
-        cls, columns: Sequence[str], X: np.ndarray, y: np.ndarray
-    ) -> "DesignMatrix":
+    def from_arrays(cls, columns: Sequence[str], X, y) -> "DesignMatrix":
         """Standardize every column to mean 0 and sd 1, except the 0/1
-        columns named in CATEGORICAL_PREDICTORS, which stay as they are."""
+        columns named in CATEGORICAL_PREDICTORS, which stay as they are.
+        ``X`` and ``y`` are anything ``np.asarray`` reads as floats."""
+        import numpy as np
+
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(columns):
@@ -758,8 +816,4 @@ def build_design_matrix(
             raw_rows.append([feats[name] for name in names])
             outcomes.append(1.0 if (side == "a") == (j.choice == "first") else 0.0)
 
-    return DesignMatrix.from_arrays(
-        names,
-        np.array(raw_rows, dtype=float),
-        np.array(outcomes, dtype=float),
-    )
+    return DesignMatrix.from_arrays(names, raw_rows, outcomes)

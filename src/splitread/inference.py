@@ -39,7 +39,6 @@ dispatch.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import pool
-from .dataset import DesignMatrix, check_unique_predictors, csv_line, write_artifact
+from .dataset import DesignMatrix, ModelSpec, SamplerConfig, csv_line, write_artifact
 from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -64,50 +63,6 @@ RHAT_THRESHOLD = 1.05
 # Summary settings: highest-density interval mass and histogram bins.
 HDI_PROB = 0.94
 HIST_BINS = 40
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named predictors plus the one Normal(0, prior_sd) prior scale that
-    every coefficient, intercept included, shares."""
-
-    predictors: tuple[str, ...]
-    prior_sd: float = 2.5
-
-    def __post_init__(self) -> None:
-        check_unique_predictors(self.predictors)
-        sd = self.prior_sd
-        number = isinstance(sd, (int, float)) and not isinstance(sd, bool)
-        if not (number and 0 < sd <= sys.float_info.max):
-            raise ValidationError("prior_sd must be one positive finite number")
-
-    def coefficient_names(self) -> tuple[str, ...]:
-        return ("intercept", *self.predictors)
-
-    def sd_vector(self) -> np.ndarray:
-        return np.full(len(self.predictors) + 1, float(self.prior_sd))
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    chains: int = 4
-    warmup: int = 1000
-    draws: int = 1000
-    seed: int = 0
-    target_accept: float = 0.8
-    num_steps: int = 32  # leapfrog path length, jittered +-20% per iteration
-
-    def __post_init__(self) -> None:
-        if self.chains < 2:
-            raise ValidationError("at least 2 chains are required for R-hat")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.warmup < 1 or self.draws < 2:
-            raise ValidationError("need warmup >= 1 and draws >= 2")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValidationError("target_accept must lie in (0, 1)")
-        if self.num_steps < 1:
-            raise ValidationError("num_steps must be >= 1")
 
 
 @dataclass
@@ -202,7 +157,7 @@ def log_posterior(
     if not np.all(np.isfinite(beta)):
         raise ValidationError("beta contains non-finite values")
     A = _signed_design(matrix.predictor_matrix(spec.predictors), matrix.y)
-    return _logpost_arrays(beta, A, spec.sd_vector())
+    return _logpost_arrays(beta, A, np.full(A.shape[1], float(spec.prior_sd)))
 
 
 def _leapfrog(
@@ -359,7 +314,7 @@ def sample_posterior(
     chains = pool.run(
         _run_chain,
         config.chains,
-        (A, spec.sd_vector(), config),
+        (A, np.full(A.shape[1], float(spec.prior_sd)), config),
         "sampler worker for chains",
     )
     return PosteriorDraws(

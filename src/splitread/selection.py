@@ -28,12 +28,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import DesignMatrix
+from .dataset import DesignMatrix, ModelSpec, SamplerConfig
 from .errors import ValidationError
 from .inference import (
-    ModelSpec,
     PosteriorDraws,
-    SamplerConfig,
     _signed_design,
     _softplus,
     sample_posterior,

@@ -7,7 +7,6 @@ they never attempt to parse raw text.
 
 from __future__ import annotations
 
-import contextlib
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -23,6 +22,8 @@ _EXTRA_PUNCT = set("`´^~")
 # One bracket-file token per match: "(" with the label after it (group 1,
 # empty when there is none), ")", or a bare token (group 2).
 _TOKEN = re.compile(r"\(\s*([^\s()]*)|\)|([^\s()]+)")
+# A CoNLL-U ID that is skipped: a multiword range (1-2) or an empty node (1.1).
+_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,10 @@ def _conllu_int(text: str, where: str) -> int:
     """``text`` as an int, from ASCII digits alone: int() would also take
     '1_2', '+2', ' 3' and other scripts' digits."""
     if text.isascii() and text.isdigit():
-        with contextlib.suppress(ValueError):  # past int()'s digit limit
+        try:
             return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
     raise FormatError(f"{where} {text!r}")
 
 
@@ -234,8 +237,8 @@ def parse_conllu(text: str) -> list[DepGraph]:
                 f"(HEAD/DEPREL missing): {line!r}"
             )
         token_id = cols[0]
-        if re.fullmatch(r"[0-9]+[-.][0-9]+", token_id):
-            continue  # a multiword range or an empty node
+        if _SKIPPED_ID.fullmatch(token_id):
+            continue
         index = _conllu_int(token_id, f"line {lineno}: bad token id")
         head = _conllu_int(cols[6], f"line {lineno}: bad HEAD value")
         block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))

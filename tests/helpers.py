@@ -21,6 +21,7 @@ import numpy as np
 
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
+from splitread.dataset import CATEGORIES, GroupComparison, _t_pvalue
 from splitread.errors import ParseError, ValidationError
 from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
 from splitread.trees import (
@@ -656,3 +657,33 @@ def reference_logpost_arrays(
         -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
     )
     return loglik + logprior, grad
+
+
+def reference_score_summary(group_a, group_b) -> dict:
+    """``dataset.score_summary`` as it was on numpy arrays, kept verbatim
+    so the ``math`` version can be pinned to it."""
+    out = {}
+    for cat in CATEGORIES:
+        a = np.asarray(group_a[cat], dtype=float)
+        b = np.asarray(group_b[cat], dtype=float)
+        if len(a) < 2 or len(b) < 2:
+            raise ValidationError(
+                f"{cat}: need at least 2 observations per group for a t-test"
+            )
+        va = a.var(ddof=1) / len(a)
+        vb = b.var(ddof=1) / len(b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stat = (a.mean() - b.mean()) / np.sqrt(va + vb)
+            df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+        # Both groups constant: df is 0/0, yet t = +-inf gives p = 0 and
+        # t = NaN gives p = NaN whatever df is.
+        p_value = _t_pvalue(1.0 if np.isnan(df) else float(df), float(t_stat))
+        out[cat] = GroupComparison(
+            mean_a=float(a.mean()),
+            sd_a=float(a.std(ddof=1)),
+            mean_b=float(b.mean()),
+            sd_b=float(b.std(ddof=1)),
+            t_stat=float(t_stat),
+            p_value=float(p_value),
+        )
+    return out

@@ -19,7 +19,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitread import cli
+from splitread import cli, inference, selection
 from splitread.dataset import csv_line, write_artifact
 from splitread.inference import (
     CoefficientSummary,
@@ -151,8 +151,8 @@ def test_fit_artifacts_match_reference(tmp_path, monkeypatch, data):
             for j, name in enumerate(names)
         },
     )
-    monkeypatch.setattr(cli.inference, "sample_posterior", lambda *args: draws)
-    monkeypatch.setattr(cli.inference, "summarize", lambda d: summary)
+    monkeypatch.setattr(inference, "sample_posterior", lambda *args: draws)
+    monkeypatch.setattr(inference, "summarize", lambda d: summary)
     code, config_header = _run("fit", tmp_path, data)
     assert code in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
     assert _read(tmp_path, "summary.csv") == reference_summary_text(
@@ -197,7 +197,7 @@ def test_ablation_artifacts_match_reference(tmp_path, monkeypatch, data):
             )
         )
     )
-    monkeypatch.setattr(cli.selection, "ablate", lambda *args: table)
+    monkeypatch.setattr(selection, "ablate", lambda *args: table)
     code, config_header = _run("ablate", tmp_path, data, "--predictors", "fluency,split")
     assert code == cli.EXIT_OK
     csv_text = reference_ablation_csv(config_header, table)

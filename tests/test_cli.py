@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from helpers import nan_density_in_children, pin_lanes
 
-from splitread import cli
-from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS
-from splitread.inference import ModelSpec, PosteriorDraws
+from splitread import cli, inference, selection
+from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec
+from splitread.inference import PosteriorDraws
 from splitread.synth import make_demo_dataset
 
 
@@ -170,7 +170,7 @@ class TestFit:
         tmp, triples, judgments = workspace
         out = tmp / "fit_gate"
         config = _write_config(tmp, triples, judgments, out)
-        monkeypatch.setattr(cli.inference, "rhat", lambda chains: 2.0)
+        monkeypatch.setattr(inference, "rhat", lambda chains: 2.0)
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_CONVERGENCE
 
     @pytest.mark.parametrize("divergences, warned", [(0, False), (2, False), (3, True)])
@@ -189,11 +189,33 @@ class TestFit:
             grad_evals=np.ones(2, dtype=int),
         )
         monkeypatch.setattr(cli, "_fit_matrix", lambda cfg: None)
-        monkeypatch.setattr(cli.inference, "sample_posterior", lambda *args: draws)
+        monkeypatch.setattr(inference, "sample_posterior", lambda *args: draws)
         config = _write_config(tmp, triples, judgments, tmp / "fit_divergences")
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_OK
         warning = f"warning: {divergences} divergent transitions after warmup\n"
         assert capsys.readouterr().err == (warning if warned else "")
+
+    def test_nan_rhat_is_the_max(self, workspace, monkeypatch, capsys):
+        # A constant second coefficient has R-hat NaN, which max() would
+        # skip after the intercept's number.
+        tmp, triples, judgments = workspace
+        values = np.random.default_rng(0).standard_normal((2, 100, 3))
+        values[:, :, 1] = 0.5
+        draws = PosteriorDraws(
+            names=("intercept", "x1", "x2"),
+            draws=values,
+            logp=np.zeros((2, 100)),
+            accept_rate=np.ones(2),
+            divergences=0,
+            step_size=np.ones(2),
+            grad_evals=np.ones(2, dtype=int),
+        )
+        monkeypatch.setattr(cli, "_fit_matrix", lambda cfg: None)
+        monkeypatch.setattr(inference, "sample_posterior", lambda *args: draws)
+        out = tmp / "fit_nan_rhat"
+        config = _write_config(tmp, triples, judgments, out)
+        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_CONVERGENCE
+        assert capsys.readouterr().out == f"wrote {out / 'summary.csv'} (max R-hat nan)\n"
 
     def test_zero_variance_column_named(self, workspace, tmp_path):
         tmp, triples, judgments = workspace
@@ -242,8 +264,8 @@ class TestFitLanes:
 
     def test_chain_error_in_worker_exits_validation(self, workspace, monkeypatch, capsys):
         tmp, triples, judgments = workspace
-        nan_in_worker = nan_density_in_children(cli.inference._logpost_arrays)
-        monkeypatch.setattr(cli.inference, "_logpost_arrays", nan_in_worker)
+        nan_in_worker = nan_density_in_children(inference._logpost_arrays)
+        monkeypatch.setattr(inference, "_logpost_arrays", nan_in_worker)
         pin_lanes(monkeypatch, 2)
         config = _write_config(tmp, triples, judgments, tmp / "fit_worker_error")
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
@@ -294,7 +316,7 @@ class TestAblate:
         assert "warning" not in capsys.readouterr().err
         written = [(out / name).read_bytes() for name in names]
         # Every row with any posterior variance now counts as unreliable.
-        monkeypatch.setattr(cli.selection, "P_WAIC_LIMIT", 0.0)
+        monkeypatch.setattr(selection, "P_WAIC_LIMIT", 0.0)
         assert cli.main(argv) == 0
         warned = capsys.readouterr().err.splitlines()
         assert sorted(line.split(":")[1] for line in warned) == [
@@ -422,8 +444,7 @@ class TestConfiguredPrior:
             specs.append(spec)
             raise Captured
 
-        module, name = fitter.split(".")
-        monkeypatch.setattr(getattr(cli, module), name, capture)
+        monkeypatch.setattr(f"splitread.{fitter}", capture)
         with pytest.raises(Captured):
             cli.main([argv[0], "--config", str(config), *argv[1:]])
         assert specs == [ModelSpec(predictors, prior_sd=0.5)]
@@ -980,42 +1001,19 @@ class TestDeepTrees:
         assert (tmp_path / "out" / "report.txt").exists()
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of import, and no command needs it.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, splitread.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
-
-
-def test_report_does_not_load_scipy_stats(tmp_path):
-    # The report's Welch test is computed in closed form.
-    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    code = (
-        "import sys, splitread.cli\n"
-        "code = splitread.cli.main(['report', '--triples', 'data/triples.jsonl',"
-        " '--judgments', 'data/judgments.jsonl', '--out', 'out'])\n"
-        "print(code, 'scipy.stats' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.splitlines()[-1] == "0 False"
-
-
-def test_every_command_runs_without_scipy(tmp_path):
-    # numpy is the only runtime dependency: with scipy blocked, so that any
-    # import of it raises ImportError, all four commands still run.
-    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    (tmp_path / "fit.json").write_text(
+@pytest.fixture(scope="module")
+def blocked_run(tmp_path_factory):
+    # numpy is the only runtime dependency, and only fit and ablate need
+    # it. One interpreter runs all four commands on one demo set with
+    # imports blocked: a module set to None in sys.modules raises
+    # ImportError on any import of it or of its submodules, which is
+    # stricter than finding it absent from sys.modules afterwards. scipy
+    # (scipy.special and scipy.stats with it) is blocked throughout, and
+    # numpy too for the import and for extract and report. Forked chain
+    # workers inherit the block.
+    tmp = tmp_path_factory.mktemp("blocked")
+    make_demo_dataset(tmp / "data", n_triples=4, n_workers=2)
+    (tmp / "fit.json").write_text(
         json.dumps({"sampler": {"warmup": 50, "draws": 50}}), encoding="utf-8"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -1023,78 +1021,68 @@ def test_every_command_runs_without_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
         "import splitread.cli\n"
+        "print('imported')\n"
         "data = ['--triples', 'data/triples.jsonl',"
         " '--judgments', 'data/judgments.jsonl']\n"
-        "for argv in (['extract', '--triples', 'data/triples.jsonl'],"
-        " ['report', *data], ['fit', '--config', 'fit.json', *data],"
-        " ['ablate', '--config', 'fit.json', '--predictors', 'fluency,split', *data]):\n"
-        "    print(argv[0], splitread.cli.main(argv + ['--out', argv[0]]))"
+        "def run(*argv):\n"
+        "    print(argv[0], splitread.cli.main([*argv, '--out', argv[0]]))\n"
+        "run('extract', '--triples', 'data/triples.jsonl')\n"
+        "run('report', *data)\n"
+        "del sys.modules['numpy']\n"
+        "run('fit', '--config', 'fit.json', *data)\n"
+        "run('ablate', '--config', 'fit.json', '--predictors', 'fluency,split', *data)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, cwd=tmp, capture_output=True, text=True
     )
     printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
-    assert printed == ["extract 0", "report 0", "fit 0", "ablate 0"], result.stderr
+    return tmp, printed, result.stderr
 
 
-def test_extract_does_not_load_scipy_special(tmp_path):
+def _written(tmp, names):
+    return [name for name in names if (tmp / name).is_file()]
+
+
+def test_cli_import_does_not_load_scipy_stats(blocked_run):
+    # scipy.stats costs about a second of import, and no command needs it;
+    # importing the CLI needs neither scipy nor numpy.
+    _, printed, stderr = blocked_run
+    assert printed[:1] == ["imported"], stderr
+
+
+def test_report_does_not_load_scipy_stats(blocked_run):
+    # The report's Welch test is computed in closed form, with math.
+    tmp, printed, stderr = blocked_run
+    assert "report 0" in printed, stderr
+    assert _written(tmp, ["report/report.txt"]) == ["report/report.txt"]
+
+
+def test_every_command_runs_without_scipy(blocked_run):
+    _, printed, stderr = blocked_run
+    assert printed == ["imported", "extract 0", "report 0", "fit 0", "ablate 0"], stderr
+
+
+def test_extract_does_not_load_scipy_special(blocked_run):
     # scipy.special costs about a third of a second of import, and no
-    # command needs it.
-    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    code = (
-        "import sys, splitread.cli\n"
-        "print('scipy.special' in sys.modules)\n"
-        "code = splitread.cli.main(['extract', '--triples', 'data/triples.jsonl',"
-        " '--out', 'out'])\n"
-        "print(code, 'scipy.special' in sys.modules)\n"
-        "print(splitread.cli.main(['report', '--triples', 'data/triples.jsonl',"
-        " '--judgments', 'data/judgments.jsonl', '--out', 'out']))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
-    )
-    printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
-    assert printed == ["False", "0 False", "0"]
+    # command needs it; extract needs no numpy either.
+    tmp, printed, stderr = blocked_run
+    assert "extract 0" in printed, stderr
+    assert _written(tmp, ["extract/features.csv"]) == ["extract/features.csv"]
 
 
 @pytest.mark.parametrize(
-    "command, artifact",
+    "command, artifacts",
     [
-        (["fit"], "draws.csv"),
-        (["ablate", "--predictors", "fluency,split"], "ablation.csv"),
+        ("fit", ["fit/summary.csv", "fit/histograms.csv", "fit/draws.csv"]),
+        ("ablate", ["ablate/ablation.csv", "ablate/ablation.txt"]),
     ],
     ids=["fit", "ablate"],
 )
-def test_fit_does_not_load_scipy_special(tmp_path, command, artifact):
+def test_fit_does_not_load_scipy_special(blocked_run, command, artifacts):
     # The log density's sigmoid and softplus and WAIC's log-sum-exp are
-    # numpy's, and chain 0 and every WAIC run in the calling process, so a
-    # fit or an ablation that used scipy.special would load it here.
-    make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    (tmp_path / "fit.json").write_text(
-        json.dumps({"sampler": {"warmup": 20, "draws": 20}}), encoding="utf-8"
-    )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    code = (
-        "import sys, splitread.cli\n"
-        f"code = splitread.cli.main({command!r} + ['--config', 'fit.json',"
-        " '--triples', 'data/triples.jsonl', '--judgments', 'data/judgments.jsonl',"
-        " '--out', 'out'])\n"
-        "print(code, 'scipy.special' in sys.modules)"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
-    )
-    exit_code, loaded = result.stdout.splitlines()[-1].split()
-    assert int(exit_code) in (cli.EXIT_OK, cli.EXIT_CONVERGENCE)
-    assert (tmp_path / "out" / artifact).is_file()
-    assert loaded == "False"
+    # numpy's, and chain 0 and every WAIC run in the calling process.
+    tmp, printed, stderr = blocked_run
+    assert f"{command} 0" in printed, stderr
+    assert _written(tmp, artifacts) == artifacts

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import pin_lanes
+from helpers import pin_lanes, reference_score_summary
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
@@ -376,6 +378,41 @@ class TestScoreSummary:
         for c in result.values():
             np.testing.assert_equal(c.t_stat, t_stat)
             np.testing.assert_equal(c.p_value, p_value)
+
+    # Integer scores, and floats on a 1/1024 grid, whose sums are exact in
+    # any order: the two versions differ only in summing the squared
+    # deviations.
+    _SCORES = st.one_of(
+        st.lists(st.integers(1, 5), min_size=2, max_size=60),
+        st.lists(
+            st.integers(-(2**20), 2**20).map(lambda k: k / 1024),
+            min_size=2,
+            max_size=60,
+        ),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SCORES, min_size=6, max_size=6))
+    def test_matches_numpy_reference(self, groups):
+        group_a = dict(zip(CATEGORIES, groups[:3]))
+        group_b = dict(zip(CATEGORIES, groups[3:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = reference_score_summary(group_a, group_b)
+        got = score_summary(group_a, group_b)
+        for cat in CATEGORIES:
+            g, w = got[cat], want[cat]
+            assert (g.mean_a, g.mean_b) == (w.mean_a, w.mean_b)
+            for x, y in ((g.sd_a, w.sd_a), (g.sd_b, w.sd_b), (g.t_stat, w.t_stat)):
+                if math.isfinite(y):
+                    assert abs(x - y) <= 4 * math.ulp(y)
+                else:  # t = +-inf or NaN: both groups constant
+                    np.testing.assert_equal(x, y)
+            if w.p_value == 0 or math.isnan(w.p_value):
+                np.testing.assert_equal(g.p_value, w.p_value)
+            else:
+                # p amplifies t's last bits by up to df + 1.
+                assert g.p_value == pytest.approx(w.p_value, rel=1e-12, abs=0)
 
     def test_quality_scores_dedupe_by_worker_and_triple(self, loaded):
         _, judgments, *_ = loaded

@@ -305,7 +305,7 @@ class TestSampler:
     def test_posterior_mean_near_penalized_likelihood_optimum(self, small_fit):
         matrix, spec, config, draws = small_fit
         X, y = matrix.X, matrix.y
-        sd = spec.sd_vector()
+        sd = np.full(len(spec.predictors) + 1, spec.prior_sd)
 
         def neg_lp(beta):
             t = beta[0] + X @ beta[1:]
@@ -326,7 +326,7 @@ class TestSampler:
 
         x = matrix.X[:, 0]
         y = matrix.y
-        sd = spec.sd_vector()
+        sd = np.full(len(spec.predictors) + 1, spec.prior_sd)
         b0 = np.linspace(-2.0, 2.5, 301)
         b1 = np.linspace(-2.0, 3.0, 301)
         grid0, grid1 = np.meshgrid(b0, b1, indexing="ij")
