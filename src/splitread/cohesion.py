@@ -4,9 +4,12 @@ Tree edit distance (Zhang & Shasha 1989 dynamic program, unit costs),
 convolution tree kernels in the subset-tree and subtree variants
 (Collins & Duffy 2002; Moschitti 2006), and the Szymkiewicz-Simpson
 word-overlap coefficient. The subtree kernel counts the pairs of identical
-complete subtrees. Each tree's skeleton, edit-distance bookkeeping, kernel
-index and self-kernel are kept in small caches keyed by tree value, so the
-two sides of a triple prepare each of its trees once.
+complete subtrees.
+
+The tree measures read flat arrays prepared from each tree. Inside
+``preparation_scope()`` a tree object's skeleton, arrays and self-kernels
+are made once and held by identity until the scope closes; ``dataset``
+opens one per triple, so that both of its sides share them.
 """
 
 from __future__ import annotations
@@ -14,57 +17,101 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from functools import lru_cache
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputWarning, ValidationError
 from .trees import ParseTree, is_punctuation_token, strip_token_leaves
 
 KERNEL_VARIANTS = ("subset", "subtree")
-_CACHE_SIZE = 32  # entries per per-tree cache: room for every tree of a triple
 
 
-class _AnnotatedTree:
-    """Post-order bookkeeping (leftmost descendants, keyroots) for one tree."""
+class preparation_scope:
+    """A block in which every tree preparation is made once and held until
+    the block ends; a block opened inside another shares the outer one's.
+    The outermost block's ``held`` maps (maker, id(tree), *args) to (tree,
+    value), keeping the tree alive so that its id stays its own, and its id
+    tables number kernel productions and complete subtrees."""
 
-    def __init__(self, root: ParseTree):
-        self.labels: list[str] = []
-        self.lmd: list[int] = []
+    def __enter__(self) -> None:
+        outer = _scope.get()
+        if outer is None:
+            self.held: dict[tuple, tuple[ParseTree, object]] = {}
+            self.production_ids: dict[tuple, int] = {}
+            self.subtree_ids: dict[tuple, int] = {}
+        self.token = _scope.set(outer or self)
 
-        def visit(node: ParseTree) -> int:
-            leftmost = [visit(child) for child in node.children]
-            self.lmd.append(leftmost[0] if leftmost else len(self.labels))
-            self.labels.append(node.label)
-            return self.lmd[-1]
+    def __exit__(self, *exc) -> None:
+        _scope.reset(self.token)
 
-        visit(root)
+
+# The open block of this thread (or task), whose preparations are shared.
+_scope: ContextVar[preparation_scope | None] = ContextVar("_scope", default=None)
+
+
+def _held(tree: ParseTree, make, *args):
+    """``make(tree, *args)``, computed once per tree object in the scope."""
+    held = _scope.get().held
+    key = (make, id(tree), *args)
+    entry = held.get(key)
+    if entry is None:
+        entry = held[key] = (tree, make(tree, *args))
+    return entry[1]
+
+
+class _Paths:
+    """Zhang-Shasha bookkeeping for a tree (left paths) or its mirror
+    image (right paths), in post-order: labels, leftmost leaf descendants,
+    subtree sizes and label sets, the leaf keyroots, and the other
+    keyroots with their columns and cost (the sum of their sizes)."""
+
+    def __init__(self, tree: ParseTree, mirror: bool):
+        labels, lmd = [], []
+        stack = [(tree, -1)]
+        while stack:
+            node, start = stack.pop()
+            if start >= 0:
+                labels.append(node.label)
+                lmd.append(start)
+            else:  # entering the subtree, whose first node comes next
+                stack.append((node, len(labels)))
+                children = node.children if mirror else node.children[::-1]
+                stack += [(child, -1) for child in children]
+        sizes = [i - lm + 1 for i, lm in enumerate(lmd)]
         # The highest node with each leftmost leaf.
-        self.keyroots = sorted({lm: idx for idx, lm in enumerate(self.lmd)}.values())
+        keyroots = sorted({lm: i for i, lm in enumerate(lmd)}.values())
+        self.labels, self.lmd, self.sizes = labels, lmd, sizes
+        self.label_sets = [frozenset(labels[lm : i + 1]) for i, lm in enumerate(lmd)]
+        self.leaf_keyroots = [j for j in keyroots if sizes[j] == 1]
+        # Per keyroot j, each node y of its subtree with the forest column
+        # of lmd(y), which is 0 when y is on j's leftmost path.
+        self.keyroots = [
+            (j, [(lmd[y] - lmd[j], y) for y in range(lmd[j], j + 1)])
+            for j in keyroots
+            if sizes[j] > 1
+        ]
+        self.cost = sum(sizes[j] for j, _ in self.keyroots)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _annotated(tree: ParseTree) -> _AnnotatedTree:
-    return _AnnotatedTree(tree)
+def _edit_arrays(tree: ParseTree) -> tuple[_Paths, _Paths]:
+    return _Paths(tree, False), _Paths(tree, True)
 
 
-_skeleton = lru_cache(maxsize=_CACHE_SIZE)(strip_token_leaves)
-
-
-def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
-    """Minimum number of node insertions, deletions and relabelings
-    turning ordered tree ``a`` into ordered tree ``b`` (unit costs)."""
-    ta, tb = _annotated(a), _annotated(b)
-    lmd_a, labels_b = ta.lmd, tb.labels
-    dist = [[0] * len(labels_b) for _ in ta.labels]
-    # Per keyroot j of b, each node yj of its subtree with the forest column
-    # q of lmd(yj), which is 0 when yj is on j's leftmost path.
-    columns = [
-        [(tb.lmd[yj] - tb.lmd[j], yj) for yj in range(tb.lmd[j], j + 1)]
-        for j in tb.keyroots
-    ]
-    for i in ta.keyroots:
+def _zhang_shasha(ta: _Paths, tb: _Paths) -> int:
+    lmd_a, labels_a, labels_b = ta.lmd, ta.labels, tb.labels
+    dist = [[0] * len(labels_b) for _ in labels_a]
+    # A leaf against a subtree: map it onto a node with its label if the
+    # subtree has one, and insert the other nodes.
+    for i in ta.leaf_keyroots:
+        label = labels_a[i]
+        dist[i] = [s - (label in ls) for s, ls in zip(tb.sizes, tb.label_sets)]
+    for j in tb.leaf_keyroots:
+        label = labels_b[j]
+        for row, s, ls in zip(dist, ta.sizes, ta.label_sets):
+            row[j] = s - (label in ls)
+    for i, _ in ta.keyroots:
         il = lmd_a[i]
-        for cols in columns:
+        for _, cols in tb.keyroots:
             # fd[x][y]: distance between the forests of the first x nodes
             # of a from lmd(i) and the first y nodes of b from lmd(j).
             up = list(range(len(cols) + 1))
@@ -74,7 +121,7 @@ def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
                 row = [left]
                 drow = dist[xi]
                 if lmd_a[xi] == il:
-                    label = ta.labels[xi]
+                    label = labels_a[xi]
                     diag = up[0]
                     for above, (q, yj) in zip(up[1:], cols):
                         v = (above if above < left else left) + 1
@@ -99,14 +146,28 @@ def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
     return dist[-1][-1]
 
 
+def tree_edit_distance(a: ParseTree, b: ParseTree) -> int:
+    """Minimum number of node insertions, deletions and relabelings
+    turning ordered tree ``a`` into ordered tree ``b`` (unit costs)."""
+    with preparation_scope():
+        left_a, right_a = _held(a, _edit_arrays)
+        left_b, right_b = _held(b, _edit_arrays)
+    # Mirroring both trees keeps the distance; take the orientation whose
+    # keyroot subtrees give the smaller dynamic program.
+    if right_a.cost * right_b.cost < left_a.cost * left_b.cost:
+        return _zhang_shasha(right_a, right_b)
+    return _zhang_shasha(left_a, left_b)
+
+
 def ted1(source: ParseTree, splits: Sequence[ParseTree]) -> float:
     """Mean tree edit distance between a source sentence and each sentence
     of its simplification. Token leaves are removed first, so the
     comparison is structural rather than lexical."""
     if not splits:
         raise ValidationError("ted1 requires at least one split sentence")
-    src = _skeleton(source)
-    dists = [tree_edit_distance(src, _skeleton(s)) for s in splits]
+    with preparation_scope():
+        src = _held(source, strip_token_leaves)
+        dists = [tree_edit_distance(src, _held(s, strip_token_leaves)) for s in splits]
     return sum(dists) / len(dists)
 
 
@@ -123,43 +184,44 @@ def ted2(splits: Sequence[ParseTree]) -> float:
             stacklevel=2,
         )
         return 0.0
-    stripped = [_skeleton(s) for s in splits]
-    dists = [
-        tree_edit_distance(stripped[i], stripped[i + 1])
-        for i in range(len(stripped) - 1)
-    ]
+    with preparation_scope():
+        stripped = [_held(s, strip_token_leaves) for s in splits]
+        dists = [tree_edit_distance(a, b) for a, b in zip(stripped, stripped[1:])]
     return sum(dists) / len(dists)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _kernel_index(tree: ParseTree) -> tuple[list, list, dict, Counter]:
-    """The non-leaf nodes of ``tree`` in pre-order: each node's production,
-    its child slots (-1 for a token leaf; none for a preterminal), the
-    slots of each production, and the count of each complete subtree."""
-    productions, children, by_production, subtrees = [], [], {}, Counter()
-
-    def visit(node: ParseTree) -> tuple:
-        # Returns the complete subtree as nested tuples with token leaves as
-        # bare labels; leafness is in the production too, so a terminal
-        # never aligns with a nonterminal that carries the same label.
-        slot = len(productions)
-        production = (node.label, tuple((c.label, c.is_leaf) for c in node.children))
-        productions.append(production)
-        children.append(())
+def _kernel_arrays(tree: ParseTree) -> tuple[list, list, dict, Counter]:
+    """The non-leaf nodes of ``tree`` in pre-order: each node's production
+    id, its child slots (-1 for a token leaf; none for a preterminal), the
+    slots of each production, and the count of each complete-subtree id.
+    Ids are numbered per scope, so they compare across its trees."""
+    nodes, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            nodes.append(node)
+            stack.extend(reversed(node.children))
+    # A subtree object met twice gets one slot; both places hold the same.
+    slot_of = {id(node): slot for slot, node in enumerate(nodes)}
+    kids = [[slot_of[id(c)] if c.children else -1 for c in n.children] for n in nodes]
+    scope = _scope.get()
+    production_ids, subtree_ids = scope.production_ids, scope.subtree_ids
+    productions, subtrees = [0] * len(nodes), [0] * len(nodes)
+    for slot in range(len(nodes) - 1, -1, -1):
+        node, slots = nodes[slot], kids[slot]
+        labels = tuple([child.label for child in node.children])
+        # Leafness is in the production, so a terminal never aligns with a
+        # nonterminal that carries the same label.
+        production = (node.label, labels, tuple([c < 0 for c in slots]))
+        productions[slot] = production_ids.setdefault(production, len(production_ids))
+        inner = tuple([subtrees[c] if c >= 0 else -1 for c in slots])
+        subtree = (node.label, labels, inner)
+        subtrees[slot] = subtree_ids.setdefault(subtree, len(subtree_ids))
+        kids[slot] = tuple(slots) if max(slots) >= 0 else ()
+    by_production: dict[int, list[int]] = {}
+    for slot, production in enumerate(productions):
         by_production.setdefault(production, []).append(slot)
-        slots, shapes = [], []
-        for child in node.children:
-            slots.append(-1 if child.is_leaf else len(productions))
-            shapes.append(child.label if child.is_leaf else visit(child))
-        if any(c >= 0 for c in slots):
-            children[slot] = tuple(slots)
-        shape = (node.label, tuple(shapes))
-        subtrees[shape] += 1
-        return shape
-
-    if not tree.is_leaf:
-        visit(tree)
-    return productions, children, by_production, subtrees
+    return productions, kids, by_production, Counter(subtrees)
 
 
 def tree_kernel(
@@ -177,34 +239,28 @@ def tree_kernel(
         raise ValueError(f"unknown kernel variant {variant!r}")
     if not sigma > 0:  # NaN included
         raise ValueError(f"sigma must be positive, got {sigma}")
-    prod_a, kids_a, _, subtrees_a = _kernel_index(a)
-    prod_b, kids_b, by_production, subtrees_b = _kernel_index(b)
+    with preparation_scope():
+        prod_a, kids_a, _, subtrees_a = _held(a, _kernel_arrays)
+        _, kids_b, by_production, subtrees_b = _held(b, _kernel_arrays)
     if variant == "subtree":
         return float(sum(n * subtrees_b.get(s, 0) for s, n in subtrees_a.items()))
-    memo: dict[tuple[int, int], float] = {}
-
-    def delta(i: int, j: int) -> float:
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        value = 0.0
-        if prod_a[i] == prod_b[j]:
+    # delta of each pair of nodes with one production, children first; a
+    # pair whose productions differ is absent and counts 0.
+    delta: dict[tuple[int, int], float] = {}
+    for i in range(len(prod_a) - 1, -1, -1):
+        for j in by_production.get(prod_a[i], ()):
             # 1 for a preterminal; a token leaf child adds sigma + 0.
             value = 1.0
             for c1, c2 in zip(kids_a[i], kids_b[j]):
-                value *= sigma if c1 < 0 else sigma + delta(c1, c2)
-        memo[key] = value
-        return value
-
+                value *= sigma if c1 < 0 else sigma + delta.get((c1, c2), 0.0)
+            delta[i, j] = value
     total = 0.0
     for i, production in enumerate(prod_a):
         for j in by_production.get(production, ()):
-            total += delta(i, j)
+            total += delta[i, j]
     return total
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _self_kernel(tree: ParseTree, variant: str, sigma: float) -> float:
     value = tree_kernel(tree, tree, variant, sigma)
     if value <= 0:
@@ -227,18 +283,19 @@ def kernel_similarity(
     """
     if not doc_a or not doc_b:
         raise ValidationError("kernel_similarity requires two non-empty documents")
-    self_b = [_self_kernel(b, variant, sigma) for b in doc_b]
     best_values = []
-    for a in doc_a:
-        ka = _self_kernel(a, variant, sigma)
-        if not math.isfinite(ka * max(self_b)):
-            raise ValidationError(
-                f"tree kernel overflows the float range at kernel_sigma {sigma!r}"
-            )
-        best = 0.0
-        for b, kb in zip(doc_b, self_b):
-            best = max(best, tree_kernel(a, b, variant, sigma) / math.sqrt(ka * kb))
-        best_values.append(best)
+    with preparation_scope():
+        self_b = [_held(b, _self_kernel, variant, sigma) for b in doc_b]
+        for a in doc_a:
+            ka = _held(a, _self_kernel, variant, sigma)
+            if not math.isfinite(ka * max(self_b)):
+                raise ValidationError(
+                    f"tree kernel overflows the float range at kernel_sigma {sigma!r}"
+                )
+            best = 0.0
+            for b, kb in zip(doc_b, self_b):
+                best = max(best, tree_kernel(a, b, variant, sigma) / math.sqrt(ka * kb))
+            best_values.append(best)
     return sum(best_values) / len(best_values)
 
 

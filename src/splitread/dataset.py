@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Seque
 
 from . import cohesion, complexity, pool, readability
 from .errors import (
+    DegenerateInputWarning,
     FormatError,
     IntegrityError,
     SplitreadError,
@@ -69,9 +71,9 @@ CATEGORICAL_PREDICTORS = ("bart", "split")
 # Predictors computed from the triple alone (everything but the per-worker
 # perception scores).
 SIDE_PREDICTORS = tuple(p for p in PREDICTORS if p not in CATEGORIES)
-# Deepest parse tree that is featurized. Tree hashing and several feature
-# walks recurse once or more per level, so deeper trees would exhaust
-# Python's default recursion limit of 1000.
+# Deepest parse tree that is featurized. `strip_token_leaves` and the Yngve
+# and Frazier walks recurse once or more per level, so deeper trees would
+# exhaust Python's default recursion limit of 1000.
 MAX_TREE_DEPTH = 200
 
 
@@ -654,7 +656,13 @@ def side_features(
                 cohesion.overlap_coefficient(trees[i].tokens(), trees[i + 1].tokens())
                 for i in range(len(trees) - 1)
             ]
-            feats["overlap"] = sum(pairs) / len(pairs)
+            if not pairs:
+                warnings.warn(
+                    "overlap on a single sentence has no adjacent pairs; returning 0",
+                    DegenerateInputWarning,
+                    stacklevel=2,
+                )
+            feats["overlap"] = sum(pairs) / len(pairs) if pairs else 0.0
         if "yngve" in enabled:
             values = [complexity.yngve_score(t) for t in trees]
             feats["yngve"] = sum(values) / len(values)
@@ -692,9 +700,11 @@ def _triple_rows(
     """The side a and side b rows of ``triples[index]``."""
     triple = triples[index]
     rows = []
-    for side in ("a", "b"):
-        feats = side_features(triple, side, config)
-        rows.append([triple.id, side, *(feats[p] for p in enabled)])
+    # Both sides share the triple's tree preparations, released with it.
+    with cohesion.preparation_scope():
+        for side in ("a", "b"):
+            feats = side_features(triple, side, config)
+            rows.append([triple.id, side, *(feats[p] for p in enabled)])
     return rows
 
 
@@ -704,10 +714,10 @@ def extract_features(
     """Per-(triple, side) feature table in a stable column order.
 
     The triples, sorted by id, are striped over ``pool.lanes`` processes
-    with both sides of a triple in one lane, where the per-tree caches
-    share work between them. The rows, and the error raised for the first
-    failing triple and side, are those of one process featurizing the
-    triples in turn.
+    with both sides of a triple in one lane, where they share the triple's
+    tree preparations (``cohesion.preparation_scope``). The rows, and the
+    error raised for the first failing triple and side, are those of one
+    process featurizing the triples in turn.
     """
     config = config or FeatureConfig()
     enabled = [p for p in SIDE_PREDICTORS if p in set(config.predictors)]

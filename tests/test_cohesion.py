@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from splitread.cohesion import (
 from splitread.dataset import extract_features, load_triples
 from splitread.errors import DegenerateInputWarning, ValidationError
 from splitread.synth import make_demo_dataset
-from splitread.trees import parse_ptb, strip_token_leaves
+from splitread.trees import ParseTree, parse_ptb, strip_token_leaves
 
 
 def t(text: str):
@@ -74,6 +76,103 @@ class TestTreeEditDistance:
             dac = tree_edit_distance(a, c)
             dbc = tree_edit_distance(b, c)
             assert dac <= dab + dbc
+
+
+def mirror(tree: ParseTree) -> ParseTree:
+    return ParseTree(tree.label, tuple(mirror(c) for c in reversed(tree.children)))
+
+
+def chain(depth: int, branching: str) -> ParseTree:
+    """A left- or right-``branching`` chain of ``depth`` A nodes, each with
+    a token leaf beside the next node down."""
+    text = "x"
+    for _ in range(depth):
+        text = f"(A {text} y)" if branching == "left" else f"(A y {text})"
+    return t(text)
+
+
+small_trees = st.recursive(
+    st.sampled_from("ABC").map(ParseTree),
+    lambda kids: st.builds(
+        ParseTree, st.sampled_from("ABC"), st.lists(kids, min_size=1, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+class TestEditDistancePaths:
+    """The orientation choice and the closed-form leaf keyroots, each
+    against the forest-recursion oracle."""
+
+    def test_cheaper_mirrored_orientation_chosen(self, monkeypatch):
+        # A left-branching tree is cheap in its left paths and a
+        # right-branching one in its right paths; with the right-branching
+        # tree the larger, the mirrored pair gives the smaller program.
+        a, b = chain(3, "left"), chain(6, "right")
+        calls = []
+        original = cohesion._zhang_shasha
+        monkeypatch.setattr(
+            cohesion, "_zhang_shasha", lambda ta, tb: calls.append((ta, tb)) or original(ta, tb)
+        )
+        with cohesion.preparation_scope():
+            distance = tree_edit_distance(a, b)
+            (left_a, right_a), (left_b, right_b) = (
+                cohesion._held(tree, cohesion._edit_arrays) for tree in (a, b)
+            )
+        assert right_a.cost * right_b.cost < left_a.cost * left_b.cost
+        assert len(calls) == 1
+        assert calls[0][0] is right_a and calls[0][1] is right_b
+        assert distance == naive_ted(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("A", "A"),
+            ("A", "B"),
+            ("A", "(B x)"),
+            ("(A (B x) (C y))", "B"),
+            ("(S a b c d)", "(S b c e)"),
+            ("(S a b c d)", "(T d c b a)"),
+            ("(S a b c)", "(S (A a) b c)"),
+            ("(A (A (A (A x))))", "(A (B (A x)))"),
+            ("(A (A (A x)))", "(B (B (B (B (B y)))))"),
+            ("(A (A a a) (A a))", "(A a (A a (A a a)))"),
+            ("(A (B x) (B x) (B x))", "(A (B (B x) x) x)"),
+        ],
+        ids=[
+            "same-leaf",
+            "other-leaf",
+            "leaf-tree",
+            "tree-leaf",
+            "flat",
+            "flat-reversed",
+            "flat-and-nested",
+            "unary-chains",
+            "disjoint-chains",
+            "repeated-labels",
+            "repeated-subtrees",
+        ],
+    )
+    def test_small_shapes_match_oracle(self, a, b):
+        ta, tb = (ParseTree(x) if "(" not in x else t(x) for x in (a, b))
+        expected = naive_ted(ta, tb)
+        assert tree_edit_distance(ta, tb) == expected
+        assert tree_edit_distance(tb, ta) == expected
+
+    def test_more_than_64_distinct_labels(self, rng):
+        labels = [f"L{i}" for i in range(70)]
+        order = list(rng.permutation(len(labels)))
+        a = t("(S " + " ".join(f"({labels[i]} {labels[i + 1]})" for i in range(0, 70, 2)) + ")")
+        b = t("(S " + " ".join(f"({labels[i]} x)" for i in order[:30]) + ")")
+        assert len({n.label for n in a.iter_nodes()} | {n.label for n in b.iter_nodes()}) > 64
+        assert tree_edit_distance(a, b) == naive_ted(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_trees, small_trees)
+    def test_mirrored_pair_same_distance(self, a, b):
+        distance = tree_edit_distance(a, b)
+        assert distance == naive_ted(a, b)
+        assert tree_edit_distance(mirror(a), mirror(b)) == distance
 
 
 class TestTed1:
@@ -259,23 +358,21 @@ class TestReferenceTwins:
 
 class TestWorkPerTriple:
     def test_each_tree_prepared_once_per_triple(self, demo_triples, monkeypatch):
-        # Caches left by earlier tests would hide work, so start empty.
-        for cache in (
-            cohesion._skeleton,
-            cohesion._annotated,
-            cohesion._kernel_index,
-            cohesion._self_kernel,
-        ):
-            cache.cache_clear()
         current = []
-        annotated, kernels, teds = Counter(), Counter(), Counter()
-        original_annotation = cohesion._AnnotatedTree
+        kept = []  # every prepared tree stays alive, so no id is reused
+        prepared, kernels, teds = Counter(), Counter(), Counter()
         original_kernel = cohesion.tree_kernel
         original_ted = cohesion.tree_edit_distance
 
-        def counting_annotation(tree):
-            annotated[current[-1], tree] += 1
-            return original_annotation(tree)
+        def counting_preparation(name):
+            original = getattr(cohesion, name)
+
+            def prepare(tree):
+                kept.append(tree)
+                prepared[name, current[-1], id(tree)] += 1
+                return original(tree)
+
+            monkeypatch.setattr(cohesion, name, prepare)
 
         def counting_kernel(a, b, variant="subset", sigma=1.0):
             if a is b:
@@ -286,20 +383,54 @@ class TestWorkPerTriple:
             teds[current[-1]] += 1
             return original_ted(a, b)
 
-        monkeypatch.setattr(cohesion, "_AnnotatedTree", counting_annotation)
+        counting_preparation("_edit_arrays")
+        counting_preparation("_kernel_arrays")
         monkeypatch.setattr(cohesion, "tree_kernel", counting_kernel)
         monkeypatch.setattr(cohesion, "tree_edit_distance", counting_ted)
         for triple in demo_triples:
             current.append(triple.id)
             extract_features([triple])
+            # The triple's preparations are released with it.
+            assert cohesion._scope.get() is None
 
-        assert annotated and max(annotated.values()) == 1
+        assert prepared and max(prepared.values()) == 1
+        per_triple = Counter((name, triple_id) for name, triple_id, _ in prepared)
         for triple in demo_triples:
+            # The skeletons (for edit distance) and the trees (for the
+            # kernels) of 1 source sentence and 2 + 3 splits.
+            assert per_triple["_edit_arrays", triple.id] == 6
+            assert per_triple["_kernel_arrays", triple.id] == 6
             for variant in ("subset", "subtree"):
                 for source in triple.source_trees:
                     assert kernels[triple.id, source, variant] == 1
             # ted1: 1 source x (2 + 3) splits; ted2: 1 + 2 adjacent pairs.
             assert teds[triple.id] == 8
+
+
+class TestThreads:
+    def test_concurrent_scopes_match_one_thread(self, demo_triples):
+        # Each thread has its own open scope, as _triple_rows opens one per
+        # triple; a scope shared between threads would close under another.
+        def features(triple):
+            with cohesion.preparation_scope():
+                return [
+                    (
+                        ted1(triple.source_trees[0], triple.side(side).trees),
+                        ted2(triple.side(side).trees),
+                        kernel_similarity(triple.source_trees, triple.side(side).trees),
+                    )
+                    for side in ("a", "b")
+                ]
+
+        expected = [features(triple) for triple in demo_triples]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as threads:
+                results = list(threads.map(features, demo_triples * 16, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 16
 
 
 class TestOverlap:

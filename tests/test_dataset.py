@@ -25,6 +25,8 @@ from splitread.dataset import (
     PREDICTORS,
     DesignMatrix,
     FeatureConfig,
+    Simplification,
+    Triple,
     atomic_write,
     build_design_matrix,
     extract_features,
@@ -37,6 +39,7 @@ from splitread.dataset import (
     tally,
 )
 from splitread.errors import (
+    DegenerateInputWarning,
     FormatError,
     IntegrityError,
     ParseError,
@@ -697,8 +700,8 @@ def _with_deep_tree(triple, where, depth):
 
 
 class TestTreeDepthLimit:
-    # Deeper trees would exhaust the recursion limit in tree hashing and
-    # the recursive feature walks; the limit is checked before any of them.
+    # Deeper trees would exhaust the recursion limit in the recursive
+    # feature walks; the limit is checked before any of them.
     @pytest.mark.parametrize("where", ["source", "side"])
     def test_deepest_allowed_tree_featurizes(self, loaded, where):
         triple = _with_deep_tree(loaded[0][0], where, MAX_TREE_DEPTH)
@@ -775,6 +778,27 @@ class TestExtractFeatures:
     def test_non_positive_kernel_sigma_rejected(self, sigma):
         with pytest.raises(ValidationError, match="kernel_sigma must be positive"):
             FeatureConfig(kernel_sigma=sigma)
+
+    def test_one_sentence_side_scores_zero_overlap_like_ted2(self):
+        # The CLI's reader asks for 2 and 3 split sentences; a library
+        # caller may pass one, which has no adjacent pairs.
+        (tree,) = parse_ptb("(S (NP (DT The) (NN dog)) (VP (VBD barked)))")
+        one = Simplification(text="The dog barked.", trees=(tree,), origin="human")
+        triple = Triple(
+            id="t0000",
+            source_text="The dog barked.",
+            source_trees=(tree,),
+            split_a=one,
+            split_b=one,
+        )
+        config = FeatureConfig(predictors=("ted2", "overlap"))
+        with pytest.warns(DegenerateInputWarning) as record:
+            feats = side_features(triple, "a", config)
+        assert feats == {"ted2": 0.0, "overlap": 0.0}
+        assert [str(w.message) for w in record] == [
+            "ted2 on a single sentence has no adjacent pairs; returning 0",
+            "overlap on a single sentence has no adjacent pairs; returning 0",
+        ]
 
     def test_two_rows_per_triple_and_stable_order(self, loaded):
         triples, *_ = loaded
