@@ -21,10 +21,9 @@ import os
 import sys
 import tempfile
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from . import cohesion, complexity, pool, readability
 from .errors import (
@@ -110,8 +109,7 @@ class SideScores:
     fluency: int
 
     def __post_init__(self) -> None:
-        for cat in CATEGORIES:
-            value = getattr(self, cat)
+        for cat, value in zip(CATEGORIES, (self.grammar, self.meaning, self.fluency)):
             if (
                 isinstance(value, bool)
                 or not isinstance(value, int)
@@ -199,15 +197,23 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
         yield lineno, obj
 
 
-@contextmanager
-def _located(where: str) -> Iterator[None]:
+class _located:
     """Prefix a SplitreadError raised inside the block with ``where: ``;
-    the error keeps its type and attributes (a ParseError its ``.offset``)."""
-    try:
-        yield
-    except SplitreadError as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
+    the error keeps its type and attributes (a ParseError its ``.offset``).
+    A plain class rather than a generator-based context manager, as ingest
+    enters one a few times per record."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, SplitreadError):
+            exc.args = (f"{self.where}: {exc}",)
 
 
 def _require(obj: dict, key: str, where: str):
@@ -340,9 +346,10 @@ def load_triples(
 def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
     obj = _object(scores, side, f"{where}.scores")
     with _located(f"{where}.scores.{side}"):
-        if missing := [cat for cat in CATEGORIES if cat not in obj]:
-            raise ValidationError(f"missing score {missing[0]!r}")
-        return SideScores(**{cat: obj[cat] for cat in CATEGORIES})
+        for cat in CATEGORIES:
+            if cat not in obj:
+                raise ValidationError(f"missing score {cat!r}")
+        return SideScores(obj["grammar"], obj["meaning"], obj["fluency"])
 
 
 def load_judgments(
@@ -353,16 +360,16 @@ def load_judgments(
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
         scores = _object(obj, "scores", where)
-        record = dict(
-            triple_id=_string(obj, "triple_id", where),
-            worker_id=_string(obj, "worker_id", where),
-            question=_require(obj, "question", where),
-            choice=_require(obj, "choice", where),
-            scores_a=_parse_scores(scores, "a", where),
-            scores_b=_parse_scores(scores, "b", where),
+        fields = (
+            _string(obj, "triple_id", where),
+            _string(obj, "worker_id", where),
+            _require(obj, "question", where),
+            _require(obj, "choice", where),
+            _parse_scores(scores, "a", where),
+            _parse_scores(scores, "b", where),
         )
         with _located(where):  # an unknown question or choice
-            judgment = JudgmentRecord(**record)
+            judgment = JudgmentRecord(*fields)
         if judgment.triple_id not in triple_ids:
             raise IntegrityError(
                 f"{where}.triple_id: unknown triple {judgment.triple_id!r}"

@@ -2,6 +2,16 @@
 
 Used by the test suite and handy for smoke-testing the command line
 without access to a judgment study.
+
+The demo files are a pure function of ``make_demo_dataset``'s arguments,
+and tests pin their sha256. Every pick from a tuple or list is
+``seq[rng.integers(len(seq))]``: for one draw with replacement and no
+weights, ``Generator.choice`` draws that same bounded integer, but first
+turns the sequence into an array, at about five times the cost. Batched
+draws (a sentence's tokens, a worker's six scores and its three choices)
+take the values the same scalar calls would, in the same order. So the
+random stream, and with it every byte written, is the one the scalar
+picks gave.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DesignMatrix
+from .dataset import CATEGORIES, DesignMatrix, atomic_write
 from .inference import _expit
 from .trees import ParseTree
 
@@ -27,17 +37,17 @@ _POS_LABELS = ("NN", "VB", "DT", "JJ", "IN", "RB")
 
 def random_sentence_tree(rng: np.random.Generator, n_tokens: int) -> ParseTree:
     """Random constituency tree with POS preterminals and an S root."""
-    tokens = [str(rng.choice(_VOCAB)) for _ in range(n_tokens)]
+    tokens = [_VOCAB[i] for i in rng.integers(len(_VOCAB), size=n_tokens).tolist()]
 
     def build(span: list[str], depth: int) -> ParseTree:
         if len(span) == 1:
-            pos = str(rng.choice(_POS_LABELS))
+            pos = _POS_LABELS[rng.integers(len(_POS_LABELS))]
             return ParseTree(pos, (ParseTree(span[0]),))
         if depth > 4 or len(span) == 2:
             cut = 1
         else:
             cut = int(rng.integers(1, len(span)))
-        label = str(rng.choice(_PHRASE_LABELS))
+        label = _PHRASE_LABELS[rng.integers(len(_PHRASE_LABELS))]
         left = build(span[:cut], depth + 1)
         right = build(span[cut:], depth + 1)
         return ParseTree(label, (left, right))
@@ -51,21 +61,16 @@ def random_sentence_tree(rng: np.random.Generator, n_tokens: int) -> ParseTree:
 def random_conllu(rng: np.random.Generator, tokens: list[str]) -> str:
     """Random single-rooted acyclic dependency block over the tokens."""
     n = len(tokens)
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     heads = [0] * n
-    placed = [int(order[0])]
+    placed = order[:1]
     for idx in order[1:]:
-        heads[int(idx)] = int(rng.choice(placed)) + 1
-        placed.append(int(idx))
-    lines = []
-    for i, form in enumerate(tokens):
-        rel = "root" if heads[i] == 0 else "dep"
-        lines.append(
-            "\t".join(
-                [str(i + 1), form, "_", "_", "_", "_", str(heads[i]), rel, "_", "_"]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        heads[idx] = placed[rng.integers(len(placed))] + 1
+        placed.append(idx)
+    return "".join(
+        f"{i}\t{form}\t_\t_\t_\t_\t{head}\t{'dep' if head else 'root'}\t_\t_\n"
+        for i, (form, head) in enumerate(zip(tokens, heads), start=1)
+    )
 
 
 def _sentence_block(rng: np.random.Generator, n_sentences: int, lo: int, hi: int):
@@ -73,8 +78,9 @@ def _sentence_block(rng: np.random.Generator, n_sentences: int, lo: int, hi: int
         random_sentence_tree(rng, int(rng.integers(lo, hi + 1)))
         for _ in range(n_sentences)
     ]
-    conllu = "\n".join(random_conllu(rng, t.tokens()) for t in trees)
-    text = " . ".join(" ".join(t.tokens()) for t in trees) + " ."
+    tokens = [t.tokens() for t in trees]
+    conllu = "\n".join(random_conllu(rng, toks) for toks in tokens)
+    text = " . ".join(" ".join(toks) for toks in tokens) + " ."
     return trees, conllu, text
 
 
@@ -89,7 +95,6 @@ def make_demo_dataset(
     their paths."""
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     triples_path = out / "triples.jsonl"
     judgments_path = out / "judgments.jsonl"
 
@@ -130,19 +135,15 @@ def make_demo_dataset(
         )
         for w in range(n_workers):
             wid = f"w{w:02d}"
+            values = rng.integers(3, 6, size=6).tolist()
             scores = {
-                side: {
-                    cat: int(rng.integers(3, 6))
-                    for cat in ("grammar", "meaning", "fluency")
-                }
-                for side in ("a", "b")
+                "a": dict(zip(CATEGORIES, values[:3])),
+                "b": dict(zip(CATEGORIES, values[3:])),
             }
-            for question, p_first in (
-                ("S_vs_A", 0.33),
-                ("S_vs_B", 0.38),
-                ("A_vs_B", 0.58),
+            for (question, p_first), u in zip(
+                (("S_vs_A", 0.33), ("S_vs_B", 0.38), ("A_vs_B", 0.58)),
+                rng.uniform(size=3).tolist(),
             ):
-                u = rng.uniform()
                 if u < 0.02:
                     choice = "not_sure"
                 elif u < 0.02 + p_first * 0.98:
@@ -161,8 +162,8 @@ def make_demo_dataset(
                         }
                     )
                 )
-    triples_path.write_text("\n".join(triple_lines) + "\n", encoding="utf-8")
-    judgments_path.write_text("\n".join(judgment_lines) + "\n", encoding="utf-8")
+    atomic_write(triples_path, "\n".join(triple_lines) + "\n")
+    atomic_write(judgments_path, "\n".join(judgment_lines) + "\n")
     return triples_path, judgments_path
 
 

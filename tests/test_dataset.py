@@ -513,6 +513,37 @@ class TestAtomicWrite:
         assert [p.name for p in path.parent.iterdir()] == ["report.txt"]
 
 
+class TestLocated:
+    def test_nested_blocks_prefix_outermost_first(self):
+        with pytest.raises(ValidationError) as info:
+            with dataset._located("path:3"):
+                with dataset._located("a.ptb"):
+                    raise ValidationError("bad label")
+        assert str(info.value) == "path:3: a.ptb: bad label"
+
+    def test_error_keeps_its_type_and_offset(self):
+        err = ParseError("unbalanced brackets", 17)
+        with pytest.raises(ParseError) as info:
+            with dataset._located("path:3.a.ptb"):
+                raise err
+        assert info.value is err
+        assert info.value.offset == 17
+        assert str(err) == "path:3.a.ptb: unbalanced brackets (byte offset 17)"
+
+    def test_other_errors_pass_through_unchanged(self):
+        with pytest.raises(KeyError) as info:
+            with dataset._located("path:3"):
+                raise KeyError("grammar")
+        assert info.value.args == ("grammar",)
+
+    def test_clean_block_returns_normally(self):
+        def inside() -> int:
+            with dataset._located("path:3"):
+                return 4
+
+        assert inside() == 4
+
+
 class TestDesignMatrix:
     def test_single_judgment_layout(self, loaded):
         triples, judgments, *_ = loaded
