@@ -7,7 +7,6 @@ linear dependency length over dependency graphs.
 
 from __future__ import annotations
 
-from .errors import ValidationError
 from .trees import DepGraph, ParseTree
 
 
@@ -83,8 +82,6 @@ def tnodes(tree: ParseTree) -> float:
     so the ratio reflects structural size."""
     nodes = list(tree.iter_nodes())
     tokens = sum(1 for node in nodes if node.is_leaf)
-    if tokens == 0:
-        raise ValidationError("tree has no token leaves")
     return (len(nodes) - tokens) / tokens
 
 

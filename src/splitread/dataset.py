@@ -136,7 +136,11 @@ class JudgmentRecord:
             raise ValidationError(f"unknown choice {self.choice!r}")
 
     def scores(self, side: str) -> SideScores:
-        return self.scores_a if side == "a" else self.scores_b
+        if side == "a":
+            return self.scores_a
+        if side == "b":
+            return self.scores_b
+        raise ValueError(f"unknown side {side!r}")
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -285,12 +289,17 @@ def load_triples(
     seen: set[str] = set()
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
-        # An id is written unquoted into a CSV cell.
+        # An id is written unquoted into a CSV cell, and a line that starts
+        # with '#' reads as a header comment.
         triple_id = _require(obj, "id", where)
-        if type(triple_id) is not str or any(c in triple_id for c in ",\n\r"):
+        if (
+            type(triple_id) is not str
+            or any(c in triple_id for c in ',"\n\r')
+            or triple_id.startswith("#")
+        ):
             raise ValidationError(
-                f"{where}.id: expected a string without ',', '\\n' or '\\r', "
-                f"got {json.dumps(triple_id)}"
+                f"{where}.id: expected a string without ',', '\"', '\\n' or "
+                f"'\\r' that does not start with '#', got {json.dumps(triple_id)}"
             )
         if triple_id in seen:
             raise ValidationError(f"{where}: duplicate triple id {triple_id!r}")

@@ -261,7 +261,7 @@ def _run_chain(
     for it in range(config.warmup + config.draws):
         sampling = it >= config.warmup
         jitter = rng.uniform(0.8, 1.2)
-        n_steps = max(1, round(config.num_steps * jitter))
+        n_steps = round(config.num_steps * jitter)
         p0 = rng.standard_normal(dim)
         h0 = -lp + 0.5 * float(p0 @ p0)
         q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)

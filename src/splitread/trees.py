@@ -221,8 +221,11 @@ def parse_conllu(text: str) -> list[DepGraph]:
             graphs.append(DepGraph(tuple(block)))
             block = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    # Lines end at \r\n, a lone \r or \n, as errors.read_text reads files,
+    # and nowhere else: str.splitlines() would also break a FORM at U+2028,
+    # U+0085, \f and the other Unicode line boundaries.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             flush()
             continue

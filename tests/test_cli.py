@@ -73,6 +73,18 @@ _README_CONFIG = {
 }
 
 
+# What each top-level config key's error message says it expected.
+_CONFIG_VALUE_EXPECTED = {
+    "keep_punctuation": "true or false",
+    "triples": "a string",
+    "out": "a string",
+    "word_list": "a string or null",
+    "predictors": "a list of strings",
+    "kernel_sigma": "a finite number",
+    "layout": '"long"',
+}
+
+
 class TestConfigHeader:
     # Pinned values: the config hash must not drift when the config code
     # is reorganized, or reruns stop matching older artifacts.
@@ -271,6 +283,21 @@ class TestFitLanes:
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == "error: log posterior is not finite at initialization\n"
+
+    def test_ablation_independent_of_lanes(self, workspace, monkeypatch):
+        tmp, triples, judgments = workspace
+        out = tmp / "ablate_lanes"  # one path: it is part of the config hash
+        config = _write_config(
+            tmp, triples, judgments, out, sampler={"warmup": 50, "draws": 50}
+        )
+        argv = ["ablate", "--config", str(config), "--predictors", "fluency,split"]
+        names = ("ablation.csv", "ablation.txt")
+        written = []
+        for lanes in (1, 2):
+            pin_lanes(monkeypatch, lanes)
+            assert cli.main(argv) == 0
+            written.append([(out / name).read_bytes() for name in names])
+        assert written[1] == written[0]
 
 
 class TestExtractLanes:
@@ -603,21 +630,23 @@ class TestReport:
 
 class TestErrors:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["fit", "--seed", "abc"],
-            ["fit", "--bogus"],
-            ["fit", "--profile", "huge"],
-            ["bogus"],
+            (["fit", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["fit", "--bogus"], "error: unrecognized arguments: --bogus"),
+            (["fit", "--profile", "huge"], "argument --profile: invalid choice: 'huge'"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
         ],
         ids=["seed", "unknown-flag", "profile", "subcommand"],
     )
-    def test_usage_error_exits_validation(self, argv, capsys):
+    def test_usage_error_exits_validation(self, argv, message, capsys):
         # Exit 2 is reserved for the convergence gate.
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("usage: splitread")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: splitread")
+        assert message in err
 
     def test_help_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -666,6 +695,22 @@ class TestErrors:
         )
         assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
         assert "config file is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["triples", "judgments"])
+    def test_input_nested_past_recursion_limit(self, tmp_path, capsys, name):
+        files = {"triples": json.dumps(_TRIPLE), "judgments": json.dumps(_JUDGMENT)}
+        files[name] = '{"id": "x", "n": ' + "[" * 100000 + "]" * 100000 + "}"
+        paths = {key: tmp_path / f"{key}.jsonl" for key in files}
+        for key, text in files.items():
+            paths[key].write_text(text + "\n", encoding="utf-8")
+        code = cli.main([
+            "report", "--triples", str(paths["triples"]),
+            "--judgments", str(paths["judgments"]), "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[name]}:1: bad JSON: ")
+        assert "Traceback" not in err
 
     def test_kernel_overflow_named(self, tmp_path, capsys):
         # sigma + 1 is finite, but the product of two self-kernels is not.
@@ -730,7 +775,10 @@ class TestErrors:
         data = {**_MINIMAL_CONFIG, key: value}
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert f"config value {key}=" in capsys.readouterr().err
+        expected = _CONFIG_VALUE_EXPECTED[key]
+        assert capsys.readouterr().err == (
+            f"error: config value {key}={json.dumps(value)}: expected {expected}\n"
+        )
 
     @pytest.mark.parametrize(
         "key, value",
@@ -849,7 +897,10 @@ _TWO_SENTENCES = (
     "\n"
     "1\ty\t_\t_\t_\t_\t0\troot\t_\t_\n"
 )
-_BAD_ID = ":1.id: expected a string without ',', '\\n' or '\\r', got "
+_BAD_ID = (
+    ":1.id: expected a string without ',', '\"', '\\n' or '\\r' that does not "
+    "start with '#', got "
+)
 # (field path, value, expected error) for one record field of the wrong shape.
 _MALFORMED = [
     ("source", ["(S (NN x))"], ":1.source: expected a JSON object"),
@@ -894,6 +945,16 @@ _MALFORMED = [
         "1\tx\t_\t_\t_\t_\t1\tdep\t_\t_\n",
         ":1.conllu.source: expected exactly one root, found 0",
     ),
+    (
+        "conllu.a",
+        "1\tx\t_\t_\t_\t_\t1_0\troot\t_\t_\n",
+        ":1.conllu.a: line 1: bad HEAD value '1_0'",
+    ),
+    (
+        "conllu.a",
+        "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n2-\ty\t_\t_\t_\t_\t1\tdep\t_\t_\n",
+        ":1.conllu.a: line 2: bad token id '2-'",
+    ),
     ("choice", "firts", ":1: unknown choice 'firts'"),
     ("question", "S_vs_C", ":1: unknown question 'S_vs_C'"),
     (
@@ -905,6 +966,10 @@ _MALFORMED = [
     ("id", "t,0", _BAD_ID + '"t,0"'),
     ("id", "t\n0", _BAD_ID + '"t\\n0"'),
     ("id", "t\r0", _BAD_ID + '"t\\r0"'),
+    # csv.reader would read a quote as the start of a quoted field, and
+    # a row starting with '#' reads as a header comment.
+    ("id", '"q', _BAD_ID + '"\\"q"'),
+    ("id", "#t0", _BAD_ID + '"#t0"'),
     ("id", 5, _BAD_ID + "5"),
     ("id", ["a", "b"], _BAD_ID + '["a", "b"]'),
     # A judgment's ids are JSON strings, and its triple must be loaded.
@@ -1086,3 +1151,59 @@ def test_fit_does_not_load_scipy_special(blocked_run, command, artifacts):
     tmp, printed, stderr = blocked_run
     assert f"{command} 0" in printed, stderr
     assert _written(tmp, artifacts) == artifacts
+
+
+@pytest.fixture(scope="module")
+def strict_run(tmp_path_factory):
+    # Every command on small demo sets, under umask 022, with any
+    # RuntimeWarning raised as an error and the chains and triples spread
+    # over two forked lanes, which inherit the warning filter. Returns the
+    # directory and each run's exit code.
+    tmp = tmp_path_factory.mktemp("strict")
+    make_demo_dataset(tmp / "data", n_triples=4, n_workers=2)
+    make_demo_dataset(tmp / "tiny", n_triples=2, n_workers=1, seed=4)
+    fit = tmp / "fit.json"
+    fit.write_text(json.dumps({"sampler": {"warmup": 50, "draws": 50}}), encoding="utf-8")
+
+    def data(name):
+        return [
+            "--triples", str(tmp / name / "triples.jsonl"),
+            "--judgments", str(tmp / name / "judgments.jsonl"),
+            "--out", str(tmp / f"{name}-out"),
+        ]
+
+    runs = {
+        "extract": ["extract", *data("data")],
+        "report": ["report", *data("data")],
+        "fit": ["fit", "--config", str(fit), *data("data")],
+        "ablate": ["ablate", "--config", str(fit), "--predictors", "fluency,split",
+                   *data("data")],
+        "report-tiny": ["report", *data("tiny")],
+    }
+    umask = os.umask(0o022)
+    try:
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pin_lanes(patch, 2)
+            codes = {name: cli.main(argv) for name, argv in runs.items()}
+    finally:
+        os.umask(umask)
+    return tmp, codes
+
+
+def test_no_runtime_warning_in_any_command(strict_run):
+    _, codes = strict_run
+    assert codes == dict.fromkeys(["extract", "report", "fit", "ablate", "report-tiny"], 0)
+
+
+def test_artifacts_follow_umask_and_leave_no_temp_file(strict_run):
+    tmp, _ = strict_run
+    artifacts = {
+        p.name: p.stat().st_mode & 0o777 for p in (tmp / "data-out").iterdir()
+    }
+    assert artifacts == dict.fromkeys(
+        ["features.csv", "report.txt", "summary.csv", "histograms.csv", "draws.csv",
+         "ablation.csv", "ablation.txt"],
+        0o644,
+    )
+    assert list(tmp.rglob("*.tmp")) == []

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import signal
 import sys
 import warnings
+from collections import defaultdict, deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -245,6 +247,15 @@ class TestIngest:
         triples, *_ = loaded
         for t in triples:
             assert len(t.source_graphs) == len(t.source_trees) == 1
+
+    def test_scores_of_unknown_side_rejected(self, loaded):
+        _, judgments, *_ = loaded
+        judgment = judgments[0]
+        assert judgment.scores("a") is judgment.scores_a
+        assert judgment.scores("b") is judgment.scores_b
+        for side in ("A", "B", "", "source"):
+            with pytest.raises(ValueError, match=f"^unknown side {side!r}$"):
+                judgment.scores(side)
 
     def test_full_scale_judgment_count(self, tmp_path):
         # 221 triples x 7 workers: 1,547 two-vs-three comparisons and one
@@ -728,6 +739,151 @@ def _with_deep_tree(triple, where, depth):
         return replace(triple, source_trees=(chain, *triple.source_trees[1:]))
     trees = triple.split_a.trees
     return replace(triple, split_a=replace(triple.split_a, trees=(trees[0], chain, *trees[2:])))
+
+
+def _keep_pair_order(records, order):
+    """``records`` in ``order``, except that the records of each (triple,
+    worker) fill their positions in their original relative order."""
+    queues = defaultdict(deque)
+    for record in records:
+        queues[record["triple_id"], record["worker_id"]].append(record)
+    return [
+        queues[records[i]["triple_id"], records[i]["worker_id"]].popleft()
+        for i in order
+    ]
+
+
+# Ids that load_triples accepts and csv_line writes in one cell.
+_IDS = st.text(
+    st.characters(codec="utf-8", exclude_characters=',"\n\r'), min_size=1, max_size=5
+).filter(lambda s: not s.startswith("#"))
+
+
+def _renaming(data, ids):
+    """An order-preserving map of ``ids`` onto drawn ids."""
+    new = data.draw(st.lists(_IDS, min_size=len(ids), max_size=len(ids), unique=True))
+    return dict(zip(sorted(ids), sorted(new)))
+
+
+class TestMatrixRelations:
+    """Metamorphic relations of ingest -> build_design_matrix: edits to the
+    input files whose effect on X, y and columns is known, checked without
+    the sampler or any pinned value."""
+
+    @pytest.fixture(scope="class")
+    def study(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("relations")
+        paths = make_demo_dataset(tmp, n_triples=6, n_workers=3, seed=17)
+        triples, judgments = (
+            [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+            for path in paths
+        )
+        # Two (triple, worker) pairs answer A_vs_B twice, so the order of
+        # a pair's records is part of the input.
+        for record in [j for j in judgments if j["question"] == "A_vs_B"][:2]:
+            again = copy.deepcopy(record)
+            again["choice"] = "second" if record["choice"] == "first" else "first"
+            again["scores"]["a"]["grammar"] = 6 - record["scores"]["a"]["grammar"]
+            judgments.append(again)
+        with pytest.MonkeyPatch.context() as patch:
+            pin_lanes(patch, 1)  # no fork per example
+            yield tmp, triples, judgments, self._matrix(tmp, triples, judgments)
+
+    @staticmethod
+    def _matrix(tmp, triples, judgments):
+        for name, records in (("triples", triples), ("judgments", judgments)):
+            text = "".join(json.dumps(record) + "\n" for record in records)
+            (tmp / f"{name}.jsonl").write_text(text, encoding="utf-8")
+        return build_design_matrix(
+            *ingest(tmp / "judgments.jsonl", tmp / "triples.jsonl")
+        )
+
+    @staticmethod
+    def _assert_same(matrix, base):
+        assert matrix.columns == base.columns
+        assert matrix.X.shape == base.X.shape
+        assert matrix.X.tobytes() == base.X.tobytes()
+        assert matrix.y.tobytes() == base.y.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_judgment_order_within_pairs_kept(self, study, data):
+        tmp, triples, judgments, base = study
+        order = data.draw(st.permutations(range(len(judgments))))
+        shuffled = _keep_pair_order(judgments, order)
+        self._assert_same(self._matrix(tmp, triples, shuffled), base)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_triple_order(self, study, data):
+        tmp, triples, judgments, base = study
+        shuffled = data.draw(st.permutations(triples))
+        self._assert_same(self._matrix(tmp, shuffled, judgments), base)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_order_preserving_renames(self, study, data):
+        tmp, triples, judgments, base = study
+        tids = _renaming(data, [t["id"] for t in triples])
+        wids = _renaming(data, {j["worker_id"] for j in judgments})
+        triples = [{**t, "id": tids[t["id"]]} for t in triples]
+        judgments = [
+            {**j, "triple_id": tids[j["triple_id"]], "worker_id": wids[j["worker_id"]]}
+            for j in judgments
+        ]
+        self._assert_same(self._matrix(tmp, triples, judgments), base)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_not_sure_records_added(self, study, data):
+        tmp, triples, judgments, base = study
+        score = st.integers(1, 5)
+        side = st.fixed_dictionaries({c: score for c in CATEGORIES})
+        extra = st.fixed_dictionaries({
+            "triple_id": st.sampled_from([t["id"] for t in triples]),
+            "worker_id": st.one_of(
+                st.sampled_from(sorted({j["worker_id"] for j in judgments})), _IDS
+            ),
+            "question": st.sampled_from(dataset.QUESTIONS),
+            "choice": st.just("not_sure"),
+            "scores": st.fixed_dictionaries({"a": side, "b": side}),
+        })
+        added = list(judgments)
+        for record in data.draw(st.lists(extra, min_size=1, max_size=8)):
+            added.insert(data.draw(st.integers(0, len(added))), record)
+        self._assert_same(self._matrix(tmp, triples, added), base)
+
+    def test_flipped_choices_flip_y(self, study):
+        tmp, triples, judgments, base = study
+        swap = {"first": "second", "second": "first", "not_sure": "not_sure"}
+        flipped = [
+            {**j, "choice": swap[j["choice"]]} if j["question"] == "A_vs_B" else j
+            for j in judgments
+        ]
+        matrix = self._matrix(tmp, triples, flipped)
+        assert matrix.columns == base.columns
+        assert matrix.X.tobytes() == base.X.tobytes()
+        assert matrix.y.tobytes() == (1.0 - base.y).tobytes()
+
+    def test_swapped_scores_swap_score_cells(self, study):
+        # Each judgment's rows are side a then side b; the score columns
+        # are standardized over the same values summed in another order.
+        tmp, triples, judgments, base = study
+        swapped = [
+            {**j, "scores": {"a": j["scores"]["b"], "b": j["scores"]["a"]}}
+            for j in judgments
+        ]
+        matrix = self._matrix(tmp, triples, swapped)
+        assert matrix.columns == base.columns
+        assert matrix.y.tobytes() == base.y.tobytes()
+        scores = [base.columns.index(c) for c in CATEGORIES]
+        others = [k for k in range(len(base.columns)) if k not in scores]
+        partner = np.arange(base.n_rows) ^ 1  # 0<->1, 2<->3, ...
+        assert matrix.X[:, others].tobytes() == base.X[:, others].tobytes()
+        np.testing.assert_allclose(
+            matrix.X[:, scores], base.X[partner][:, scores], rtol=0, atol=1e-12
+        )
+        assert not np.array_equal(matrix.X[:, scores], base.X[:, scores])
 
 
 class TestTreeDepthLimit:

@@ -21,6 +21,8 @@ def test_every_exported_name_resolves():
     missing = [name for name in splitread.__all__ if not hasattr(splitread, name)]
     assert missing == []
     assert len(set(splitread.__all__)) == len(splitread.__all__)
+    # README's 13 library names and the seven error and warning types.
+    assert len(splitread.__all__) == 20
 
 
 def test_star_import():

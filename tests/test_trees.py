@@ -190,6 +190,37 @@ class TestParseConllu:
             with pytest.raises(ValidationError):
                 parse_conllu("\n".join(bad))
 
+    # Every line boundary of str.splitlines() other than \n and \r.
+    @pytest.mark.parametrize(
+        "char", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_unicode_line_boundary_kept_in_form(self, char):
+        text = f"1\tA{char}x\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        (graph,) = parse_conllu(text)
+        assert [tok.form for tok in graph.tokens] == [f"A{char}x", "b"]
+
+    _TWO_BLOCKS = [
+        "# sent_id = 1",
+        "1\ta\t_\t_\t_\t_\t2\tdep\t_\t_",
+        "2\tb\t_\t_\t_\t_\t0\troot\t_\t_",
+        "",
+        "1\tc\u2028d\t_\t_\t_\t_\t0\troot\t_\t_",
+    ]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_line_endings_give_the_same_graphs(self, newline):
+        lines = self._TWO_BLOCKS
+        expected = parse_conllu("\n".join(lines) + "\n")
+        assert [len(g.tokens) for g in expected] == [2, 1]
+        assert parse_conllu(newline.join(lines) + newline) == expected
+        assert parse_conllu(newline.join(lines)) == expected
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_line_number_counts_line_endings_only(self, newline):
+        lines = [*self._TWO_BLOCKS, "", "1\te\x85f\t_\t_\t_\t_\t1_0\troot\t_\t_"]
+        with pytest.raises(FormatError, match="^line 7: bad HEAD value '1_0'$"):
+            parse_conllu(newline.join(lines) + newline)
+
 
 class TestYieldTokens:
     # The yield of a tree is its token leaves, left to right.
