@@ -15,6 +15,7 @@ Everything up to the design matrix runs on the standard library, so
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -361,29 +362,72 @@ def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
         return SideScores(obj["grammar"], obj["meaning"], obj["fluency"])
 
 
+def _checked_judgment(
+    obj: dict, where: str, triple_ids: Collection[str]
+) -> JudgmentRecord:
+    """The record ``obj`` after every field check; the first error found
+    is raised, located at ``where``."""
+    scores = _object(obj, "scores", where)
+    fields = (
+        _string(obj, "triple_id", where),
+        _string(obj, "worker_id", where),
+        _require(obj, "question", where),
+        _require(obj, "choice", where),
+        _parse_scores(scores, "a", where),
+        _parse_scores(scores, "b", where),
+    )
+    with _located(where):  # an unknown question or choice
+        judgment = JudgmentRecord(*fields)
+    if judgment.triple_id not in triple_ids:
+        raise IntegrityError(
+            f"{where}.triple_id: unknown triple {judgment.triple_id!r}"
+        )
+    return judgment
+
+
+# One SideScores for each valid (grammar, meaning, fluency), shared by
+# every record that carries it.
+_SIDE_SCORES = {
+    key: SideScores(*key) for key in itertools.product(range(1, 6), repeat=3)
+}
+
+
+def _known_scores(side) -> SideScores | None:
+    """The SideScores of a valid score object, or None."""
+    if type(side) is dict:
+        key = (side.get("grammar"), side.get("meaning"), side.get("fluency"))
+        # True == 1 and 3.0 == 3, so only ints are looked up.
+        if type(key[0]) is type(key[1]) is type(key[2]) is int:
+            return _SIDE_SCORES.get(key)
+    return None
+
+
 def load_judgments(
     path: str | Path, triple_ids: Collection[str]
 ) -> list[JudgmentRecord]:
     """The judgment records of ``path``, each naming one of ``triple_ids``."""
     records: list[JudgmentRecord] = []
     for lineno, obj in _json_lines(path):
-        where = f"{path}:{lineno}"
-        scores = _object(obj, "scores", where)
-        fields = (
-            _string(obj, "triple_id", where),
-            _string(obj, "worker_id", where),
-            _require(obj, "question", where),
-            _require(obj, "choice", where),
-            _parse_scores(scores, "a", where),
-            _parse_scores(scores, "b", where),
-        )
-        with _located(where):  # an unknown question or choice
-            judgment = JudgmentRecord(*fields)
-        if judgment.triple_id not in triple_ids:
-            raise IntegrityError(
-                f"{where}.triple_id: unknown triple {judgment.triple_id!r}"
+        # A valid record passes these few lookups; any other goes to
+        # _checked_judgment, which locates its first error.
+        triple_id, worker_id = obj.get("triple_id"), obj.get("worker_id")
+        question, choice = obj.get("question"), obj.get("choice")
+        scores = obj.get("scores")
+        if (
+            type(triple_id) is str
+            and type(worker_id) is str
+            and question in QUESTIONS
+            and choice in CHOICES
+            and type(scores) is dict
+            and (a := _known_scores(scores.get("a"))) is not None
+            and (b := _known_scores(scores.get("b"))) is not None
+            and triple_id in triple_ids
+        ):
+            records.append(
+                JudgmentRecord(triple_id, worker_id, question, choice, a, b)
             )
-        records.append(judgment)
+        else:
+            records.append(_checked_judgment(obj, f"{path}:{lineno}", triple_ids))
     return records
 
 

@@ -12,6 +12,12 @@ draws (a sentence's tokens, a worker's six scores and its three choices)
 take the values the same scalar calls would, in the same order. So the
 random stream, and with it every byte written, is the one the scalar
 picks gave.
+
+Trees are drawn straight to text: each sentence's bracketed string is
+written during the recursive draw, and its tokens are the drawn token
+list. A judgment line is formatted around one ``json.dumps`` of its
+worker's scores and holds the bytes ``json.dumps`` gives for the whole
+record, as its other fields are ASCII that needs no escape.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import numpy as np
 
 from .dataset import CATEGORIES, DesignMatrix, atomic_write
 from .inference import _expit
-from .trees import ParseTree
 
 _VOCAB = (
     "alder", "airport", "serves", "island", "runway", "surface", "grass",
@@ -35,27 +40,42 @@ _PHRASE_LABELS = ("NP", "VP", "PP", "ADJP", "ADVP")
 _POS_LABELS = ("NN", "VB", "DT", "JJ", "IN", "RB")
 
 
-def random_sentence_tree(rng: np.random.Generator, n_tokens: int) -> ParseTree:
-    """Random constituency tree with POS preterminals and an S root."""
+def random_sentence_tree(
+    rng: np.random.Generator, n_tokens: int
+) -> tuple[str, list[str]]:
+    """A random constituency tree with POS preterminals and an S root,
+    drawn straight to its bracketed text: returns that text and the
+    tree's tokens."""
     tokens = [_VOCAB[i] for i in rng.integers(len(_VOCAB), size=n_tokens).tolist()]
+    integers = rng.integers
+    parts: list[str] = []
 
-    def build(span: list[str], depth: int) -> ParseTree:
-        if len(span) == 1:
-            pos = _POS_LABELS[rng.integers(len(_POS_LABELS))]
-            return ParseTree(pos, (ParseTree(span[0]),))
-        if depth > 4 or len(span) == 2:
-            cut = 1
+    # Appends the text of a binary tree over tokens[lo:hi]: each node's
+    # label is drawn after its cut and before its children.
+    def build(lo: int, hi: int, depth: int) -> None:
+        if hi - lo == 1:
+            parts.append(f"({_POS_LABELS[integers(len(_POS_LABELS))]} {tokens[lo]})")
+            return
+        if depth > 4 or hi - lo == 2:
+            cut = lo + 1
         else:
-            cut = int(rng.integers(1, len(span)))
-        label = _PHRASE_LABELS[rng.integers(len(_PHRASE_LABELS))]
-        left = build(span[:cut], depth + 1)
-        right = build(span[cut:], depth + 1)
-        return ParseTree(label, (left, right))
+            cut = lo + int(integers(1, hi - lo))
+        parts.append(f"({_PHRASE_LABELS[integers(len(_PHRASE_LABELS))]} ")
+        build(lo, cut, depth + 1)
+        parts.append(" ")
+        build(cut, hi, depth + 1)
+        parts.append(")")
 
+    parts.append("(S ")
     if n_tokens == 1:
-        return ParseTree("S", (build(tokens, 1),))
-    cut = max(1, n_tokens // 3)
-    return ParseTree("S", (build(tokens[:cut], 1), build(tokens[cut:], 1)))
+        build(0, 1, 1)
+    else:
+        cut = max(1, n_tokens // 3)
+        build(0, cut, 1)
+        parts.append(" ")
+        build(cut, n_tokens, 1)
+    parts.append(")")
+    return "".join(parts), tokens
 
 
 def random_conllu(rng: np.random.Generator, tokens: list[str]) -> str:
@@ -73,15 +93,18 @@ def random_conllu(rng: np.random.Generator, tokens: list[str]) -> str:
     )
 
 
-def _sentence_block(rng: np.random.Generator, n_sentences: int, lo: int, hi: int):
-    trees = [
+def _sentence_block(
+    rng: np.random.Generator, n_sentences: int, lo: int, hi: int
+) -> tuple[list[str], str, str]:
+    """The bracketed trees, CoNLL-U text and plain text of ``n_sentences``
+    random sentences of ``lo`` to ``hi`` tokens."""
+    sentences = [
         random_sentence_tree(rng, int(rng.integers(lo, hi + 1)))
         for _ in range(n_sentences)
     ]
-    tokens = [t.tokens() for t in trees]
-    conllu = "\n".join(random_conllu(rng, toks) for toks in tokens)
-    text = " . ".join(" ".join(toks) for toks in tokens) + " ."
-    return trees, conllu, text
+    conllu = "\n".join(random_conllu(rng, tokens) for _, tokens in sentences)
+    text = " . ".join(" ".join(tokens) for _, tokens in sentences) + " ."
+    return [ptb for ptb, _ in sentences], conllu, text
 
 
 def make_demo_dataset(
@@ -104,9 +127,9 @@ def make_demo_dataset(
     for i in range(n_triples):
         tid = f"t{i:04d}"
         origin = "bart" if i < n_bart else "human"
-        src_trees, src_conllu, src_text = _sentence_block(rng, 1, 8, 12)
-        a_trees, a_conllu, a_text = _sentence_block(rng, 2, 4, 7)
-        b_trees, b_conllu, b_text = _sentence_block(rng, 3, 3, 6)
+        src_ptb, src_conllu, src_text = _sentence_block(rng, 1, 8, 12)
+        a_ptb, a_conllu, a_text = _sentence_block(rng, 2, 4, 7)
+        b_ptb, b_conllu, b_text = _sentence_block(rng, 3, 3, 6)
         triple_lines.append(
             json.dumps(
                 {
@@ -114,16 +137,16 @@ def make_demo_dataset(
                     "id": tid,
                     "source": {
                         "text": src_text,
-                        "ptb": [t.to_bracketed() for t in src_trees],
+                        "ptb": src_ptb,
                     },
                     "a": {
                         "text": a_text,
-                        "ptb": [t.to_bracketed() for t in a_trees],
+                        "ptb": a_ptb,
                         "origin": origin,
                     },
                     "b": {
                         "text": b_text,
-                        "ptb": [t.to_bracketed() for t in b_trees],
+                        "ptb": b_ptb,
                     },
                     "conllu": {"source": src_conllu, "a": a_conllu, "b": b_conllu},
                     "precomputed": {
@@ -134,12 +157,15 @@ def make_demo_dataset(
             )
         )
         for w in range(n_workers):
-            wid = f"w{w:02d}"
             values = rng.integers(3, 6, size=6).tolist()
-            scores = {
-                "a": dict(zip(CATEGORIES, values[:3])),
-                "b": dict(zip(CATEGORIES, values[3:])),
-            }
+            scores = json.dumps(
+                {
+                    "a": dict(zip(CATEGORIES, values[:3])),
+                    "b": dict(zip(CATEGORIES, values[3:])),
+                }
+            )
+            # Shared by the worker's three records (see the module docstring).
+            head = f'{{"schema": 1, "triple_id": "{tid}", "worker_id": "w{w:02d}"'
             for (question, p_first), u in zip(
                 (("S_vs_A", 0.33), ("S_vs_B", 0.38), ("A_vs_B", 0.58)),
                 rng.uniform(size=3).tolist(),
@@ -151,16 +177,8 @@ def make_demo_dataset(
                 else:
                     choice = "second"
                 judgment_lines.append(
-                    json.dumps(
-                        {
-                            "schema": 1,
-                            "triple_id": tid,
-                            "worker_id": wid,
-                            "question": question,
-                            "choice": choice,
-                            "scores": scores,
-                        }
-                    )
+                    f'{head}, "question": "{question}", "choice": "{choice}", '
+                    f'"scores": {scores}}}'
                 )
     atomic_write(triples_path, "\n".join(triple_lines) + "\n")
     atomic_write(judgments_path, "\n".join(judgment_lines) + "\n")

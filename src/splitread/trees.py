@@ -7,6 +7,7 @@ they never attempt to parse raw text.
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -20,8 +21,9 @@ from .errors import FormatError, ParseError, ValidationError
 _EXTRA_PUNCT = set("`´^~")
 
 # One bracket-file token per match: "(" with the label after it (group 1,
-# empty when there is none), ")", or a bare token (group 2).
-_TOKEN = re.compile(r"\(\s*([^\s()]*)|\)|([^\s()]+)")
+# empty when there is none; group 2 empty), or ")" or a bare token
+# (group 2).
+_TOKEN = re.compile(r"\(\s*([^\s()]*)|(\)|[^\s()]+)")
 # A CoNLL-U ID that is skipped: a multiword range (1-2) or an empty node (1.1).
 _SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
@@ -87,6 +89,7 @@ class DepGraph:
         n = len(self.tokens)
         if n == 0:
             raise ValidationError("dependency graph has no tokens")
+        heads = [0]  # heads[i] is token i's head; 0 stands for the root
         for expected, tok in enumerate(self.tokens, start=1):
             if tok.index != expected:
                 raise ValidationError(
@@ -97,18 +100,26 @@ class DepGraph:
                 raise ValidationError(
                     f"token {tok.index} has head {tok.head} outside 0..{n}"
                 )
-        roots = [tok.index for tok in self.tokens if tok.head == 0]
-        if len(roots) != 1:
-            raise ValidationError(f"expected exactly one root, found {len(roots)}")
+            heads.append(tok.head)
+        roots = heads.count(0) - 1
+        if roots != 1:
+            raise ValidationError(f"expected exactly one root, found {roots}")
         # Walking up from any token must reach the root without revisiting.
-        for tok in self.tokens:
-            seen = set()
-            cur = tok.index
-            while cur != 0:
-                if cur in seen:
+        # A walk stops at the first token known to reach the root, so each
+        # token is walked once: state 0 is unvisited, 1 on this walk, 2
+        # known to reach the root (the root, 0, included).
+        state = [2] + [0] * n
+        for start in range(1, n + 1):
+            path = []
+            cur = start
+            while state[cur] != 2:
+                if state[cur] == 1:
                     raise ValidationError(f"cyclic heads involving token {cur}")
-                seen.add(cur)
-                cur = self.tokens[cur - 1].head
+                state[cur] = 1
+                path.append(cur)
+                cur = heads[cur]
+            for node in path:
+                state[node] = 2
 
 
 def is_punctuation_token(token: str) -> bool:
@@ -138,6 +149,12 @@ def _strip_function_tag(label: str) -> str:
     return label[:cut]
 
 
+def _token_offset(text: str, k: int) -> int:
+    """Byte offset of the ``k``-th bracket-file token of ``text``."""
+    match = next(itertools.islice(_TOKEN.finditer(text), k, None))
+    return _byte_offset(text, match.start())
+
+
 def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     """Parse whitespace-separated bracketed trees, one ParseTree per group.
 
@@ -148,46 +165,55 @@ def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     drops them together with any node left empty.
     """
     trees: list[ParseTree] = []
-    # One frame per open group: its '(' position, raw label and children,
-    # where None stands for a child that cleanup dropped.
+    # One frame per open group: the index of its '(' among the tokens, its
+    # raw label and its children, where None stands for a child that
+    # cleanup dropped. ``children`` is the top frame's list. Positions are
+    # found again only for an error.
     stack: list[tuple[int, str, list[ParseTree | None]]] = []
-    for match in _TOKEN.finditer(text):
-        label, token = match.groups()
-        if label is not None:
-            stack.append((match.start(), label, []))
-            continue
-        if not stack:
+    children: list[ParseTree | None] = []
+    for k, (label, token) in enumerate(_TOKEN.findall(text)):
+        if not token:  # "(" and its label
+            children = []
+            stack.append((k, label, children))
+        elif not stack:
             raise ParseError(
-                f"expected '(' but found {match.group()[0]!r}",
-                _byte_offset(text, match.start()),
+                f"expected '(' but found {token[0]!r}", _token_offset(text, k)
             )
-        if token is not None:
-            keep = keep_punctuation or not is_punctuation_token(token)
-            stack[-1][2].append(ParseTree(token) if keep else None)
-            continue
-        start, label, children = stack.pop()
-        if not children:
-            raise ValidationError(
-                f"bracket group at byte offset {_byte_offset(text, start)} "
-                "has no terminal yield"
-            )
-        kept = tuple(child for child in children if child is not None)
-        node = None
-        if kept and label != "-NONE-":
-            node = ParseTree(_strip_function_tag(label), kept)
-        if stack:
-            stack[-1][2].append(node)
-            continue
-        if node is None:
-            raise ValidationError("bracket group has no terminal yield after cleanup")
-        # Collapse outer wrappers like "( (S ...) )" produced by treebank tools.
-        while (
-            node.label == ""
-            and len(node.children) == 1
-            and not node.children[0].is_leaf
-        ):
-            node = node.children[0]
-        trees.append(node)
+        elif token != ")":
+            if keep_punctuation or not is_punctuation_token(token):
+                children.append(ParseTree(token))
+            else:
+                children.append(None)
+        else:
+            start, label, kept = stack.pop()
+            if not kept:
+                raise ValidationError(
+                    f"bracket group at byte offset {_token_offset(text, start)} "
+                    "has no terminal yield"
+                )
+            # A ParseTree is always true, so this drops the None children.
+            kept = tuple(filter(None, kept))
+            node = None
+            if kept and label != "-NONE-":
+                if "-" in label or "=" in label:
+                    label = _strip_function_tag(label)
+                node = ParseTree(label, kept)
+            if stack:
+                children = stack[-1][2]
+                children.append(node)
+                continue
+            if node is None:
+                raise ValidationError(
+                    "bracket group has no terminal yield after cleanup"
+                )
+            # Collapse outer wrappers like "( (S ...) )" from treebank tools.
+            while (
+                node.label == ""
+                and len(node.children) == 1
+                and not node.children[0].is_leaf
+            ):
+                node = node.children[0]
+            trees.append(node)
     if stack:
         raise ParseError("unbalanced brackets", _byte_offset(text, len(text)))
     return trees
@@ -226,25 +252,36 @@ def parse_conllu(text: str) -> list[DepGraph]:
     # U+0085, \f and the other Unicode line boundaries.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
+        if not line or line.isspace():
             flush()
             continue
-        if line.lstrip().startswith("#"):
+        if "#" in line and line.lstrip().startswith("#"):
             continue
-        cols = line.split("\t")
-        if len(cols) < 8:
-            cols = line.split()
+        # A line holding a tab is split on tabs alone (a FORM may hold a
+        # space); only a line without one is split on runs of whitespace.
+        cols = line.split("\t") if "\t" in line else line.split()
         if len(cols) < 8:
             raise FormatError(
                 f"line {lineno}: expected the 10-column CoNLL-U layout "
                 f"(HEAD/DEPREL missing): {line!r}"
             )
-        token_id = cols[0]
-        if _SKIPPED_ID.fullmatch(token_id):
+        token_id, head = cols[0], cols[6]
+        if (
+            token_id.isascii()
+            and token_id.isdigit()
+            and head.isascii()
+            and head.isdigit()
+        ):
+            try:
+                block.append(DepToken(int(token_id), cols[1], int(head), cols[7]))
+                continue
+            except ValueError:  # past int()'s digit limit
+                pass
+        elif _SKIPPED_ID.fullmatch(token_id):
             continue
-        index = _conllu_int(token_id, f"line {lineno}: bad token id")
-        head = _conllu_int(cols[6], f"line {lineno}: bad HEAD value")
-        block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))
+        # A malformed ID or HEAD: one of these raises, naming the first.
+        _conllu_int(token_id, f"line {lineno}: bad token id")
+        _conllu_int(head, f"line {lineno}: bad HEAD value")
     flush()
     return graphs
 

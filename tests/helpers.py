@@ -14,6 +14,7 @@ import itertools
 import math
 import os
 import random
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ import numpy as np
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
 from splitread.dataset import CATEGORIES, GroupComparison, _t_pvalue
-from splitread.errors import ParseError, ValidationError
+from splitread.errors import FormatError, ParseError, ValidationError
 from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
 from splitread.trees import (
     DepGraph,
@@ -91,6 +92,48 @@ def random_bracket_string(rng: random.Random) -> str:
         else:
             text = text[:i] + rng.choice("() xé") + text[i:]
     return text
+
+
+# Pieces of random CoNLL-U texts: IDs and HEADs that must be rejected,
+# FORMs with a space or a '#', and the three line endings.
+_CONLLU_BAD_NUMBERS = ("2-", "x.y", "1_0", "+1", "\u0663", " 3", "1-2-3", "", "-1")
+_CONLLU_FORMS = ("x", "é", "New York", "#", "a\u2028b")
+_CONLLU_COMMENTS = ("# sent_id = 1", "  # text = x", "#")
+_CONLLU_BLANKS = ("", "", "  ", "\t")
+
+
+def random_conllu_text(rng: random.Random) -> str:
+    """Zero to three random sentences: mostly single-rooted trees, with
+    comments, blank lines, ``1-2`` and ``1.1`` lines, malformed IDs and
+    HEADs, rewired heads (cycles, 0 or 2 roots), short lines and lines
+    split on spaces, joined by \n, \r\n or a lone \r."""
+    lines = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        if rng.random() < 0.3:
+            lines.append(rng.choice(_CONLLU_COMMENTS))
+        n = rng.randint(1, 5)
+        # Token 1 is the root and every other token hangs off an earlier one.
+        heads = [0] + [rng.randint(1, i) for i in range(1, n)]
+        if rng.random() < 0.25:
+            heads[rng.randrange(n)] = rng.randint(0, n + 1)
+        for i, head in enumerate(heads, start=1):
+            if rng.random() < 0.08:
+                skipped = rng.choice((f"{i}-{i + 1}", f"{i}.1"))
+                lines.append(f"{skipped}\tw\t_\t_\t_\t_\t_\t_\t_\t_")
+            token_id, head_text = str(i), str(head)
+            if rng.random() < 0.04:
+                token_id = rng.choice(_CONLLU_BAD_NUMBERS)
+            if rng.random() < 0.04:
+                head_text = rng.choice(_CONLLU_BAD_NUMBERS)
+            cols = [token_id, rng.choice(_CONLLU_FORMS), "_", "_", "_", "_",
+                    head_text, "dep" if head else "root", "_", "_"]
+            if rng.random() < 0.04:
+                cols = cols[: rng.randint(1, 9)]
+            sep = "\t" if rng.random() < 0.85 else rng.choice((" ", "  ", " \t"))
+            lines.append(sep.join(cols))
+        lines.append(rng.choice(_CONLLU_BLANKS))
+    newline = rng.choice(("\n", "\n", "\r\n", "\r"))
+    return newline.join(lines) + rng.choice(("", newline))
 
 
 def random_dep_graph(rng: np.random.Generator, n_tokens: int) -> DepGraph:
@@ -687,3 +730,99 @@ def reference_score_summary(group_a, group_b) -> dict:
             p_value=float(p_value),
         )
     return out
+
+
+# Reference twin: parse_conllu as it was before the one-split reader,
+# kept verbatim but for the tab rule (a line holding a tab is split on
+# tabs alone; the old reader re-split a line with fewer than 8 tab
+# columns on whitespace). It builds graphs with the program's DepGraph.
+
+_REFERENCE_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
+
+
+def _reference_conllu_int(text: str, where: str) -> int:
+    """``text`` as an int, from ASCII digits alone: int() would also take
+    '1_2', '+2', ' 3' and other scripts' digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise FormatError(f"{where} {text!r}")
+
+
+def reference_parse_conllu(text: str) -> list[DepGraph]:
+    """Parse CoNLL-U sentences into dependency graphs.
+
+    Only the ID, FORM, HEAD and DEPREL columns are consumed. Multiword-token
+    ranges (``1-2``) and empty nodes (``1.1``) are skipped, and any other
+    ID that is not ASCII digits is an error; comment lines start with '#';
+    blank lines separate sentences.
+    """
+    graphs: list[DepGraph] = []
+    block: list[DepToken] = []
+
+    def flush() -> None:
+        nonlocal block
+        if block:
+            graphs.append(DepGraph(tuple(block)))
+            block = []
+
+    # Lines end at \r\n, a lone \r or \n, as errors.read_text reads files,
+    # and nowhere else: str.splitlines() would also break a FORM at U+2028,
+    # U+0085, \f and the other Unicode line boundaries.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            flush()
+            continue
+        if line.lstrip().startswith("#"):
+            continue
+        cols = line.split("\t")
+        if "\t" not in line:
+            cols = line.split()
+        if len(cols) < 8:
+            raise FormatError(
+                f"line {lineno}: expected the 10-column CoNLL-U layout "
+                f"(HEAD/DEPREL missing): {line!r}"
+            )
+        token_id = cols[0]
+        if _REFERENCE_SKIPPED_ID.fullmatch(token_id):
+            continue
+        index = _reference_conllu_int(token_id, f"line {lineno}: bad token id")
+        head = _reference_conllu_int(cols[6], f"line {lineno}: bad HEAD value")
+        block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))
+    flush()
+    return graphs
+
+
+# Reference twin: DepGraph's check as it was before the linear-time walk,
+# which walked every token up to the root with a fresh set, kept verbatim.
+
+
+def reference_dep_graph_check(tokens: tuple[DepToken, ...]) -> None:
+    n = len(tokens)
+    if n == 0:
+        raise ValidationError("dependency graph has no tokens")
+    for expected, tok in enumerate(tokens, start=1):
+        if tok.index != expected:
+            raise ValidationError(
+                f"token indices must be consecutive from 1; got {tok.index} "
+                f"at position {expected}"
+            )
+        if not 0 <= tok.head <= n:
+            raise ValidationError(
+                f"token {tok.index} has head {tok.head} outside 0..{n}"
+            )
+    roots = [tok.index for tok in tokens if tok.head == 0]
+    if len(roots) != 1:
+        raise ValidationError(f"expected exactly one root, found {len(roots)}")
+    # Walking up from any token must reach the root without revisiting.
+    for tok in tokens:
+        seen = set()
+        cur = tok.index
+        while cur != 0:
+            if cur in seen:
+                raise ValidationError(f"cyclic heads involving token {cur}")
+            seen.add(cur)
+            cur = tokens[cur - 1].head

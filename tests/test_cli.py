@@ -941,6 +941,13 @@ _MALFORMED = [
         ":1.conllu.a: line 1: expected the 10-column CoNLL-U layout",
     ),
     (
+        # A tab line is split on tabs alone: a space in its FORM does not
+        # make up for the missing column.
+        "conllu.source",
+        "1\tNew York\t_\t_\t_\t0\troot\n",
+        ":1.conllu.source: line 1: expected the 10-column CoNLL-U layout",
+    ),
+    (
         "conllu.source",
         "1\tx\t_\t_\t_\t_\t1\tdep\t_\t_\n",
         ":1.conllu.source: expected exactly one root, found 0",

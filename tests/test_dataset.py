@@ -4,10 +4,11 @@ import copy
 import json
 import math
 import os
+import random
 import signal
 import sys
 import warnings
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -116,6 +117,44 @@ class TestIngest:
         triples, judgments = ingest(empty, triples_path)
         assert judgments == []
         assert len(triples) == 8
+
+    def test_quick_path_agrees_with_the_full_check(self, tmp_path):
+        # load_judgments takes a valid record in a few lookups and hands
+        # any other to _checked_judgment: random edits of a valid record
+        # give the record, or the error, that the full check gives.
+        rng = random.Random(11)
+        values = [True, False, 0, 1, 3, 3.0, 5, 6, 2**70, "x", "t0000", "t9",
+                  "S_vs_B", "not_sure", None, [], {}, {"grammar": 4}]
+        fields = [("triple_id",), ("worker_id",), ("question",), ("choice",),
+                  ("scores",), ("scores", "a"), ("scores", "b"),
+                  *((("scores", side, cat) for side in "ab" for cat in CATEGORIES))]
+        path = tmp_path / "judgments.jsonl"
+        kinds = Counter()
+        for _ in range(3000):
+            obj = json.loads(_judgment_line(score=rng.randint(1, 5)))
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                *parents, key = rng.choice(fields)
+                record = obj
+                for name in parents:
+                    record = record.get(name) if isinstance(record, dict) else None
+                if isinstance(record, dict):
+                    if rng.random() < 0.2:
+                        record.pop(key, None)
+                    else:
+                        record[key] = rng.choice(values)
+            path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+            outcomes = []
+            for read in (
+                lambda: load_judgments(path, {"t0000"}),
+                lambda: [dataset._checked_judgment(obj, f"{path}:1", {"t0000"})],
+            ):
+                try:
+                    outcomes.append(read())
+                except (ValidationError, IntegrityError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], obj
+            kinds[type(outcomes[0])] += 1
+        assert min(kinds[list], kinds[tuple]) > 500
 
     def test_malformed_score_rejected(self, tmp_path, loaded):
         triples_path = loaded[2]

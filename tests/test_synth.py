@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 
 import pytest
 
 from splitread import dataset
 from splitread.synth import make_demo_dataset
+from splitread.trees import parse_conllu, parse_ptb
 
 # sha256 of (triples.jsonl, judgments.jsonl) per make_demo_dataset call.
 # The files are a pure function of the arguments, so these hold on every
@@ -98,3 +100,32 @@ class TestMakeDemoDataset:
             make_demo_dataset(tmp_path, 6, 2, seed=9)
         assert triples.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_triples=24, n_workers=7, seed=3),
+            dict(n_triples=12, n_workers=3, seed=99),
+            dict(n_triples=2, n_workers=1, seed=4),
+        ],
+    )
+    def test_records_agree_with_their_trees(self, tmp_path, kwargs):
+        # Holds whatever numbers numpy's stream gives: each bracketed string
+        # is the text of the trees it parses to, and the plain text and the
+        # CoNLL-U graphs carry those trees' tokens.
+        triples, _ = make_demo_dataset(tmp_path, **kwargs)
+        lines = triples.read_text("utf-8").splitlines()
+        assert len(lines) == kwargs["n_triples"]
+        for line in lines:
+            record = json.loads(line)
+            for name, sentences in (("source", 1), ("a", 2), ("b", 3)):
+                ptb = record[name]["ptb"]
+                trees = [tree for s in ptb for tree in parse_ptb(s)]
+                assert len(ptb) == len(trees) == sentences
+                assert [t.to_bracketed() for t in trees] == ptb
+                assert all(t.label == "S" for t in trees)
+                tokens = [t.tokens() for t in trees]
+                text = " . ".join(" ".join(toks) for toks in tokens) + " ."
+                assert record[name]["text"] == text
+                graphs = parse_conllu(record["conllu"][name])
+                assert [[tok.form for tok in g.tokens] for g in graphs] == tokens

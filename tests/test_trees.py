@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     random_bracket_string,
+    random_conllu_text,
     random_dep_graph,
     random_tree,
+    reference_dep_graph_check,
+    reference_parse_conllu,
     reference_parse_ptb,
 )
 from splitread.errors import FormatError, ParseError, ValidationError
@@ -221,6 +225,93 @@ class TestParseConllu:
         with pytest.raises(FormatError, match="^line 7: bad HEAD value '1_0'$"):
             parse_conllu(newline.join(lines) + newline)
 
+    def test_tab_line_missing_a_column_rejected(self):
+        # Seven tab columns: the FORM holds a space, so a whitespace split
+        # would find eight columns and read FORM 'New', HEAD 0.
+        with pytest.raises(FormatError) as err:
+            parse_conllu("1\tNew York\t_\t_\t_\t0\troot\n")
+        assert str(err.value) == (
+            "line 1: expected the 10-column CoNLL-U layout (HEAD/DEPREL "
+            "missing): '1\\tNew York\\t_\\t_\\t_\\t0\\troot'"
+        )
+
+    def test_tab_layout_keeps_space_in_form(self):
+        text = (
+            "1\tNew York\t_\t_\t_\t_\t2\tdep\t_\t_\n"
+            "2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        )
+        (graph,) = parse_conllu(text)
+        assert [(t.form, t.head) for t in graph.tokens] == [("New York", 2), ("b", 0)]
+
+    def test_space_separated_layout_parses(self):
+        text = "1 a _ _ _ _ 2 dep _ _\n2  b  _ _ _ _ 0 root _ _\n"
+        (graph,) = parse_conllu(text)
+        assert [(t.form, t.head, t.relation) for t in graph.tokens] == [
+            ("a", 2, "dep"),
+            ("b", 0, "root"),
+        ]
+
+    def test_line_with_a_tab_not_split_on_spaces(self):
+        # One tab among spaces: the line is split on that tab alone.
+        with pytest.raises(FormatError, match="^line 1: expected the 10-column"):
+            parse_conllu("1 a _ _ _ _ 0 root\t_ _\n")
+
+
+def _dep_tokens(heads: list[int]) -> tuple[DepToken, ...]:
+    return tuple(DepToken(i, f"w{i}", h, "dep") for i, h in enumerate(heads, start=1))
+
+
+def _check_outcome(check, tokens):
+    """None, or the type and message of the error ``check`` raises."""
+    try:
+        check(tokens)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestDepGraphCheck:
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_long_chain_checked_in_linear_time(self, direction):
+        # Walking each token up to the root with a fresh set is O(n * depth):
+        # minutes for this chain.
+        n = 50_000
+        if direction == "up":  # token i is headed by i + 1, token n by the root
+            heads = [*range(2, n + 1), 0]
+        else:  # token 1 is the root, token i is headed by i - 1
+            heads = [0, *range(1, n)]
+        tokens = _dep_tokens(heads)
+        start = time.process_time()
+        DepGraph(tokens)
+        assert time.process_time() - start < 0.5
+
+    def test_long_cycle_named_by_first_revisited_token(self):
+        n = 50_000
+        heads = [*range(2, n + 1), 1]  # one cycle through every token ...
+        heads[n // 2] = 0  # ... cut by a root, so tokens past it cycle
+        heads[-1] = n // 2 + 2
+        with pytest.raises(ValidationError) as err:
+            DepGraph(_dep_tokens(heads))
+        assert str(err.value) == f"cyclic heads involving token {n // 2 + 2}"
+
+    def test_random_heads_match_reference(self):
+        # Cycles, self-loops, 0 or 2 roots and out-of-range heads give the
+        # error, with its token, that the quadratic check gave.
+        rng = random.Random(31)
+        kinds: Counter = Counter()
+        for _ in range(20_000):
+            n = rng.randint(1, 7)
+            heads = [rng.randint(0, n) for _ in range(n)]
+            if rng.random() < 0.05:
+                heads[rng.randrange(n)] = rng.choice((-1, n + 1))
+            tokens = _dep_tokens(heads)
+            outcome = _check_outcome(DepGraph, tokens)
+            assert outcome == _check_outcome(reference_dep_graph_check, tokens), heads
+            kinds[outcome[1].split(" ")[0] if outcome else None] += 1
+        # Valid graphs, cycles, root counts and ranges each come up often.
+        assert {None, "cyclic", "expected", "token"} <= set(kinds)
+        assert min(kinds.values()) > 0.02 * sum(kinds.values())
+
 
 class TestYieldTokens:
     # The yield of a tree is its token leaves, left to right.
@@ -309,6 +400,41 @@ class TestReferenceTwin:
             for keep in (True, False):
                 trees = parse_ptb(text, keep_punctuation=keep)
                 assert trees == reference_parse_ptb(text, keep_punctuation=keep)
+
+
+def _conllu_outcome(reader, text: str):
+    """The graphs a reader returns, or the type and message of its error."""
+    try:
+        return reader(text)
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConlluReferenceTwin:
+    """The one-split CoNLL-U reader against the reader it replaced."""
+
+    def test_random_conllu_texts(self):
+        rng = random.Random(20261019)
+        kinds: Counter = Counter()
+        for _ in range(12_000):
+            text = random_conllu_text(rng)
+            outcome = _conllu_outcome(parse_conllu, text)
+            assert outcome == _conllu_outcome(reference_parse_conllu, text), text
+            kinds[outcome[0] if isinstance(outcome, tuple) else list] += 1
+        # Graphs and both kinds of error each make up a fair share.
+        assert set(kinds) == {list, FormatError, ValidationError}
+        assert min(kinds.values()) > 0.05 * sum(kinds.values())
+
+    def test_demo_study_texts(self, tmp_path):
+        triples, _ = make_demo_dataset(tmp_path, n_triples=24, n_workers=7, seed=3)
+        texts = [
+            text
+            for line in triples.read_text("utf-8").splitlines()
+            for text in json.loads(line)["conllu"].values()
+        ]
+        assert len(texts) == 24 * 3
+        for text in texts:
+            assert parse_conllu(text) == reference_parse_conllu(text)
 
 
 class TestDeepTrees:
