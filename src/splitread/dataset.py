@@ -79,7 +79,6 @@ MAX_TREE_DEPTH = 200
 
 @dataclass(frozen=True)
 class Simplification:
-    text: str
     trees: tuple[ParseTree, ...]
     origin: str
     graphs: tuple[DepGraph, ...] = ()
@@ -88,12 +87,16 @@ class Simplification:
 
 @dataclass(frozen=True)
 class Triple:
+    """One source sentence: its id, its parse trees, and its two-sentence
+    (``split_a``) and three-sentence (``split_b``) simplifications, each
+    with its trees, origin, dependency graphs and SAMSA score. The
+    records' ``text`` and the source's CoNLL-U are checked on reading but
+    not kept: no predictor reads them."""
+
     id: str
-    source_text: str
     source_trees: tuple[ParseTree, ...]
     split_a: Simplification
     split_b: Simplification
-    source_graphs: tuple[DepGraph, ...] = ()
 
     def side(self, which: str) -> Simplification:
         if which == "a":
@@ -307,9 +310,7 @@ def load_triples(
         seen.add(triple_id)
         conllu = _object(obj, "conllu", where, required=False)
         precomputed = _object(obj, "precomputed", where, required=False)
-        source, source_trees, source_graphs = _read_parses(
-            obj, "source", where, conllu, keep_punctuation
-        )
+        _, source_trees, _ = _read_parses(obj, "source", where, conllu, keep_punctuation)
         if not source_trees:
             raise ValidationError(f"{where}: source has no parse trees")
         sides = []
@@ -333,7 +334,6 @@ def load_triples(
                 )
             sides.append(
                 Simplification(
-                    text=record["text"],
                     trees=trees,
                     origin=origin,
                     graphs=graphs,
@@ -343,11 +343,9 @@ def load_triples(
         triples.append(
             Triple(
                 id=triple_id,
-                source_text=source["text"],
                 source_trees=source_trees,
                 split_a=sides[0],
                 split_b=sides[1],
-                source_graphs=source_graphs,
             )
         )
     return triples
@@ -459,7 +457,6 @@ class GroupComparison:
     sd_a: float
     mean_b: float
     sd_b: float
-    t_stat: float
     p_value: float
 
 
@@ -576,7 +573,8 @@ def score_summary(
     group_a: Mapping[str, Sequence[float]],
     group_b: Mapping[str, Sequence[float]],
 ) -> dict[str, GroupComparison]:
-    """Mean, sd and a two-sided Welch t-test per score category.
+    """Each score category's means and sds of both groups and the p-value
+    of a two-sided Welch t-test; the t statistic itself is not kept.
 
     Welch (1947): t = (mean_a - mean_b) / sqrt(va/na + vb/nb) with ddof=1
     variances, Welch-Satterthwaite degrees of freedom, and p the two-sided
@@ -608,7 +606,6 @@ def score_summary(
             sd_a=math.sqrt(var_a),
             mean_b=mean_b,
             sd_b=math.sqrt(var_b),
-            t_stat=t_stat,
             p_value=_t_pvalue(df, t_stat),
         )
     return out
@@ -683,10 +680,10 @@ def side_features(
     """The enabled side predictors of one (triple, side)."""
     config = config or FeatureConfig()
     easy_words = readability.load_easy_words(config.word_list)
-    try:
-        enabled = set(config.predictors)
-        simp = triple.side(side)
-        trees = simp.trees
+    enabled = set(config.predictors)
+    simp = triple.side(side)
+    trees = simp.trees
+    with _located(f"triple {triple.id!r}, side {side}"):
         for where, group in (("source tree", triple.source_trees), ("tree", trees)):
             for i, tree in enumerate(group, 1):
                 if (depth := tree.depth()) > MAX_TREE_DEPTH:
@@ -750,8 +747,6 @@ def side_features(
                 raise ValidationError("samsa value missing (samsa enabled)")
             feats["samsa"] = float(simp.samsa)
         return feats
-    except Exception as exc:
-        raise ValidationError(f"triple {triple.id!r}, side {side}: {exc}") from exc
 
 
 def _triple_rows(

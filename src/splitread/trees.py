@@ -2,7 +2,9 @@
 
 Two input formats are supported: Penn-Treebank-style bracketed constituency
 trees and CoNLL-U dependency tables. The readers validate structure only;
-they never attempt to parse raw text.
+they never attempt to parse raw text. A ParseTree holds each node's label
+and children; a DepGraph holds each token's position and head alone, the
+two values the dependency predictor reads.
 """
 
 from __future__ import annotations
@@ -64,19 +66,14 @@ class ParseTree:
             depth += 1
         return depth
 
-    def to_bracketed(self) -> str:
-        if self.is_leaf:
-            return self.label
-        inner = " ".join(child.to_bracketed() for child in self.children)
-        return f"({self.label} {inner})"
-
 
 @dataclass(frozen=True)
 class DepToken:
+    """One CoNLL-U token line's ID and HEAD; its FORM and DEPREL columns
+    are required but not kept."""
+
     index: int  # 1-based position in the sentence
-    form: str
     head: int  # 0 designates the root
-    relation: str
 
 
 @dataclass(frozen=True)
@@ -233,10 +230,10 @@ def _conllu_int(text: str, where: str) -> int:
 def parse_conllu(text: str) -> list[DepGraph]:
     """Parse CoNLL-U sentences into dependency graphs.
 
-    Only the ID, FORM, HEAD and DEPREL columns are consumed. Multiword-token
-    ranges (``1-2``) and empty nodes (``1.1``) are skipped, and any other
-    ID that is not ASCII digits is an error; comment lines start with '#';
-    blank lines separate sentences.
+    The ID, FORM, HEAD and DEPREL columns are required; only ID and HEAD
+    are kept. Multiword-token ranges (``1-2``) and empty nodes (``1.1``)
+    are skipped, and any other ID that is not ASCII digits is an error;
+    comment lines start with '#'; blank lines separate sentences.
     """
     graphs: list[DepGraph] = []
     block: list[DepToken] = []
@@ -273,7 +270,7 @@ def parse_conllu(text: str) -> list[DepGraph]:
             and head.isdigit()
         ):
             try:
-                block.append(DepToken(int(token_id), cols[1], int(head), cols[7]))
+                block.append(DepToken(int(token_id), int(head)))
                 continue
             except ValueError:  # past int()'s digit limit
                 pass

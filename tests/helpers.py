@@ -11,20 +11,32 @@ versions of production functions, kept verbatim for exact comparisons.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
-from splitread.dataset import CATEGORIES, GroupComparison, _t_pvalue
+from splitread.dataset import (
+    CATEGORIES,
+    SIDE_PREDICTORS,
+    FeatureConfig,
+    GroupComparison,
+    _t_pvalue,
+    extract_features,
+    load_triples,
+)
 from splitread.errors import FormatError, ParseError, ValidationError
 from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
+from splitread.synth import make_demo_dataset
 from splitread.trees import (
     DepGraph,
     DepToken,
@@ -59,6 +71,14 @@ def random_tree(rng: np.random.Generator, max_nodes: int) -> ParseTree:
         )
 
     return build(budget)
+
+
+def to_bracketed(tree: ParseTree) -> str:
+    """``tree`` as one bracketed string, which ``parse_ptb`` reads back
+    to the same tree."""
+    if tree.is_leaf:
+        return tree.label
+    return f"({tree.label} {' '.join(to_bracketed(c) for c in tree.children)})"
 
 
 # Pieces of random bracket strings: labels with function tags,
@@ -143,12 +163,7 @@ def random_dep_graph(rng: np.random.Generator, n_tokens: int) -> DepGraph:
     for idx in order[1:]:
         heads[int(idx)] = int(rng.choice(placed)) + 1
         placed.append(int(idx))
-    return DepGraph(
-        tuple(
-            DepToken(index=i + 1, form=f"tok{i}", head=heads[i], relation="dep")
-            for i in range(n_tokens)
-        )
-    )
+    return DepGraph(tuple(DepToken(i + 1, head) for i, head in enumerate(heads)))
 
 
 def naive_ted(a: ParseTree, b: ParseTree) -> int:
@@ -181,7 +196,7 @@ def _complete_subtree_strings(tree: ParseTree) -> list[str]:
     out = []
     for node in tree.iter_nodes():
         if not node.is_leaf:
-            out.append(node.to_bracketed())
+            out.append(to_bracketed(node))
     return out
 
 
@@ -318,6 +333,60 @@ def nan_density_in_children(logpost):
         return (lp if os.getpid() == parent else math.nan), grad
 
     return wrapped
+
+
+def _zscores(values: list[float]) -> list[float]:
+    mean = sum(values) / len(values)
+    sd = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    return [(v - mean) / sd for v in values]
+
+
+def make_known_effect_study(
+    out_dir, effects: dict[str, float], seed: int = 0
+) -> tuple[Path, Path]:
+    """The paper-scale demo study (221 triples x 7 workers, data seed 3)
+    with every definite A_vs_B choice redrawn from known effects:
+    P(first) = expit(sum_p effects[p] * (z_p(a) - z_p(b))).
+
+    A side predictor is z-scored over the 442 sides, a score category over
+    the two sides of every definite A_vs_B record. The redraws come from
+    ``random.Random(seed)``; every other record and field stays as written.
+    """
+    triples_path, judgments_path = make_demo_dataset(
+        out_dir, n_triples=221, n_workers=7, seed=3
+    )
+    side_names = tuple(p for p in effects if p in SIDE_PREDICTORS)
+    header, rows = extract_features(
+        load_triples(triples_path), FeatureConfig(predictors=side_names)
+    )
+    # z[key, side, name]: the key is a triple id for a side predictor and
+    # a record's id() for a score category.
+    z: dict[tuple, float] = {}
+    for k, name in enumerate(header[2:], start=2):
+        for row, value in zip(rows, _zscores([row[k] for row in rows])):
+            z[row[0], row[1], name] = value
+    lines = judgments_path.read_text("utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    decided = [
+        r for r in records if r["question"] == "A_vs_B" and r["choice"] != "not_sure"
+    ]
+    sides = [(r, side) for r in decided for side in ("a", "b")]
+    for cat in effects.keys() & set(CATEGORIES):
+        scores = _zscores([r["scores"][side][cat] for r, side in sides])
+        for (r, side), value in zip(sides, scores):
+            z[id(r), side, cat] = value
+    rng = random.Random(seed)
+    for r in decided:
+        margin = 0.0
+        for name, beta in effects.items():
+            key = id(r) if name in CATEGORIES else r["triple_id"]
+            margin += beta * (z[key, "a", name] - z[key, "b", name])
+        first = rng.random() < 1 / (1 + math.exp(-margin))
+        r["choice"] = "first" if first else "second"
+    judgments_path.write_text(
+        "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+    )
+    return triples_path, judgments_path
 
 
 # Reference twins: tree_edit_distance and tree_kernel as they were before
@@ -726,7 +795,6 @@ def reference_score_summary(group_a, group_b) -> dict:
             sd_a=float(a.std(ddof=1)),
             mean_b=float(b.mean()),
             sd_b=float(b.std(ddof=1)),
-            t_stat=float(t_stat),
             p_value=float(p_value),
         )
     return out
@@ -735,7 +803,17 @@ def reference_score_summary(group_a, group_b) -> dict:
 # Reference twin: parse_conllu as it was before the one-split reader,
 # kept verbatim but for the tab rule (a line holding a tab is split on
 # tabs alone; the old reader re-split a line with fewer than 8 tab
-# columns on whitespace). It builds graphs with the program's DepGraph.
+# columns on whitespace). It builds graphs with the program's DepGraph
+# over tokens that keep all four columns, as the program's tokens did.
+
+
+@dataclass(frozen=True)
+class ReferenceDepToken:
+    index: int
+    form: str
+    head: int
+    relation: str
+
 
 _REFERENCE_SKIPPED_ID = re.compile(r"[0-9]+[-.][0-9]+")
 
@@ -760,7 +838,7 @@ def reference_parse_conllu(text: str) -> list[DepGraph]:
     blank lines separate sentences.
     """
     graphs: list[DepGraph] = []
-    block: list[DepToken] = []
+    block: list[ReferenceDepToken] = []
 
     def flush() -> None:
         nonlocal block
@@ -791,7 +869,9 @@ def reference_parse_conllu(text: str) -> list[DepGraph]:
             continue
         index = _reference_conllu_int(token_id, f"line {lineno}: bad token id")
         head = _reference_conllu_int(cols[6], f"line {lineno}: bad HEAD value")
-        block.append(DepToken(index=index, form=cols[1], head=head, relation=cols[7]))
+        block.append(
+            ReferenceDepToken(index=index, form=cols[1], head=head, relation=cols[7])
+        )
     flush()
     return graphs
 

@@ -15,7 +15,7 @@ from splitread.complexity import (
     yngve_costs,
     yngve_score,
 )
-from splitread.trees import DepGraph, DepToken, parse_ptb
+from splitread.trees import DepGraph, DepToken, parse_conllu, parse_ptb
 
 
 def chain(depth: int, label: str = "A") -> str:
@@ -94,34 +94,37 @@ class TestTnodes:
 class TestDepDistance:
     def test_adjacent_arc(self):
         graph = DepGraph(
-            (DepToken(1, "a", 2, "dep"), DepToken(2, "b", 0, "root"))
+            (DepToken(1, 2), DepToken(2, 0))
         )
         assert dep_distance(graph) == 1.0
 
     def test_two_arcs(self):
         graph = DepGraph(
             (
-                DepToken(1, "a", 3, "dep"),
-                DepToken(2, "b", 3, "dep"),
-                DepToken(3, "c", 0, "root"),
+                DepToken(1, 3),
+                DepToken(2, 3),
+                DepToken(3, 0),
             )
         )
         assert dep_distance(graph) == 1.5
 
     def test_single_token_scores_zero(self):
-        graph = DepGraph((DepToken(1, "a", 0, "root"),))
+        graph = DepGraph((DepToken(1, 0),))
         assert dep_distance(graph) == 0.0
 
     def test_invariant_under_relation_relabeling(self, rng):
+        # Graphs read from CoNLL-U text that differs only in DEPREL.
         for _ in range(20):
             graph = random_dep_graph(rng, int(rng.integers(2, 9)))
-            relabeled = DepGraph(
-                tuple(
-                    DepToken(t.index, t.form, t.head, f"rel{t.index}")
+            texts = [
+                "\n".join(
+                    f"{t.index}\tw\t_\t_\t_\t_\t{t.head}\t{relation(t)}\t_\t_"
                     for t in graph.tokens
                 )
-            )
-            assert dep_distance(graph) == dep_distance(relabeled)
+                for relation in (lambda t: "dep", lambda t: f"rel{t.index}")
+            ]
+            (plain,), (relabeled,) = map(parse_conllu, texts)
+            assert dep_distance(plain) == dep_distance(relabeled) == dep_distance(graph)
 
 
 class TestAgainstNaiveTwins:

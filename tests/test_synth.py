@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from helpers import to_bracketed
 
 from splitread import dataset
 from splitread.synth import make_demo_dataset
@@ -112,7 +113,8 @@ class TestMakeDemoDataset:
     def test_records_agree_with_their_trees(self, tmp_path, kwargs):
         # Holds whatever numbers numpy's stream gives: each bracketed string
         # is the text of the trees it parses to, and the plain text and the
-        # CoNLL-U graphs carry those trees' tokens.
+        # FORMs of the CoNLL-U text, one graph per tree, are those trees'
+        # tokens.
         triples, _ = make_demo_dataset(tmp_path, **kwargs)
         lines = triples.read_text("utf-8").splitlines()
         assert len(lines) == kwargs["n_triples"]
@@ -122,10 +124,15 @@ class TestMakeDemoDataset:
                 ptb = record[name]["ptb"]
                 trees = [tree for s in ptb for tree in parse_ptb(s)]
                 assert len(ptb) == len(trees) == sentences
-                assert [t.to_bracketed() for t in trees] == ptb
+                assert [to_bracketed(t) for t in trees] == ptb
                 assert all(t.label == "S" for t in trees)
                 tokens = [t.tokens() for t in trees]
                 text = " . ".join(" ".join(toks) for toks in tokens) + " ."
                 assert record[name]["text"] == text
-                graphs = parse_conllu(record["conllu"][name])
-                assert [[tok.form for tok in g.tokens] for g in graphs] == tokens
+                conllu = record["conllu"][name]
+                assert len(parse_conllu(conllu)) == sentences
+                forms = [
+                    [line.split("\t")[1] for line in block.split("\n")]
+                    for block in conllu.rstrip("\n").split("\n\n")
+                ]
+                assert forms == tokens
