@@ -86,11 +86,12 @@ def tnodes(tree: ParseTree) -> float:
 
 
 def dep_distance(graph: DepGraph) -> float:
-    """Mean linear arc length |head - dependent| over non-root tokens.
+    """Mean linear arc length |head - dependent| over non-root tokens,
+    token i being the dependent of ``graph.heads[i - 1]``.
 
     A single-token sentence has no arcs and scores 0.
     """
-    arcs = [abs(tok.head - tok.index) for tok in graph.tokens if tok.head != 0]
+    arcs = [abs(head - token) for token, head in enumerate(graph.heads, 1) if head]
     if not arcs:
         return 0.0
     return sum(arcs) / len(arcs)

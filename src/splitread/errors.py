@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the workbench, and the rule that
 turns an input file's bytes into text."""
 
+import copyreg
 from pathlib import Path
 
 
@@ -14,6 +15,11 @@ class ParseError(SplitreadError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+    def __reduce__(self):
+        # Unpickled from its message as it stands, a location prefix
+        # included, and its .offset; __init__ would add the offset again.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class FormatError(SplitreadError):

@@ -13,6 +13,11 @@ Errors are those of the serial loop: the exception of the lowest-indexed
 failing item is raised in the caller, and a child that dies raises a
 SplitreadError, counted as a failure of its first item. Children still
 running when ``run`` returns or raises are killed and reaped.
+
+So are its warnings: each lane records its items' warnings under the
+caller's filters (an "error" filter still raises there), and the caller
+shows those of the items up to the first failing one, in item order and
+through one registry, as one process would.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import warnings
 from typing import BinaryIO, Callable, TypeVar
 
 from .errors import SplitreadError
@@ -41,16 +47,21 @@ def lanes(jobs: int) -> int:
 
 def _run_stripe(
     fn: Callable, stripe: range, args: tuple
-) -> tuple[list, tuple[int, Exception] | None]:
+) -> tuple[list, list[tuple], tuple[int, Exception] | None]:
     """``fn`` over ``stripe`` up to its first failing item: the results
-    before that item, and the item with its exception (None if none failed)."""
-    results = []
+    before it, each warning as (item, message, category, filename, lineno),
+    and the failing item with its exception (None if none failed)."""
+    results, caught, failure = [], [], None
     for item in stripe:
-        try:
-            results.append(fn(item, *args))
-        except Exception as exc:
-            return results, (item, exc)
-    return results, None
+        with warnings.catch_warnings(record=True) as log:
+            try:
+                results.append(fn(item, *args))
+            except Exception as exc:
+                failure = (item, exc)
+        caught += [(item, w.message, w.category, w.filename, w.lineno) for w in log]
+        if failure is not None:
+            break
+    return results, caught, failure
 
 
 def _fork_stripe(fn: Callable, stripe: range, args: tuple) -> tuple[int, BinaryIO]:
@@ -90,11 +101,11 @@ def run(fn: Callable[..., T], jobs: int, args: tuple, what: str) -> list[T]:
     try:
         for stripe in stripes[1:]:
             running.append(_fork_stripe(fn, stripe, args))
-        done, failure = _run_stripe(fn, stripes[0], args)
-        if failure is not None and failure[0] == 0:
-            raise failure[1]  # no item fails before the first
-        outcomes = [(done, failure)]
-        for stripe in stripes[1:]:
+        outcomes = [_run_stripe(fn, stripes[0], args)]
+        failure = outcomes[0][2]
+        # No item fails before the first, so then no child is waited for.
+        waiting = [] if failure is not None and failure[0] == 0 else stripes[1:]
+        for stripe in waiting:
             pid, pipe = running[0]
             with pipe:
                 data = pipe.read()  # until the child exits
@@ -103,14 +114,21 @@ def run(fn: Callable[..., T], jobs: int, args: tuple, what: str) -> list[T]:
             if code != 0:
                 how = f"signal {-code}" if code < 0 else f"status {code}"
                 died = SplitreadError(f"{what} {_listing(stripe)} died ({how})")
-                outcomes.append(([], (stripe.start, died)))
+                outcomes.append(([], [], (stripe.start, died)))
             else:
                 outcomes.append(pickle.loads(data))  # written by the child above
-        failures = [failure for _, failure in outcomes if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+        # Items are distinct, so no two failures compare their exceptions.
+        failures = [failure for *_, failure in outcomes if failure is not None]
+        last, error = min(failures, default=(jobs, None))
+        caught = sorted((w for _, ws, _ in outcomes for w in ws), key=lambda w: w[0])
+        registry: dict = {}  # one for every lane, as one process keeps
+        for item, *warning in caught:
+            if item <= last:
+                warnings.warn_explicit(*warning, registry=registry)
+        if error is not None:
+            raise error
         results: list = [None] * jobs
-        for k, (done, _) in enumerate(outcomes):
+        for k, (done, *_) in enumerate(outcomes):
             results[k::n] = done
         return results
     finally:

@@ -3,8 +3,8 @@
 Two input formats are supported: Penn-Treebank-style bracketed constituency
 trees and CoNLL-U dependency tables. The readers validate structure only;
 they never attempt to parse raw text. A ParseTree holds each node's label
-and children; a DepGraph holds each token's position and head alone, the
-two values the dependency predictor reads.
+and children; a DepGraph holds each token's head alone, in token order,
+the one value the dependency predictor reads.
 """
 
 from __future__ import annotations
@@ -68,37 +68,21 @@ class ParseTree:
 
 
 @dataclass(frozen=True)
-class DepToken:
-    """One CoNLL-U token line's ID and HEAD; its FORM and DEPREL columns
-    are required but not kept."""
-
-    index: int  # 1-based position in the sentence
-    head: int  # 0 designates the root
-
-
-@dataclass(frozen=True)
 class DepGraph:
-    """Single-rooted, acyclic dependency structure over a token sequence."""
+    """Single-rooted, acyclic dependency structure over a token sequence:
+    ``heads[i - 1]`` is token i's head, and 0 stands for the root."""
 
-    tokens: tuple[DepToken, ...]
+    heads: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.tokens)
+        heads = self.heads
+        n = len(heads)
         if n == 0:
             raise ValidationError("dependency graph has no tokens")
-        heads = [0]  # heads[i] is token i's head; 0 stands for the root
-        for expected, tok in enumerate(self.tokens, start=1):
-            if tok.index != expected:
-                raise ValidationError(
-                    f"token indices must be consecutive from 1; got {tok.index} "
-                    f"at position {expected}"
-                )
-            if not 0 <= tok.head <= n:
-                raise ValidationError(
-                    f"token {tok.index} has head {tok.head} outside 0..{n}"
-                )
-            heads.append(tok.head)
-        roots = heads.count(0) - 1
+        for index, head in enumerate(heads, start=1):
+            if not 0 <= head <= n:
+                raise ValidationError(f"token {index} has head {head} outside 0..{n}")
+        roots = heads.count(0)
         if roots != 1:
             raise ValidationError(f"expected exactly one root, found {roots}")
         # Walking up from any token must reach the root without revisiting.
@@ -114,7 +98,7 @@ class DepGraph:
                     raise ValidationError(f"cyclic heads involving token {cur}")
                 state[cur] = 1
                 path.append(cur)
-                cur = heads[cur]
+                cur = heads[cur - 1]
             for node in path:
                 state[node] = 2
 
@@ -216,41 +200,39 @@ def parse_ptb(text: str, *, keep_punctuation: bool = True) -> list[ParseTree]:
     return trees
 
 
-def _conllu_int(text: str, where: str) -> int:
-    """``text`` as an int, from ASCII digits alone: int() would also take
-    '1_2', '+2', ' 3' and other scripts' digits."""
+def _conllu_int(text: str, lineno: int, what: str) -> int:
+    """``text``, the ``what`` column of line ``lineno``, as an int from ASCII
+    digits alone: int() would also take '1_2', '+2', ' 3' and other
+    scripts' digits."""
     if text.isascii() and text.isdigit():
         try:
             return int(text)
         except ValueError:  # past int()'s digit limit
             pass
-    raise FormatError(f"{where} {text!r}")
+    raise FormatError(f"line {lineno}: bad {what} {text!r}")
 
 
 def parse_conllu(text: str) -> list[DepGraph]:
-    """Parse CoNLL-U sentences into dependency graphs.
+    """Parse CoNLL-U sentences into dependency graphs, one per sentence.
 
-    The ID, FORM, HEAD and DEPREL columns are required; only ID and HEAD
-    are kept. Multiword-token ranges (``1-2``) and empty nodes (``1.1``)
-    are skipped, and any other ID that is not ASCII digits is an error;
-    comment lines start with '#'; blank lines separate sentences.
+    The ID, FORM, HEAD and DEPREL columns are required; only HEAD is
+    kept, in ID order. Multiword-token ranges (``1-2``) and empty nodes
+    (``1.1``) are skipped; every other ID must be ASCII digits and run 1,
+    2, ... within its sentence, and is reported at its line otherwise.
+    Comment lines start with '#'; blank lines separate sentences.
     """
     graphs: list[DepGraph] = []
-    block: list[DepToken] = []
-
-    def flush() -> None:
-        nonlocal block
-        if block:
-            graphs.append(DepGraph(tuple(block)))
-            block = []
-
+    heads: list[int] = []
     # Lines end at \r\n, a lone \r or \n, as errors.read_text reads files,
     # and nowhere else: str.splitlines() would also break a FORM at U+2028,
-    # U+0085, \f and the other Unicode line boundaries.
+    # U+0085, \f and the other Unicode line boundaries. The blank line
+    # added at the end closes the last sentence.
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate([*text.split("\n"), ""], start=1):
         if not line or line.isspace():
-            flush()
+            if heads:
+                graphs.append(DepGraph(tuple(heads)))
+                heads = []
             continue
         if "#" in line and line.lstrip().startswith("#"):
             continue
@@ -262,24 +244,16 @@ def parse_conllu(text: str) -> list[DepGraph]:
                 f"line {lineno}: expected the 10-column CoNLL-U layout "
                 f"(HEAD/DEPREL missing): {line!r}"
             )
-        token_id, head = cols[0], cols[6]
-        if (
-            token_id.isascii()
-            and token_id.isdigit()
-            and head.isascii()
-            and head.isdigit()
-        ):
-            try:
-                block.append(DepToken(int(token_id), int(head)))
-                continue
-            except ValueError:  # past int()'s digit limit
-                pass
-        elif _SKIPPED_ID.fullmatch(token_id):
+        if _SKIPPED_ID.fullmatch(cols[0]):
             continue
-        # A malformed ID or HEAD: one of these raises, naming the first.
-        _conllu_int(token_id, f"line {lineno}: bad token id")
-        _conllu_int(head, f"line {lineno}: bad HEAD value")
-    flush()
+        index = _conllu_int(cols[0], lineno, "token id")
+        head = _conllu_int(cols[6], lineno, "HEAD value")
+        if index != len(heads) + 1:
+            raise ValidationError(
+                f"token indices must be consecutive from 1; got {index} "
+                f"at position {len(heads) + 1}"
+            )
+        heads.append(head)
     return graphs
 
 

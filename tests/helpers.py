@@ -39,7 +39,6 @@ from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
 from splitread.synth import make_demo_dataset
 from splitread.trees import (
     DepGraph,
-    DepToken,
     ParseTree,
     _byte_offset,
     _strip_function_tag,
@@ -163,7 +162,7 @@ def random_dep_graph(rng: np.random.Generator, n_tokens: int) -> DepGraph:
     for idx in order[1:]:
         heads[int(idx)] = int(rng.choice(placed)) + 1
         placed.append(int(idx))
-    return DepGraph(tuple(DepToken(i + 1, head) for i, head in enumerate(heads)))
+    return DepGraph(tuple(heads))
 
 
 def naive_ted(a: ParseTree, b: ParseTree) -> int:
@@ -803,8 +802,10 @@ def reference_score_summary(group_a, group_b) -> dict:
 # Reference twin: parse_conllu as it was before the one-split reader,
 # kept verbatim but for the tab rule (a line holding a tab is split on
 # tabs alone; the old reader re-split a line with fewer than 8 tab
-# columns on whitespace). It builds graphs with the program's DepGraph
-# over tokens that keep all four columns, as the program's tokens did.
+# columns on whitespace), for the ID rule, now checked at the ID's line,
+# and for what it returns. Its tokens keep all four columns, as the
+# program's tokens once did; at each sentence's end it runs
+# reference_dep_graph_check on them and keeps their heads.
 
 
 @dataclass(frozen=True)
@@ -829,7 +830,7 @@ def _reference_conllu_int(text: str, where: str) -> int:
     raise FormatError(f"{where} {text!r}")
 
 
-def reference_parse_conllu(text: str) -> list[DepGraph]:
+def reference_parse_conllu(text: str) -> list[list[int]]:
     """Parse CoNLL-U sentences into dependency graphs.
 
     Only the ID, FORM, HEAD and DEPREL columns are consumed. Multiword-token
@@ -837,13 +838,14 @@ def reference_parse_conllu(text: str) -> list[DepGraph]:
     ID that is not ASCII digits is an error; comment lines start with '#';
     blank lines separate sentences.
     """
-    graphs: list[DepGraph] = []
+    graphs: list[list[int]] = []
     block: list[ReferenceDepToken] = []
 
     def flush() -> None:
         nonlocal block
         if block:
-            graphs.append(DepGraph(tuple(block)))
+            reference_dep_graph_check(tuple(block))
+            graphs.append([tok.head for tok in block])
             block = []
 
     # Lines end at \r\n, a lone \r or \n, as errors.read_text reads files,
@@ -869,6 +871,12 @@ def reference_parse_conllu(text: str) -> list[DepGraph]:
             continue
         index = _reference_conllu_int(token_id, f"line {lineno}: bad token id")
         head = _reference_conllu_int(cols[6], f"line {lineno}: bad HEAD value")
+        # The ID rule, checked at the ID's line as the program checks it.
+        if index != len(block) + 1:
+            raise ValidationError(
+                f"token indices must be consecutive from 1; got {index} "
+                f"at position {len(block) + 1}"
+            )
         block.append(
             ReferenceDepToken(index=index, form=cols[1], head=head, relation=cols[7])
         )
@@ -878,9 +886,18 @@ def reference_parse_conllu(text: str) -> list[DepGraph]:
 
 # Reference twin: DepGraph's check as it was before the linear-time walk,
 # which walked every token up to the root with a fresh set, kept verbatim.
+# It reads each token's index and head, as the program's graphs once held
+# them; reference_tokens builds such tokens from a list of heads.
 
 
-def reference_dep_graph_check(tokens: tuple[DepToken, ...]) -> None:
+def reference_tokens(heads: list[int]) -> tuple[ReferenceDepToken, ...]:
+    return tuple(
+        ReferenceDepToken(index=i, form="w", head=h, relation="dep")
+        for i, h in enumerate(heads, start=1)
+    )
+
+
+def reference_dep_graph_check(tokens: tuple[ReferenceDepToken, ...]) -> None:
     n = len(tokens)
     if n == 0:
         raise ValidationError("dependency graph has no tokens")

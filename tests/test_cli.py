@@ -314,6 +314,38 @@ class TestExtractLanes:
         assert written[2] == written[0]
 
 
+    def test_warnings_shown_once_for_any_lane_count(self, tmp_path):
+        # Two triples whose side a ends in a punctuation-only sentence warn
+        # at the same line; each forked lane once kept its own registry.
+        make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2, seed=1)
+        triples = tmp_path / "data" / "triples.jsonl"
+        records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
+        for record in records[:2]:
+            record["a"]["ptb"][1] = "(S (. .))"
+            first = record["conllu"]["a"].split("\n\n")[0]
+            record["conllu"]["a"] = first + "\n\n1\t.\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        triples.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        code = (
+            "import sys\n"
+            "from splitread import cli, pool\n"
+            "pool.lanes = lambda jobs: int(sys.argv[1])\n"
+            "sys.exit(cli.main(['extract', '--triples', sys.argv[2], '--out', 'out']))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        stderr = []
+        for lanes in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, lanes, str(triples)],
+                env=env, cwd=tmp_path, capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            stderr.append(result.stderr)
+        assert stderr[0].count("DegenerateInputWarning: overlap on an empty") == 1
+        assert stderr[1] == stderr[0]
+
+
 class TestAblate:
     def test_predictor_subset(self, workspace):
         tmp, triples, judgments = workspace
@@ -1020,6 +1052,24 @@ class TestMalformedRecords:
         assert err.startswith("error:")
         assert message in err
         assert "Traceback" not in err
+
+
+class TestConlluIds:
+    # Token IDs run 1, 2, ... in each sentence; the rule is checked where
+    # the reader keeps each token's head.
+    def test_out_of_order_id_rejected_with_location(self, tmp_path, capsys):
+        triple = copy.deepcopy(_TRIPLE)
+        triple["conllu"] = {
+            "a": "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n3\ty\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+        }
+        triples = tmp_path / "triples.jsonl"
+        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
+        code = cli.main(["extract", "--triples", str(triples), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {triples}:1.conllu.a: token indices must be consecutive "
+            "from 1; got 3 at position 2\n"
+        )
 
 
 class TestNotUtf8:

@@ -15,7 +15,7 @@ from splitread.complexity import (
     yngve_costs,
     yngve_score,
 )
-from splitread.trees import DepGraph, DepToken, parse_conllu, parse_ptb
+from splitread.trees import DepGraph, parse_conllu, parse_ptb
 
 
 def chain(depth: int, label: str = "A") -> str:
@@ -93,24 +93,13 @@ class TestTnodes:
 
 class TestDepDistance:
     def test_adjacent_arc(self):
-        graph = DepGraph(
-            (DepToken(1, 2), DepToken(2, 0))
-        )
-        assert dep_distance(graph) == 1.0
+        assert dep_distance(DepGraph((2, 0))) == 1.0
 
     def test_two_arcs(self):
-        graph = DepGraph(
-            (
-                DepToken(1, 3),
-                DepToken(2, 3),
-                DepToken(3, 0),
-            )
-        )
-        assert dep_distance(graph) == 1.5
+        assert dep_distance(DepGraph((3, 3, 0))) == 1.5
 
     def test_single_token_scores_zero(self):
-        graph = DepGraph((DepToken(1, 0),))
-        assert dep_distance(graph) == 0.0
+        assert dep_distance(DepGraph((0,))) == 0.0
 
     def test_invariant_under_relation_relabeling(self, rng):
         # Graphs read from CoNLL-U text that differs only in DEPREL.
@@ -118,10 +107,10 @@ class TestDepDistance:
             graph = random_dep_graph(rng, int(rng.integers(2, 9)))
             texts = [
                 "\n".join(
-                    f"{t.index}\tw\t_\t_\t_\t_\t{t.head}\t{relation(t)}\t_\t_"
-                    for t in graph.tokens
+                    f"{i}\tw\t_\t_\t_\t_\t{head}\t{relation(i)}\t_\t_"
+                    for i, head in enumerate(graph.heads, start=1)
                 )
-                for relation in (lambda t: "dep", lambda t: f"rel{t.index}")
+                for relation in (lambda i: "dep", lambda i: f"rel{i}")
             ]
             (plain,), (relabeled,) = map(parse_conllu, texts)
             assert dep_distance(plain) == dep_distance(relabeled) == dep_distance(graph)
@@ -138,6 +127,6 @@ class TestAgainstNaiveTwins:
     def test_dep_distance_matches_direct_sum(self, rng):
         for _ in range(50):
             graph = random_dep_graph(rng, int(rng.integers(1, 10)))
-            arcs = [abs(t.head - t.index) for t in graph.tokens if t.head != 0]
+            arcs = [abs(h - i) for i, h in enumerate(graph.heads, start=1) if h != 0]
             expected = sum(arcs) / len(arcs) if arcs else 0.0
             assert dep_distance(graph) == expected

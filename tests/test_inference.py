@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from splitread import cli, inference, pool, selection
-from splitread.dataset import DesignMatrix
-from splitread.errors import SplitreadError, ValidationError
+from splitread.dataset import DesignMatrix, _located
+from splitread.errors import ParseError, SplitreadError, ValidationError
 from splitread.inference import (
     ModelSpec,
     PosteriorDraws,
@@ -33,6 +33,7 @@ from splitread.inference import (
     summarize,
 )
 from splitread.synth import make_logit_matrix
+from splitread.trees import parse_ptb
 
 
 def _matrix_from(X, y, names=None):
@@ -650,6 +651,38 @@ class TestWorkerFailures:
         assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+
+
+def _located_parse_error(item):
+    if item == 1:
+        with _located("triples.jsonl:2.a.ptb"):
+            parse_ptb("(S x")
+    return item
+
+
+def _warn_by_parity(item):
+    warnings.warn(f"item parity {item % 2}", UserWarning)
+    return item
+
+
+class TestPoolErrorsAndWarnings:
+    def test_located_parse_error_crosses_a_lane(self, monkeypatch):
+        # Item 1 runs in the forked lane, and its error comes back pickled.
+        pin_lanes(monkeypatch, 2)
+        with pytest.raises(ParseError) as err:
+            pool.run(_located_parse_error, 3, (), "worker for items")
+        assert str(err.value) == "triples.jsonl:2.a.ptb: unbalanced brackets (byte offset 4)"
+        assert err.value.offset == 4
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_warnings_shown_in_item_order_through_one_registry(self, monkeypatch, lanes):
+        # Every item warns from one line: the default action shows each
+        # message once, as one process running the items in turn does.
+        pin_lanes(monkeypatch, lanes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert pool.run(_warn_by_parity, 5, (), "worker for items") == [0, 1, 2, 3, 4]
+        assert [str(w.message) for w in caught] == ["item parity 0", "item parity 1"]
 
 
 class TestSummarize:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import re
 import time
@@ -19,12 +20,13 @@ from helpers import (
     reference_dep_graph_check,
     reference_parse_conllu,
     reference_parse_ptb,
+    reference_tokens,
     to_bracketed,
 )
+from splitread.dataset import _located
 from splitread.errors import FormatError, ParseError, ValidationError
 from splitread.trees import (
     DepGraph,
-    DepToken,
     ParseTree,
     is_punctuation_token,
     parse_conllu,
@@ -99,12 +101,28 @@ class TestParsePtb:
             parse_ptb("(FRAG (. .))", keep_punctuation=False)
 
 
+class TestParseErrorPickle:
+    # A ParseError raised in a forked lane reaches the caller pickled.
+    def test_round_trip_keeps_type_message_and_offset(self):
+        plain, located = ParseError("unbalanced brackets", 4), ParseError("x", 2)
+        with pytest.raises(ParseError):
+            with _located("triples.jsonl:2.a.ptb"):
+                raise located
+        for error, message in [
+            (plain, "unbalanced brackets (byte offset 4)"),
+            (located, "triples.jsonl:2.a.ptb: x (byte offset 2)"),
+        ]:
+            again = pickle.loads(pickle.dumps(error))
+            assert type(again) is ParseError
+            assert (str(again), again.offset) == (message, error.offset)
+
+
 class TestParseConllu:
     def test_minimal_block(self):
         text = "1\tVanya\t_\t_\t_\t_\t2\tnsubj\t_\t_\n2\twalks\t_\t_\t_\t_\t0\troot\t_\t_\n"
         graphs = parse_conllu(text)
         assert len(graphs) == 1
-        assert [(tok.index, tok.head) for tok in graphs[0].tokens] == [(1, 2), (2, 0)]
+        assert graphs[0].heads == (2, 0)
 
     def test_cycle_rejected(self):
         text = "1\ta\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
@@ -145,7 +163,7 @@ class TestParseConllu:
         )
         graphs = parse_conllu(text)
         assert len(graphs) == 1
-        assert len(graphs[0].tokens) == 2
+        assert graphs[0].heads == (2, 0)
 
     @pytest.mark.parametrize("value", ["1_2", "+2", " 3", "\u0663", "2" * 5000])
     def test_non_decimal_head_rejected(self, value):
@@ -161,6 +179,25 @@ class TestParseConllu:
     def test_non_decimal_token_id_rejected(self, value):
         text = f"{value}\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
         with pytest.raises(FormatError, match="line 1: bad token id"):
+            parse_conllu(text)
+
+    def test_token_ids_must_run_from_one(self):
+        text = "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n3\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+        with pytest.raises(ValidationError) as err:
+            parse_conllu(text)
+        assert str(err.value) == (
+            "token indices must be consecutive from 1; got 3 at position 2"
+        )
+
+    def test_out_of_order_id_reported_before_a_later_line(self):
+        # The ID is checked at its own line, so the first error in the
+        # file wins over line 3's malformed HEAD.
+        text = (
+            "1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+            "3\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+            "4\tc\t_\t_\t_\t_\tx\tdep\t_\t_\n"
+        )
+        with pytest.raises(ValidationError, match="^token indices must be "):
             parse_conllu(text)
 
     @pytest.mark.parametrize("value", ["2-", "-1", "x.y", "1.", "1-2-3", "1.x"])
@@ -179,11 +216,11 @@ class TestParseConllu:
             n = int(rng.integers(2, 7))
             graph = random_dep_graph(rng, n)
             lines = [
-                f"{t.index}\tw{t.index}\t_\t_\t_\t_\t{t.head}\tdep\t_\t_"
-                for t in graph.tokens
+                f"{i}\tw{i}\t_\t_\t_\t_\t{head}\tdep\t_\t_"
+                for i, head in enumerate(graph.heads, start=1)
             ]
-            assert len(parse_conllu("\n".join(lines))) == 1
-            root = next(t.index for t in graph.tokens if t.head == 0)
+            assert parse_conllu("\n".join(lines)) == [graph]
+            root = graph.heads.index(0) + 1
             bad = [
                 line if not line.startswith(f"{root}\t") else
                 line.replace(f"\t0\t", f"\t{root}\t", 1)
@@ -200,7 +237,7 @@ class TestParseConllu:
         # Broken at the character, line 1 would end inside its FORM.
         text = f"1\tA{char}x\t_\t_\t_\t_\t2\tdep\t_\t_\n2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
         (graph,) = parse_conllu(text)
-        assert [(tok.index, tok.head) for tok in graph.tokens] == [(1, 2), (2, 0)]
+        assert graph.heads == (2, 0)
 
     _TWO_BLOCKS = [
         "# sent_id = 1",
@@ -214,7 +251,7 @@ class TestParseConllu:
     def test_line_endings_give_the_same_graphs(self, newline):
         lines = self._TWO_BLOCKS
         expected = parse_conllu("\n".join(lines) + "\n")
-        assert [len(g.tokens) for g in expected] == [2, 1]
+        assert [g.heads for g in expected] == [(2, 0), (0,)]
         assert parse_conllu(newline.join(lines) + newline) == expected
         assert parse_conllu(newline.join(lines)) == expected
 
@@ -241,12 +278,12 @@ class TestParseConllu:
             "2\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
         )
         (graph,) = parse_conllu(text)
-        assert [t.head for t in graph.tokens] == [2, 0]
+        assert graph.heads == (2, 0)
 
     def test_space_separated_layout_parses(self):
         text = "1 a _ _ _ _ 2 dep _ _\n2  b  _ _ _ _ 0 root _ _\n"
         (graph,) = parse_conllu(text)
-        assert [(t.index, t.head) for t in graph.tokens] == [(1, 2), (2, 0)]
+        assert graph.heads == (2, 0)
 
     def test_line_with_a_tab_not_split_on_spaces(self):
         # One tab among spaces: the line is split on that tab alone.
@@ -254,14 +291,10 @@ class TestParseConllu:
             parse_conllu("1 a _ _ _ _ 0 root\t_ _\n")
 
 
-def _dep_tokens(heads: list[int]) -> tuple[DepToken, ...]:
-    return tuple(DepToken(i, h) for i, h in enumerate(heads, start=1))
-
-
-def _check_outcome(check, tokens):
-    """None, or the type and message of the error ``check`` raises."""
+def _check_outcome(check, arg):
+    """None, or the type and message of the error ``check(arg)`` raises."""
     try:
-        check(tokens)
+        check(arg)
     except ValidationError as exc:
         return type(exc), str(exc)
     return None
@@ -277,9 +310,8 @@ class TestDepGraphCheck:
             heads = [*range(2, n + 1), 0]
         else:  # token 1 is the root, token i is headed by i - 1
             heads = [0, *range(1, n)]
-        tokens = _dep_tokens(heads)
         start = time.process_time()
-        DepGraph(tokens)
+        DepGraph(tuple(heads))
         assert time.process_time() - start < 0.5
 
     def test_long_cycle_named_by_first_revisited_token(self):
@@ -288,7 +320,7 @@ class TestDepGraphCheck:
         heads[n // 2] = 0  # ... cut by a root, so tokens past it cycle
         heads[-1] = n // 2 + 2
         with pytest.raises(ValidationError) as err:
-            DepGraph(_dep_tokens(heads))
+            DepGraph(tuple(heads))
         assert str(err.value) == f"cyclic heads involving token {n // 2 + 2}"
 
     def test_random_heads_match_reference(self):
@@ -301,9 +333,9 @@ class TestDepGraphCheck:
             heads = [rng.randint(0, n) for _ in range(n)]
             if rng.random() < 0.05:
                 heads[rng.randrange(n)] = rng.choice((-1, n + 1))
-            tokens = _dep_tokens(heads)
-            outcome = _check_outcome(DepGraph, tokens)
-            assert outcome == _check_outcome(reference_dep_graph_check, tokens), heads
+            outcome = _check_outcome(DepGraph, tuple(heads))
+            reference = _check_outcome(reference_dep_graph_check, reference_tokens(heads))
+            assert outcome == reference, heads
             kinds[outcome[1].split(" ")[0] if outcome else None] += 1
         # Valid graphs, cycles, root counts and ranges each come up often.
         assert {None, "cyclic", "expected", "token"} <= set(kinds)
@@ -352,8 +384,11 @@ class TestHelpers:
         assert not is_punctuation_token("")
 
     def test_dep_graph_requires_consecutive_indices(self):
-        with pytest.raises(ValidationError):
-            DepGraph((DepToken(2, 0),))
+        with pytest.raises(ValidationError) as err:
+            parse_conllu("2\ta\t_\t_\t_\t_\t0\troot\t_\t_\n")
+        assert str(err.value) == (
+            "token indices must be consecutive from 1; got 2 at position 1"
+        )
 
 
 def _outcome(reader, text: str, keep_punctuation: bool):
@@ -399,14 +434,17 @@ class TestReferenceTwin:
                 assert trees == reference_parse_ptb(text, keep_punctuation=keep)
 
 
+def _heads(text: str) -> list[list[int]]:
+    return [list(graph.heads) for graph in parse_conllu(text)]
+
+
 def _conllu_outcome(reader, text: str):
-    """The (index, head) pairs of each graph a reader returns, or the type
-    and message of its error."""
+    """The heads of each graph a reader returns, or the type and message
+    of its error."""
     try:
-        graphs = reader(text)
+        return reader(text)
     except (FormatError, ValidationError) as exc:
         return type(exc), str(exc)
-    return [[(tok.index, tok.head) for tok in g.tokens] for g in graphs]
 
 
 class TestConlluReferenceTwin:
@@ -417,7 +455,7 @@ class TestConlluReferenceTwin:
         kinds: Counter = Counter()
         for _ in range(12_000):
             text = random_conllu_text(rng)
-            outcome = _conllu_outcome(parse_conllu, text)
+            outcome = _conllu_outcome(_heads, text)
             assert outcome == _conllu_outcome(reference_parse_conllu, text), text
             kinds[outcome[0] if isinstance(outcome, tuple) else list] += 1
         # Graphs and both kinds of error each make up a fair share.
@@ -425,17 +463,16 @@ class TestConlluReferenceTwin:
         assert min(kinds.values()) > 0.05 * sum(kinds.values())
 
     def test_demo_study_texts(self, tmp_path):
-        triples, _ = make_demo_dataset(tmp_path, n_triples=24, n_workers=7, seed=3)
+        # Every graph of the paper-scale study (seed 3).
+        triples, _ = make_demo_dataset(tmp_path, n_triples=221, n_workers=7, seed=3)
         texts = [
             text
             for line in triples.read_text("utf-8").splitlines()
             for text in json.loads(line)["conllu"].values()
         ]
-        assert len(texts) == 24 * 3
+        assert len(texts) == 221 * 3
         for text in texts:
-            outcome = _conllu_outcome(parse_conllu, text)
-            assert isinstance(outcome, list)
-            assert outcome == _conllu_outcome(reference_parse_conllu, text)
+            assert _heads(text) == reference_parse_conllu(text)
 
 
 class TestDeepTrees:
