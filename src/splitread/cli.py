@@ -59,12 +59,11 @@ SCORE_SECTIONS = (
     ("Quality scores, model vs manual (** = p < 0.01)", "BART-A", "bart"),
 )
 
-# Sampler seed used when neither the config nor --seed sets one.
-DEFAULT_SEED = 20240501
-
+_PAPER = {"chains": 4, "warmup": 50000, "draws": 4000}
+# Sampler size presets; desk sets the same keys to SamplerConfig's defaults.
 PROFILES = {
-    "desk": {"chains": 4, "warmup": 1000, "draws": 1000},
-    "paper": {"chains": 4, "warmup": 50000, "draws": 4000},
+    "desk": {f.name: f.default for f in fields(SamplerConfig) if f.name in _PAPER},
+    "paper": _PAPER,
 }
 
 _FEATURE_KEYS = tuple(f.name for f in fields(ds.FeatureConfig))
@@ -76,7 +75,7 @@ def _is_str(value) -> bool:
 
 # The JSON value a config key must hold: (description, check).
 _STRING = ("a string", _is_str)
-_INTEGER = ("an integer", lambda v: type(v) is int)
+_INTEGER = ("an integer", ds._is_integer)
 _NUMBER = ("a finite number", ds._is_number)  # read as a float
 
 _CONFIG_KEYS = {
@@ -93,14 +92,13 @@ _CONFIG_KEYS = {
     "layout": ('"long"', lambda v: v == "long"),
     "sampler": ("an object", lambda v: type(v) is dict),
 }
-# prior_sd is written in the sampler block but sets the model prior.
+# SamplerConfig's fields, by the types of their defaults, and prior_sd,
+# which is written in the sampler block but sets the model prior.
 _SAMPLER_KEYS = {
-    "chains": _INTEGER,
-    "warmup": _INTEGER,
-    "draws": _INTEGER,
-    "seed": _INTEGER,
-    "target_accept": _NUMBER,
-    "num_steps": _INTEGER,
+    **{
+        f.name: _INTEGER if type(f.default) is int else _NUMBER
+        for f in fields(SamplerConfig)
+    },
     "prior_sd": _NUMBER,
 }
 
@@ -187,7 +185,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         keep_punctuation=data.get("keep_punctuation", True),
         features=features,
         model=ModelSpec(features.predictors, prior_sd),
-        sampler=SamplerConfig(**{"seed": DEFAULT_SEED, **sampler}),
+        sampler=SamplerConfig(**sampler),
     )
 
 

@@ -17,7 +17,10 @@ running when ``run`` returns or raises are killed and reaped.
 So are its warnings: each lane records its items' warnings under the
 caller's filters (an "error" filter still raises there), and the caller
 shows those of the items up to the first failing one, in item order and
-through one registry, as one process would.
+through one registry, as one process would. That registry lasts one
+``run`` call: every lane's ``catch_warnings`` resets Python's warning
+registries, so a second call shows its warnings again, with any number
+of lanes.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from helpers import nan_density_in_children, pin_lanes
 
 from splitread import cli, inference, selection
-from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec
+from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec, SamplerConfig
 from splitread.inference import PosteriorDraws
 from splitread.synth import make_demo_dataset
 
@@ -102,6 +103,19 @@ class TestConfigHeader:
         path.write_text(json.dumps(data), encoding="utf-8")
         args = cli.build_parser().parse_args(["fit", "--config", str(path), *flags])
         assert cli.load_config(args).header() == expected
+
+    @pytest.mark.parametrize(
+        "sampler, flags",
+        [({}, []), ({"chains": 3, "warmup": 5, "draws": 7}, ["--profile", "desk"])],
+        ids=["no-flag", "desk"],
+    )
+    def test_default_sampler_is_the_library_default(self, tmp_path, sampler, flags):
+        # The CLI's sampler defaults, the seed among them, and the desk
+        # profile are SamplerConfig's defaults.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sampler": sampler}), encoding="utf-8")
+        args = cli.build_parser().parse_args(["fit", "--config", str(path), *flags])
+        assert cli.load_config(args).sampler == SamplerConfig()
 
 
 class TestExtract:
@@ -1123,6 +1137,25 @@ class TestDeepTrees:
         assert (tmp_path / "out" / "report.txt").exists()
 
 
+def test_column_too_large_to_standardize_named(tmp_path, capsys):
+    # Both SAMSA values are finite, so the reader takes them, but the
+    # squares of the column's deviations overflow.
+    triples, judgments = make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
+    records[0]["precomputed"]["samsa_a"] = 1e308
+    records[1]["precomputed"]["samsa_a"] = -1e308
+    triples.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    argv = ["fit", "--triples", str(triples), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: column 'samsa' is too large to standardize\n"
+    )
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.fixture(scope="module")
 def blocked_run(tmp_path_factory):
     # numpy is the only runtime dependency, and only fit and ablate need
@@ -1184,6 +1217,22 @@ def test_report_does_not_load_scipy_stats(blocked_run):
 def test_every_command_runs_without_scipy(blocked_run):
     _, printed, stderr = blocked_run
     assert printed == ["imported", "extract 0", "report 0", "fit 0", "ablate 0"], stderr
+
+
+def test_blocked_extract_and_report_write_the_same_bytes(blocked_run, tmp_path, monkeypatch):
+    # extract and report run on the standard library: the same commands,
+    # run here with numpy importable, write the same bytes. The arguments
+    # are the same too, --out included, since the paths enter the config
+    # hash.
+    tmp, _, stderr = blocked_run
+    shutil.copytree(tmp / "data", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    data = ["--triples", "data/triples.jsonl"]
+    assert cli.main(["extract", *data, "--out", "extract"]) == cli.EXIT_OK
+    judgments = ["--judgments", "data/judgments.jsonl"]
+    assert cli.main(["report", *data, *judgments, "--out", "report"]) == cli.EXIT_OK
+    for name in ("extract/features.csv", "report/report.txt"):
+        assert (tmp / name).read_bytes() == (tmp_path / name).read_bytes(), stderr
 
 
 def test_extract_does_not_load_scipy_special(blocked_run):

@@ -706,6 +706,26 @@ class TestDesignMatrix:
                 np.array([0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "values", [(1e308, -1e308), (1e308, 1e308)], ids=["squares", "sum"]
+    )
+    def test_column_too_large_named_without_warning(self, values):
+        # Finite values whose squares, or whose sum, overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(
+                StandardizationError, match=r"^column 'x2' is too large to standardize$"
+            ):
+                DesignMatrix.from_arrays(
+                    ["x1", "x2"], [[1.0, values[0]], [2.0, values[1]]], [0.0, 1.0]
+                )
+
+    def test_no_rows_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="^X has no rows$"):
+                DesignMatrix.from_arrays(["x"], np.empty((0, 1)), np.empty(0))
+
     def test_missing_samsa_named(self, tmp_path):
         record = {
             "id": "t0",

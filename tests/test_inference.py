@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from splitread import cli, inference, pool, selection
-from splitread.dataset import DesignMatrix, _located
+from splitread.dataset import DesignMatrix, FeatureConfig, _located
 from splitread.errors import ParseError, SplitreadError, ValidationError
 from splitread.inference import (
     ModelSpec,
@@ -684,6 +684,17 @@ class TestPoolErrorsAndWarnings:
             assert pool.run(_warn_by_parity, 5, (), "worker for items") == [0, 1, 2, 3, 4]
         assert [str(w.message) for w in caught] == ["item parity 0", "item parity 1"]
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_registry_lasts_one_run(self, monkeypatch, lanes):
+        # Each lane's catch_warnings resets Python's warning registries, so
+        # a second call shows its warnings again, with any number of lanes.
+        pin_lanes(monkeypatch, lanes)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                pool.run(_warn_by_parity, 5, (), "worker for items")
+        assert [str(w.message) for w in caught] == ["item parity 0", "item parity 1"] * 2
+
 
 class TestSummarize:
     def test_constant_draws(self):
@@ -784,6 +795,34 @@ class TestConfigValidation:
     def test_bad_target_accept_rejected(self):
         with pytest.raises(ValidationError):
             SamplerConfig(target_accept=1.0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: SamplerConfig(warmup=True), "warmup"),
+            (lambda: SamplerConfig(chains=2.5), "chains"),
+            (lambda: SamplerConfig(draws=3.5), "draws"),
+            (lambda: SamplerConfig(seed=1.5), "seed"),
+            (lambda: SamplerConfig(num_steps=np.float64(8)), "num_steps"),
+            (lambda: SamplerConfig(target_accept="0.8"), "target_accept"),
+            (lambda: FeatureConfig(kernel_sigma=True), "kernel_sigma"),
+            (lambda: FeatureConfig(kernel_sigma="x"), "kernel_sigma"),
+        ],
+        ids=["bool-warmup", "float-chains", "float-draws", "float-seed",
+             "numpy-float-num_steps", "str-target_accept", "bool-kernel_sigma",
+             "str-kernel_sigma"],
+    )
+    def test_setting_of_wrong_type_named_at_construction(self, make, field):
+        # A field whose default is an int takes an integer, one whose
+        # default is a float a real number; a bool is neither.
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            make()
+
+    def test_numpy_numbers_accepted(self):
+        config = SamplerConfig(chains=np.int64(2), seed=np.uint32(5),
+                               target_accept=np.float32(0.5))
+        assert config.chains == 2 and config.seed == 5
+        assert FeatureConfig(kernel_sigma=np.int8(2)).kernel_sigma == 2
 
     def test_nonpositive_prior_sd_rejected(self):
         # True would run as 1.0, and inf or 10**400 would fail only at
