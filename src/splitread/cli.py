@@ -276,6 +276,8 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
     missing = [p for p in predictors if p not in cfg.features.predictors]
     if missing:
         raise SplitreadError(f"predictors not in the design matrix: {missing}")
+    if len(predictors) < 2:  # as selection.ablate checks, but before any input
+        raise ValidationError("ablation needs at least 2 predictors")
     matrix = _fit_matrix(cfg)
     spec = replace(cfg.model, predictors=predictors)
     table = selection.ablate(matrix, spec, cfg.sampler)

@@ -366,38 +366,6 @@ def load_triples(
     return triples
 
 
-def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
-    obj = _object(scores, side, f"{where}.scores")
-    with _located(f"{where}.scores.{side}"):
-        for cat in CATEGORIES:
-            if cat not in obj:
-                raise ValidationError(f"missing score {cat!r}")
-        return SideScores(obj["grammar"], obj["meaning"], obj["fluency"])
-
-
-def _checked_judgment(
-    obj: dict, where: str, triple_ids: Collection[str]
-) -> JudgmentRecord:
-    """The record ``obj`` after every field check; the first error found
-    is raised, located at ``where``."""
-    scores = _object(obj, "scores", where)
-    fields = (
-        _string(obj, "triple_id", where),
-        _string(obj, "worker_id", where),
-        _require(obj, "question", where),
-        _require(obj, "choice", where),
-        _parse_scores(scores, "a", where),
-        _parse_scores(scores, "b", where),
-    )
-    with _located(where):  # an unknown question or choice
-        judgment = JudgmentRecord(*fields)
-    if judgment.triple_id not in triple_ids:
-        raise IntegrityError(
-            f"{where}.triple_id: unknown triple {judgment.triple_id!r}"
-        )
-    return judgment
-
-
 # One SideScores for each valid (grammar, meaning, fluency), shared by
 # every record that carries it.
 _SIDE_SCORES = {
@@ -405,42 +373,59 @@ _SIDE_SCORES = {
 }
 
 
-def _known_scores(side) -> SideScores | None:
-    """The SideScores of a valid score object, or None."""
-    if type(side) is dict:
-        key = (side.get("grammar"), side.get("meaning"), side.get("fluency"))
-        # True == 1 and 3.0 == 3, so only ints are looked up.
-        if type(key[0]) is type(key[1]) is type(key[2]) is int:
-            return _SIDE_SCORES.get(key)
-    return None
+def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
+    """The shared SideScores of the score object ``scores[side]``; an
+    invalid one raises its first error, located at ``where``."""
+    obj = scores.get(side)
+    if type(obj) is not dict:
+        obj = _object(scores, side, f"{where}.scores")
+    key = (obj.get("grammar"), obj.get("meaning"), obj.get("fluency"))
+    # True == 1 and 3.0 == 3, so only ints are looked up.
+    if type(key[0]) is type(key[1]) is type(key[2]) is int and (
+        found := _SIDE_SCORES.get(key)
+    ):
+        return found
+    with _located(f"{where}.scores.{side}"):
+        for cat in CATEGORIES:
+            if cat not in obj:
+                raise ValidationError(f"missing score {cat!r}")
+        return SideScores(*key)
 
 
 def load_judgments(
     path: str | Path, triple_ids: Collection[str]
 ) -> list[JudgmentRecord]:
-    """The judgment records of ``path``, each naming one of ``triple_ids``."""
+    """The judgment records of ``path``, each naming one of ``triple_ids``.
+
+    Each record is read once, field by field, in this order: the
+    ``scores`` object, ``triple_id``, ``worker_id``, ``question`` and
+    ``choice`` present, ``scores.a``, ``scores.b``, the question and
+    choice values, the triple. A field that fails its inline test goes to
+    the helper that raises its located error, so the first error in that
+    order is the one reported."""
     records: list[JudgmentRecord] = []
     for lineno, obj in _json_lines(path):
-        # A valid record passes these few lookups; any other goes to
-        # _checked_judgment, which locates its first error.
-        triple_id, worker_id = obj.get("triple_id"), obj.get("worker_id")
-        question, choice = obj.get("question"), obj.get("choice")
+        where = f"{path}:{lineno}"
         scores = obj.get("scores")
-        if (
-            type(triple_id) is str
-            and type(worker_id) is str
-            and question in QUESTIONS
-            and choice in CHOICES
-            and type(scores) is dict
-            and (a := _known_scores(scores.get("a"))) is not None
-            and (b := _known_scores(scores.get("b"))) is not None
-            and triple_id in triple_ids
-        ):
-            records.append(
+        if type(scores) is not dict:
+            scores = _object(obj, "scores", where)
+        triple_id, worker_id = obj.get("triple_id"), obj.get("worker_id")
+        if type(triple_id) is not str:
+            triple_id = _string(obj, "triple_id", where)
+        if type(worker_id) is not str:
+            worker_id = _string(obj, "worker_id", where)
+        question, choice = obj.get("question"), obj.get("choice")
+        if question is None or choice is None:  # absent, or null
+            _require(obj, "question", where)
+            _require(obj, "choice", where)
+        a = _parse_scores(scores, "a", where)
+        b = _parse_scores(scores, "b", where)
+        if question not in QUESTIONS or choice not in CHOICES:
+            with _located(where):
                 JudgmentRecord(triple_id, worker_id, question, choice, a, b)
-            )
-        else:
-            records.append(_checked_judgment(obj, f"{path}:{lineno}", triple_ids))
+        if triple_id not in triple_ids:
+            raise IntegrityError(f"{where}.triple_id: unknown triple {triple_id!r}")
+        records.append(JudgmentRecord(triple_id, worker_id, question, choice, a, b))
     return records
 
 
@@ -674,6 +659,13 @@ class ModelSpec:
         check_unique_predictors(self.predictors)
         if not (_is_number(self.prior_sd) and self.prior_sd > 0):
             raise ValidationError("prior_sd must be one positive finite number")
+        # The log density divides by the square, which must be a normal float.
+        sd = float(self.prior_sd)
+        if not sys.float_info.min <= sd * sd <= sys.float_info.max:
+            raise ValidationError(
+                "prior_sd must lie between about 1.5e-154 and 1.3e154, "
+                "where its square is a normal float"
+            )
 
     def coefficient_names(self) -> tuple[str, ...]:
         return ("intercept", *self.predictors)
@@ -874,9 +866,13 @@ class DesignMatrix:
                 raise StandardizationError(
                     f"column {name!r} is too large to standardize"
                 )
-            if sd == 0.0:
+            if col.min() == col.max():
                 raise StandardizationError(
                     f"column {name!r} has zero variance and cannot be standardized"
+                )
+            if sd < math.sqrt(sys.float_info.min):  # the squares underflowed
+                raise StandardizationError(
+                    f"column {name!r} is too small to standardize"
                 )
             Xs[:, j] = (col - mean) / sd
         return cls(columns=tuple(columns), X=Xs, y=y)

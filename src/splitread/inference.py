@@ -235,61 +235,66 @@ def _run_chain(
     prior_sd: np.ndarray,
     config: SamplerConfig,
 ) -> _Chain:
-    """Run chain ``chain``, seeded with ``config.seed + chain``."""
-    dim = prior_sd.size
-    grad_evals = 0
+    """Run chain ``chain``, seeded with ``config.seed + chain``. A non-finite
+    density or gradient already ends its trajectory as rejected, so numpy's
+    floating-point warnings are silenced; no value changes."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dim = prior_sd.size
+        grad_evals = 0
 
-    def logpost(beta: np.ndarray, *, value: bool = True) -> tuple[float, np.ndarray]:
-        nonlocal grad_evals
-        grad_evals += 1
-        return _logpost_arrays(beta, A, prior_sd, value=value)
+        def logpost(
+            beta: np.ndarray, *, value: bool = True
+        ) -> tuple[float, np.ndarray]:
+            nonlocal grad_evals
+            grad_evals += 1
+            return _logpost_arrays(beta, A, prior_sd, value=value)
 
-    draws = np.empty((config.draws, dim))
-    logp = np.empty(config.draws)
-    divergences = 0
-    rng = np.random.default_rng(config.seed + chain)
-    q = 0.1 * rng.standard_normal(dim)
-    lp, grad = logpost(q)
-    if not math.isfinite(lp):
-        raise ValidationError("log posterior is not finite at initialization")
-    eps = _find_reasonable_epsilon(q, lp, grad, logpost, rng)
-    mu = math.log(10.0 * eps)
-    h_bar = 0.0
-    log_eps_bar = 0.0
-    accepted_probs = []
+        draws = np.empty((config.draws, dim))
+        logp = np.empty(config.draws)
+        divergences = 0
+        rng = np.random.default_rng(config.seed + chain)
+        q = 0.1 * rng.standard_normal(dim)
+        lp, grad = logpost(q)
+        if not math.isfinite(lp):
+            raise ValidationError("log posterior is not finite at initialization")
+        eps = _find_reasonable_epsilon(q, lp, grad, logpost, rng)
+        mu = math.log(10.0 * eps)
+        h_bar = 0.0
+        log_eps_bar = 0.0
+        accepted_probs = []
 
-    for it in range(config.warmup + config.draws):
-        sampling = it >= config.warmup
-        jitter = rng.uniform(0.8, 1.2)
-        n_steps = round(config.num_steps * jitter)
-        p0 = rng.standard_normal(dim)
-        h0 = -lp + 0.5 * float(p0 @ p0)
-        q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)
-        h1 = -lp1 + 0.5 * float(p1 @ p1)
-        divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
-        accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
-        if rng.uniform() < accept_prob:
-            q, lp, grad = q1, lp1, grad1
-        if sampling:
-            idx = it - config.warmup
-            draws[idx] = q
-            logp[idx] = lp
-            accepted_probs.append(accept_prob)
-            divergences += int(divergent)
-        else:
-            t = it + 1
-            h_bar = (1.0 - 1.0 / (t + _DA_T0)) * h_bar + (
-                config.target_accept - accept_prob
-            ) / (t + _DA_T0)
-            log_eps = mu - math.sqrt(t) / _DA_GAMMA * h_bar
-            eta = t**-_DA_KAPPA
-            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-            eps = math.exp(log_eps)
-            if it == config.warmup - 1:
-                eps = math.exp(log_eps_bar)
-    return _Chain(
-        draws, logp, float(np.mean(accepted_probs)), divergences, eps, grad_evals
-    )
+        for it in range(config.warmup + config.draws):
+            sampling = it >= config.warmup
+            jitter = rng.uniform(0.8, 1.2)
+            n_steps = round(config.num_steps * jitter)
+            p0 = rng.standard_normal(dim)
+            h0 = -lp + 0.5 * float(p0 @ p0)
+            q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)
+            h1 = -lp1 + 0.5 * float(p1 @ p1)
+            divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
+            accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
+            if rng.uniform() < accept_prob:
+                q, lp, grad = q1, lp1, grad1
+            if sampling:
+                idx = it - config.warmup
+                draws[idx] = q
+                logp[idx] = lp
+                accepted_probs.append(accept_prob)
+                divergences += int(divergent)
+            else:
+                t = it + 1
+                h_bar = (1.0 - 1.0 / (t + _DA_T0)) * h_bar + (
+                    config.target_accept - accept_prob
+                ) / (t + _DA_T0)
+                log_eps = mu - math.sqrt(t) / _DA_GAMMA * h_bar
+                eta = t**-_DA_KAPPA
+                log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+                eps = math.exp(log_eps)
+                if it == config.warmup - 1:
+                    eps = math.exp(log_eps_bar)
+        return _Chain(
+            draws, logp, float(np.mean(accepted_probs)), divergences, eps, grad_evals
+        )
 
 
 def sample_posterior(

@@ -17,6 +17,7 @@ import os
 import random
 import re
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -30,11 +31,22 @@ from splitread.dataset import (
     SIDE_PREDICTORS,
     FeatureConfig,
     GroupComparison,
+    JudgmentRecord,
+    SideScores,
+    _located,
+    _object,
+    _require,
+    _string,
     _t_pvalue,
     extract_features,
     load_triples,
 )
-from splitread.errors import FormatError, ParseError, ValidationError
+from splitread.errors import (
+    FormatError,
+    IntegrityError,
+    ParseError,
+    ValidationError,
+)
 from splitread.inference import _LOG_2PI, _expit, _signed_design, _softplus
 from splitread.synth import make_demo_dataset
 from splitread.trees import (
@@ -923,3 +935,41 @@ def reference_dep_graph_check(tokens: tuple[ReferenceDepToken, ...]) -> None:
                 raise ValidationError(f"cyclic heads involving token {cur}")
             seen.add(cur)
             cur = tokens[cur - 1].head
+
+
+# Reference twin: one judgment record's checks as load_judgments ran them
+# on any record that failed its quick test, before the reader became one
+# walk, kept verbatim. The program reads the fields in the same order and
+# raises the same located errors.
+
+
+def _reference_parse_scores(scores: dict, side: str, where: str) -> SideScores:
+    obj = _object(scores, side, f"{where}.scores")
+    with _located(f"{where}.scores.{side}"):
+        for cat in CATEGORIES:
+            if cat not in obj:
+                raise ValidationError(f"missing score {cat!r}")
+        return SideScores(obj["grammar"], obj["meaning"], obj["fluency"])
+
+
+def reference_checked_judgment(
+    obj: dict, where: str, triple_ids: Collection[str]
+) -> JudgmentRecord:
+    """The record ``obj`` after every field check; the first error found
+    is raised, located at ``where``."""
+    scores = _object(obj, "scores", where)
+    fields = (
+        _string(obj, "triple_id", where),
+        _string(obj, "worker_id", where),
+        _require(obj, "question", where),
+        _require(obj, "choice", where),
+        _reference_parse_scores(scores, "a", where),
+        _reference_parse_scores(scores, "b", where),
+    )
+    with _located(where):  # an unknown question or choice
+        judgment = JudgmentRecord(*fields)
+    if judgment.triple_id not in triple_ids:
+        raise IntegrityError(
+            f"{where}.triple_id: unknown triple {judgment.triple_id!r}"
+        )
+    return judgment

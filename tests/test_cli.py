@@ -485,6 +485,27 @@ class TestAblateArguments:
         assert err == f"error: predictors not in the design matrix: {missing}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, predictors",
+        [(["--predictors", "fluency"], None), ([], ["fluency"]), ([], [])],
+        ids=["flag", "config-one", "config-none"],
+    )
+    def test_too_few_predictors_rejected_before_input_read(
+        self, workspace, tmp_path, capsys, monkeypatch, flags, predictors
+    ):
+        tmp, triples, judgments = workspace
+        extra = {} if predictors is None else {"predictors": predictors}
+        config = _write_config(tmp_path, triples, judgments, tmp_path / "out", **extra)
+
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("inputs read despite invalid arguments")
+
+        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
+        code = cli.main(["ablate", "--config", str(config), *flags])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: ablation needs at least 2 predictors\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfiguredPrior:
     # sampler.prior_sd in the config is the prior of every model fitted.
@@ -1156,6 +1177,25 @@ def test_column_too_large_to_standardize_named(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_column_too_small_to_standardize_named(tmp_path, capsys):
+    # The column's values differ, but its deviations' squares underflow.
+    triples, judgments = make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
+    records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
+    for record in records:
+        record["precomputed"] = {"samsa_a": 0.0, "samsa_b": 0.0}
+    records[0]["precomputed"]["samsa_a"] = 1e-170
+    triples.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    argv = ["fit", "--triples", str(triples), "--judgments", str(judgments),
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: column 'samsa' is too small to standardize\n"
+    )
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.fixture(scope="module")
 def blocked_run(tmp_path_factory):
     # numpy is the only runtime dependency, and only fit and ablate need
@@ -1259,6 +1299,9 @@ def test_fit_does_not_load_scipy_special(blocked_run, command, artifacts):
     assert _written(tmp, artifacts) == artifacts
 
 
+STRICT_PRIOR_SDS = (1e-150, 1e-20, 1e150)
+
+
 @pytest.fixture(scope="module")
 def strict_run(tmp_path_factory):
     # Every command on small demo sets, under umask 022, with any
@@ -1270,12 +1313,18 @@ def strict_run(tmp_path_factory):
     make_demo_dataset(tmp / "tiny", n_triples=2, n_workers=1, seed=4)
     fit = tmp / "fit.json"
     fit.write_text(json.dumps({"sampler": {"warmup": 50, "draws": 50}}), encoding="utf-8")
+    # Valid prior_sd values whose density and gradient overflow.
+    for sd in STRICT_PRIOR_SDS:
+        (tmp / f"fit-sd-{sd}.json").write_text(
+            json.dumps({"sampler": {"warmup": 50, "draws": 50, "prior_sd": sd}}),
+            encoding="utf-8",
+        )
 
-    def data(name):
+    def data(name, out=None):
         return [
             "--triples", str(tmp / name / "triples.jsonl"),
             "--judgments", str(tmp / name / "judgments.jsonl"),
-            "--out", str(tmp / f"{name}-out"),
+            "--out", str(tmp / f"{out or name}-out"),
         ]
 
     runs = {
@@ -1285,6 +1334,11 @@ def strict_run(tmp_path_factory):
         "ablate": ["ablate", "--config", str(fit), "--predictors", "fluency,split",
                    *data("data")],
         "report-tiny": ["report", *data("tiny")],
+        **{
+            f"fit-sd-{sd}": ["fit", "--config", str(tmp / f"fit-sd-{sd}.json"),
+                             *data("data", f"sd-{sd}")]
+            for sd in STRICT_PRIOR_SDS
+        },
     }
     umask = os.umask(0o022)
     try:
@@ -1299,7 +1353,34 @@ def strict_run(tmp_path_factory):
 
 def test_no_runtime_warning_in_any_command(strict_run):
     _, codes = strict_run
-    assert codes == dict.fromkeys(["extract", "report", "fit", "ablate", "report-tiny"], 0)
+    assert codes == {
+        **dict.fromkeys(["extract", "report", "fit", "ablate", "report-tiny"], 0),
+        # The tiny prior_sd sticks every chain, the huge one fails R-hat.
+        "fit-sd-1e-150": cli.EXIT_CONVERGENCE,
+        "fit-sd-1e-20": 0,
+        "fit-sd-1e+150": cli.EXIT_CONVERGENCE,
+    }
+
+
+@pytest.mark.parametrize("prior_sd", [1e-200, 1e200])
+def test_prior_sd_with_no_normal_square_rejected_before_input_read(
+    workspace, tmp_path, capsys, monkeypatch, prior_sd
+):
+    tmp, triples, judgments = workspace
+    config = _write_config(
+        tmp_path, triples, judgments, tmp_path / "out", sampler={"prior_sd": prior_sd}
+    )
+
+    def no_ingest(*args, **kwargs):
+        raise AssertionError("inputs read despite an invalid prior_sd")
+
+    monkeypatch.setattr(cli.ds, "ingest", no_ingest)
+    assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: prior_sd must lie between about 1.5e-154 and 1.3e154, "
+        "where its square is a normal float\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_artifacts_follow_umask_and_leave_no_temp_file(strict_run):

@@ -9,12 +9,12 @@ import signal
 import sys
 import warnings
 from collections import Counter, defaultdict, deque
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import pin_lanes, reference_score_summary
+from helpers import pin_lanes, reference_checked_judgment, reference_score_summary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -118,10 +118,10 @@ class TestIngest:
         assert judgments == []
         assert len(triples) == 8
 
-    def test_quick_path_agrees_with_the_full_check(self, tmp_path):
-        # load_judgments takes a valid record in a few lookups and hands
-        # any other to _checked_judgment: random edits of a valid record
-        # give the record, or the error, that the full check gives.
+    def test_record_walk_matches_reference_twin(self, tmp_path):
+        # load_judgments reads each record in one walk: random edits of a
+        # valid record give the record, or the first error, that the
+        # reference twin's full check gives.
         rng = random.Random(11)
         values = [True, False, 0, 1, 3, 3.0, 5, 6, 2**70, "x", "t0000", "t9",
                   "S_vs_B", "not_sure", None, [], {}, {"grammar": 4}]
@@ -146,7 +146,7 @@ class TestIngest:
             outcomes = []
             for read in (
                 lambda: load_judgments(path, {"t0000"}),
-                lambda: [dataset._checked_judgment(obj, f"{path}:1", {"t0000"})],
+                lambda: [reference_checked_judgment(obj, f"{path}:1", {"t0000"})],
             ):
                 try:
                     outcomes.append(read())
@@ -155,6 +155,24 @@ class TestIngest:
             assert outcomes[0] == outcomes[1], obj
             kinds[type(outcomes[0])] += 1
         assert min(kinds[list], kinds[tuple]) > 500
+
+    def test_paper_study_matches_reference_twin(self, tmp_path):
+        # Every record of the paper-scale study reads as the twin reads
+        # it, and carries the one shared SideScores of its scores.
+        _, judgments_path = make_demo_dataset(
+            tmp_path, n_triples=221, n_workers=7, seed=3
+        )
+        ids = {f"t{i:04d}" for i in range(221)}
+        lines = judgments_path.read_text(encoding="utf-8").splitlines()
+        expected = [
+            reference_checked_judgment(json.loads(line), "", ids) for line in lines
+        ]
+        judgments = load_judgments(judgments_path, ids)
+        assert len(judgments) == len(lines) == 4641
+        assert judgments == expected
+        for judgment in judgments:
+            for side in (judgment.scores_a, judgment.scores_b):
+                assert side is dataset._SIDE_SCORES[astuple(side)]
 
     def test_malformed_score_rejected(self, tmp_path, loaded):
         triples_path = loaded[2]
@@ -719,6 +737,35 @@ class TestDesignMatrix:
                 DesignMatrix.from_arrays(
                     ["x1", "x2"], [[1.0, values[0]], [2.0, values[1]]], [0.0, 1.0]
                 )
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.0, 1e-170), "is too small to standardize"),
+            ((-1e-160, 1e-160), "is too small to standardize"),
+            ((1e-170, 1e-170), "has zero variance and cannot be standardized"),
+            ((0.1, 0.1, 0.1), "has zero variance and cannot be standardized"),
+        ],
+        ids=["subnormal-squares", "tiny-sd", "constant-tiny", "constant-inexact-mean"],
+    )
+    def test_column_too_small_or_constant_named(self, values, message):
+        # Distinct values whose squared deviations underflow are too small,
+        # not constant; a constant column is named as such even when its
+        # mean is inexact and its computed sd is not 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StandardizationError, match=f"^column 'x' {message}$"):
+                DesignMatrix.from_arrays(
+                    ["x"], [[v] for v in values], [0.0, 1.0, 0.0][: len(values)]
+                )
+
+    def test_smallest_standardizable_column_keeps_its_bits(self):
+        # Just above sqrt(float min), the sd is taken as before.
+        col = np.array([0.0, 4e-154])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = DesignMatrix.from_arrays(["x"], col[:, None], [0.0, 1.0])
+        assert matrix.X[:, 0].tolist() == ((col - col.mean()) / col.std()).tolist()
 
     def test_no_rows_rejected_without_warning(self):
         with warnings.catch_warnings():

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import signal
+import sys
 import time
 import warnings
 
@@ -830,6 +831,19 @@ class TestConfigValidation:
         for prior_sd in (0.0, True, math.inf, math.nan, 10**400):
             with pytest.raises(ValidationError):
                 ModelSpec(predictors=("x",), prior_sd=prior_sd)
+
+    def test_prior_sd_square_must_be_normal(self):
+        # The density divides by prior_sd**2: below sqrt(float min) the
+        # square is subnormal or 0, above sqrt(float max) it is inf.
+        low, high = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for prior_sd in (low, high, 1e-150, 1e150, np.float64(high), 10**154):
+                ModelSpec(predictors=("x",), prior_sd=prior_sd)
+            for prior_sd in (math.nextafter(low, 0.0), math.nextafter(high, math.inf),
+                             1e-200, 1e200, np.float64(1e200), 10**155):
+                with pytest.raises(ValidationError, match="^prior_sd must lie between"):
+                    ModelSpec(predictors=("x",), prior_sd=prior_sd)
 
     def test_repeated_predictor_named(self):
         with pytest.raises(ValidationError, match=r"duplicate predictor names: \['x'\]"):
