@@ -9,7 +9,7 @@ convergence is checked with the Gelman-Rubin potential scale reduction
 factor.
 
 Leapfrog steps need only the gradient of the log density; its value is
-computed only at trajectory endpoints, for the Metropolis test (Neal
+computed only at a trajectory's last step, for the Metropolis test (Neal
 2011). The draws are unchanged by this: an interior step whose density
 alone is not finite needs A @ beta or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
@@ -21,19 +21,25 @@ column-major signed design A = diag(s) [1, X], with s = 2y - 1. The
 margin v = A @ beta is s * t for the logit t, so the log-likelihood
 sum y*t - log(1 + e^t) is -sum log(1 + e^-v) and its gradient is
 A^T sigmoid(-v), where sigmoid(-v) = 1 / (1 + e^v) is computed in v's own
-buffer. A gradient is two matrix-vector products and three elementwise
-passes, with no separate intercept and no y - lambda.
+buffer. A gradient is two matrix products and three elementwise passes,
+with no separate intercept and no y - lambda.
 
 The sigmoid and softplus of the density are numpy's vectorized
 ``exp``/``log1p``, the package's only logistic kernels. ``selection``'s
 WAIC terms are the density's -softplus(-v); ``synth`` draws with the sigmoid.
 
-The chains run at the same time, striped over one process per CPU by
-``pool.run``. Each chain owns its seed and random stream, so the draws
-and every per-chain statistic are byte-reproducible on one machine and
-the same for any number of lanes. Like the BLAS matrix-vector products
-(OpenBLAS's GEMV) already, their last bits depend on the CPU's SIMD
-dispatch.
+The chains run in pairs: chains 2u and 2u + 1 are the two columns of
+(k, 2) state arrays, so a leapfrog step of both is one n x k x 2 matrix
+product A @ Q and one A^T sigmoid(-V), not two matrix-vector products
+per chain, one chain after the other. The pairs run at the same time,
+striped over one process per CPU by ``pool.run``. Each chain owns its
+seed, random stream, step size and path length, so the draws and every
+per-chain statistic are byte-reproducible on one machine and the same
+for any number of lanes. A column's last bits depend on the width of the
+product (widths 1, 2 and 4 round differently) but not on the other
+column's values or its position, so the width is the constant ``PAIR``,
+never a setting; like the BLAS products (OpenBLAS's GEMM) themselves,
+they also depend on the CPU's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _DIVERGENCE_ENERGY = 1000.0
+# Chains advanced together, one column of the state arrays each.
+PAIR = 2
 
 # Dual-averaging constants.
 _DA_GAMMA = 0.05
@@ -84,16 +92,16 @@ class PosteriorDraws:
 def _expit_neg(v: np.ndarray) -> np.ndarray:
     """The logistic sigmoid of -v, 1 / (1 + e^v), computed in ``v``'s own
     buffer, which it returns. Above v = 709.78, e^v overflows to inf and
-    the result is exactly 0."""
-    with np.errstate(over="ignore"):
-        np.exp(v, out=v)
+    the result is exactly 0; the caller silences that overflow warning."""
+    np.exp(v, out=v)
     v += 1.0
     return np.divide(1.0, v, out=v)
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
     """The logistic sigmoid 1 / (1 + e^-t), on numpy's vectorized exp."""
-    return _expit_neg(np.negative(t))
+    with np.errstate(over="ignore"):
+        return _expit_neg(np.negative(t))
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:
@@ -121,22 +129,26 @@ def _logpost_arrays(
     prior_sd: np.ndarray,
     *,
     value: bool = True,
-) -> tuple[float, np.ndarray]:
-    """Log density and gradient on the signed design ``A``; with
-    ``value=False`` only the gradient (bit-identical to the full call's)
-    and NaN in place of the density."""
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Log density and gradient on the signed design ``A`` at ``beta``, a
+    coefficient vector (k,) or one per column of a (k, W) array, whose
+    densities are then a (W,) array; with ``value=False`` only the
+    gradient (bit-identical to the full call's) and NaN in place of the
+    density. The caller silences the overflow warning of e^v."""
+    if beta.ndim == 2:
+        prior_sd = prior_sd[:, None]
     v = A @ beta
     if value:
         # log lik = sum y*t - log(1 + e^t) = -sum log(1 + e^-v).
-        loglik = -float(_softplus(np.negative(v)).sum())
+        loglik = -_softplus(np.negative(v)).sum(axis=0)
     grad = A.T @ _expit_neg(v)
     grad -= beta / prior_sd**2
     if not value:
         return math.nan, grad
     z = beta / prior_sd
-    logprior = float(
-        -0.5 * (z @ z) - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * beta.size
-    )
+    # A chain's start and epsilon search keep the bits of one dot product.
+    zz = z @ z if z.ndim == 1 else (z * z).sum(axis=0)
+    logprior = -0.5 * zz - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * len(beta)
     return loglik + logprior, grad
 
 
@@ -157,34 +169,45 @@ def log_posterior(
     if not np.all(np.isfinite(beta)):
         raise ValidationError("beta contains non-finite values")
     A = _signed_design(matrix.predictor_matrix(spec.predictors), matrix.y)
-    return _logpost_arrays(beta, A, np.full(A.shape[1], float(spec.prior_sd)))
+    with np.errstate(over="ignore"):
+        lp, grad = _logpost_arrays(beta, A, np.full(A.shape[1], float(spec.prior_sd)))
+    return float(lp), grad
 
 
 def _leapfrog(
     q: np.ndarray,
     p: np.ndarray,
     grad: np.ndarray,
-    eps: float,
-    n_steps: int,
-    logpost: Callable[..., tuple[float, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """``n_steps`` leapfrog steps from (q, p); interior steps compute only
-    the gradient, the endpoint also the log density. A non-finite value
-    stops the trajectory with density -inf, which the energy test rejects."""
+    eps: float | np.ndarray,
+    n_steps: int | np.ndarray,
+    logpost: Callable[..., tuple],
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
+    """Leapfrog trajectories from (q, p): one for (k,) arrays, or one per
+    column of (k, W) arrays, column j taking ``n_steps[j]`` steps of size
+    ``eps[j]``. A column whose trajectory has ended steps with 0, which
+    leaves its bits unchanged, until the longest one ends. Interior steps
+    compute only the gradient, the last step also the log density, which
+    for an ended column is that of its endpoint. A non-finite gradient
+    makes p non-finite, and p then stays so; a column whose p or density
+    is not finite at the end therefore ends with density -inf, which the
+    energy test rejects."""
+    eps = np.asarray(eps, dtype=float)
+    n_steps = np.asarray(n_steps)
+    # Row s - 1 holds each column's position and momentum step sizes at step s.
+    step = np.arange(1, n_steps.max() + 1).reshape((-1,) + (1,) * n_steps.ndim)
+    drift = np.where(step <= n_steps, eps, 0.0)
+    kick = np.where(step < n_steps, eps, np.where(step == n_steps, 0.5 * eps, 0.0))
     q = q.copy()
     p = p + 0.5 * eps * grad
-    for _ in range(n_steps - 1):
-        q += eps * p
+    for a, b in zip(drift[:-1], kick[:-1]):
+        q += a * p
         _, grad = logpost(q, value=False)
-        if not np.isfinite(grad).all():
-            return q, p, -math.inf, grad
-        p += eps * grad
-    q += eps * p
+        p += b * grad
+    q += drift[-1] * p
     lp, grad = logpost(q)
-    if not np.isfinite(grad).all() or not math.isfinite(lp):
-        return q, p, -math.inf, grad
-    p += 0.5 * eps * grad
-    return q, p, lp, grad
+    p += kick[-1] * grad
+    failed = ~(np.isfinite(lp) & np.isfinite(p).all(axis=0))
+    return q, p, np.where(failed, -math.inf, lp), grad
 
 
 def _find_reasonable_epsilon(
@@ -201,7 +224,7 @@ def _find_reasonable_epsilon(
     def accept_ratio(eps: float) -> float:
         _, p1, lp1, _ = _leapfrog(q, p, grad, eps, 1, logpost)
         h1 = -lp1 + 0.5 * float(p1 @ p1)
-        return math.exp(min(0.0, h0 - h1))
+        return math.exp(min(0.0, h0 - h1)) if math.isfinite(h1) else 0.0
 
     ratio = accept_ratio(eps)
     direction = 1.0 if ratio > 0.5 else -1.0
@@ -226,75 +249,130 @@ class _Chain(NamedTuple):
     accept_rate: float
     divergences: int
     step_size: float  # the adapted step size, used for every kept draw
-    grad_evals: int  # log-density/gradient calls, the epsilon search included
+    # Log-density/gradient evaluations: its start and epsilon search, and
+    # one per step of each of its own trajectories.
+    grad_evals: int
 
 
-def _run_chain(
-    chain: int,
+class _ChainState:
+    """One chain of a pair: its random stream, its step size, adapted by
+    dual averaging during warmup, its draws and its statistics."""
+
+    def __init__(self, chain: int, logpost: Callable, dim: int, config: SamplerConfig):
+        self.config = config
+        self.rng = np.random.default_rng(config.seed + chain)
+        self.grad_evals = 0
+
+        def counted(beta: np.ndarray, *, value: bool = True) -> tuple:
+            self.grad_evals += 1
+            return logpost(beta, value=value)
+
+        self.q = 0.1 * self.rng.standard_normal(dim)
+        self.lp, self.grad = counted(self.q)
+        if not math.isfinite(self.lp):
+            raise ValidationError("log posterior is not finite at initialization")
+        self.eps = _find_reasonable_epsilon(
+            self.q, self.lp, self.grad, counted, self.rng
+        )
+        self.mu = math.log(10.0 * self.eps)
+        self.h_bar = 0.0
+        self.log_eps_bar = 0.0
+        self.accepted_probs: list[float] = []
+        self.divergences = 0
+        self.draws = np.empty((config.draws, dim))
+        self.logp = np.empty(config.draws)
+
+    def next_trajectory(self) -> tuple[int, np.ndarray]:
+        """The next trajectory's jittered path length and momentum."""
+        jitter = self.rng.uniform(0.8, 1.2)
+        n_steps = round(self.config.num_steps * jitter)
+        self.grad_evals += n_steps
+        return n_steps, self.rng.standard_normal(self.q.size)
+
+    def transition(self, it: int, h0: float, h1: float) -> bool:
+        """The Metropolis test of iteration ``it``'s proposal, recorded in the
+        statistics or the step size; True if it is accepted."""
+        config = self.config
+        divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
+        accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
+        accepted = self.rng.uniform() < accept_prob
+        if it >= config.warmup:
+            self.accepted_probs.append(accept_prob)
+            self.divergences += int(divergent)
+            return accepted
+        t = it + 1
+        self.h_bar = (1.0 - 1.0 / (t + _DA_T0)) * self.h_bar + (
+            config.target_accept - accept_prob
+        ) / (t + _DA_T0)
+        log_eps = self.mu - math.sqrt(t) / _DA_GAMMA * self.h_bar
+        eta = t**-_DA_KAPPA
+        self.log_eps_bar = eta * log_eps + (1.0 - eta) * self.log_eps_bar
+        self.eps = math.exp(log_eps if it < config.warmup - 1 else self.log_eps_bar)
+        return accepted
+
+    def result(self) -> _Chain:
+        return _Chain(
+            self.draws,
+            self.logp,
+            float(np.mean(self.accepted_probs)),
+            self.divergences,
+            self.eps,
+            self.grad_evals,
+        )
+
+
+def _pair_chains(pair: int, chains: int) -> range:
+    """The chains of pair ``pair``: 2 * pair and 2 * pair + 1, or the first
+    alone if it is the last of ``chains``."""
+    return range(PAIR * pair, min(PAIR * (pair + 1), chains))
+
+
+def _run_pair(
+    pair: int,
     A: np.ndarray,
     prior_sd: np.ndarray,
     config: SamplerConfig,
-) -> _Chain:
-    """Run chain ``chain``, seeded with ``config.seed + chain``. A non-finite
-    density or gradient already ends its trajectory as rejected, so numpy's
-    floating-point warnings are silenced; no value changes."""
+) -> list[_Chain]:
+    """Run the chains of pair ``pair``, each seeded with ``config.seed +
+    chain``, as the columns of (k, PAIR) arrays; a lone chain's partner
+    column stays at 0 with step size 0. Each chain starts and searches its
+    step size alone; then every iteration runs both trajectories in one
+    ``_leapfrog``. A non-finite density or gradient already ends its
+    trajectory as rejected, so numpy's floating-point warnings are
+    silenced; no value changes."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dim = prior_sd.size
-        grad_evals = 0
 
-        def logpost(
-            beta: np.ndarray, *, value: bool = True
-        ) -> tuple[float, np.ndarray]:
-            nonlocal grad_evals
-            grad_evals += 1
+        def logpost(beta: np.ndarray, *, value: bool = True) -> tuple:
             return _logpost_arrays(beta, A, prior_sd, value=value)
 
-        draws = np.empty((config.draws, dim))
-        logp = np.empty(config.draws)
-        divergences = 0
-        rng = np.random.default_rng(config.seed + chain)
-        q = 0.1 * rng.standard_normal(dim)
-        lp, grad = logpost(q)
-        if not math.isfinite(lp):
-            raise ValidationError("log posterior is not finite at initialization")
-        eps = _find_reasonable_epsilon(q, lp, grad, logpost, rng)
-        mu = math.log(10.0 * eps)
-        h_bar = 0.0
-        log_eps_bar = 0.0
-        accepted_probs = []
+        dim = prior_sd.size
+        members = _pair_chains(pair, config.chains)
+        chains = [_ChainState(c, logpost, dim, config) for c in members]
+        q = np.zeros((dim, PAIR))
+        lp = np.zeros(PAIR)
+        grad = np.zeros((dim, PAIR))
+        eps = np.zeros(PAIR)
+        n_steps = np.zeros(PAIR, dtype=int)
+        p0 = np.zeros((dim, PAIR))
+        h0 = [0.0] * len(chains)
+        for j, c in enumerate(chains):
+            q[:, j], lp[j], grad[:, j] = c.q, c.lp, c.grad
 
         for it in range(config.warmup + config.draws):
-            sampling = it >= config.warmup
-            jitter = rng.uniform(0.8, 1.2)
-            n_steps = round(config.num_steps * jitter)
-            p0 = rng.standard_normal(dim)
-            h0 = -lp + 0.5 * float(p0 @ p0)
+            for j, c in enumerate(chains):
+                eps[j] = c.eps
+                n_steps[j], p = c.next_trajectory()
+                h0[j] = -lp[j] + 0.5 * float(p @ p)
+                p0[:, j] = p
             q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)
-            h1 = -lp1 + 0.5 * float(p1 @ p1)
-            divergent = (h1 - h0) > _DIVERGENCE_ENERGY or not math.isfinite(h1)
-            accept_prob = 0.0 if divergent else math.exp(min(0.0, h0 - h1))
-            if rng.uniform() < accept_prob:
-                q, lp, grad = q1, lp1, grad1
-            if sampling:
-                idx = it - config.warmup
-                draws[idx] = q
-                logp[idx] = lp
-                accepted_probs.append(accept_prob)
-                divergences += int(divergent)
-            else:
-                t = it + 1
-                h_bar = (1.0 - 1.0 / (t + _DA_T0)) * h_bar + (
-                    config.target_accept - accept_prob
-                ) / (t + _DA_T0)
-                log_eps = mu - math.sqrt(t) / _DA_GAMMA * h_bar
-                eta = t**-_DA_KAPPA
-                log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-                eps = math.exp(log_eps)
-                if it == config.warmup - 1:
-                    eps = math.exp(log_eps_bar)
-        return _Chain(
-            draws, logp, float(np.mean(accepted_probs)), divergences, eps, grad_evals
-        )
+            for j, c in enumerate(chains):
+                p = p1[:, j]
+                if c.transition(it, h0[j], -lp1[j] + 0.5 * float(p @ p)):
+                    q[:, j], lp[j], grad[:, j] = q1[:, j], lp1[j], grad1[:, j]
+                if it >= config.warmup:
+                    c.draws[it - config.warmup] = q[:, j]
+                    c.logp[it - config.warmup] = lp[j]
+        return [c.result() for c in chains]
 
 
 def sample_posterior(
@@ -303,12 +381,14 @@ def sample_posterior(
     """Draw from the coefficient posterior with plain HMC.
 
     Chains run independently, each seeded with ``config.seed + chain``;
-    results are deterministic for a fixed configuration. The chains run
-    at the same time, striped over ``pool.lanes`` processes (lane k runs
-    chains k, k + lanes, ...), and the result does not depend on the lane
-    count. Warmup draws are discarded. Divergent transitions after warmup
-    are counted and exposed on the result. A zero-variance predictor or
-    an outcome that is not 0/1 raises ValidationError.
+    results are deterministic for a fixed configuration. Chains 2u and
+    2u + 1 advance in lockstep as one pair (``_run_pair``), and the pairs
+    run at the same time, striped over ``pool.lanes`` processes (lane k
+    runs pairs k, k + lanes, ...); the result depends neither on the lane
+    count nor, for a chain, on how many chains there are. Warmup draws
+    are discarded. Divergent transitions after warmup are counted and
+    exposed on the result. A zero-variance predictor or an outcome that
+    is not 0/1 raises ValidationError.
     """
     X = matrix.predictor_matrix(spec.predictors)
     for name, column in zip(spec.predictors, X.T):
@@ -316,12 +396,14 @@ def sample_posterior(
             raise ValidationError(f"predictor {name!r} has zero variance")
     A = _signed_design(X, matrix.y)
     del X  # the lanes need A alone
-    chains = pool.run(
-        _run_chain,
-        config.chains,
+    pairs = pool.run(
+        _run_pair,
+        -(-config.chains // PAIR),
         (A, np.full(A.shape[1], float(spec.prior_sd)), config),
         "sampler worker for chains",
+        names=lambda pair: _pair_chains(pair, config.chains),
     )
+    chains = [chain for pair in pairs for chain in pair]
     return PosteriorDraws(
         names=spec.coefficient_names(),
         draws=np.stack([c.draws for c in chains]),

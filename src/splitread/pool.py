@@ -11,7 +11,8 @@ therefore gives the same result for any number of lanes.
 
 Errors are those of the serial loop: the exception of the lowest-indexed
 failing item is raised in the caller, and a child that dies raises a
-SplitreadError, counted as a failure of its first item. Children still
+SplitreadError, counted as a failure of its first item, that names what
+its items stand for (an item may stand for several chains). Children still
 running when ``run`` returns or raises are killed and reaped.
 
 So are its warnings: each lane records its items' warnings under the
@@ -29,7 +30,7 @@ import os
 import pickle
 import signal
 import warnings
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from .errors import SplitreadError
 
@@ -86,18 +87,25 @@ def _fork_stripe(fn: Callable, stripe: range, args: tuple) -> tuple[int, BinaryI
     return pid, open(read_fd, "rb")
 
 
-def _listing(stripe: range) -> str:
-    items = [str(item) for item in stripe]
+def _listing(stripe: range, names: Callable[[int], Iterable[int]]) -> str:
+    items = [str(name) for item in stripe for name in names(item)]
     if len(items) > 4:
         items[2:-1] = ["..."]
     return ", ".join(items)
 
 
-def run(fn: Callable[..., T], jobs: int, args: tuple, what: str) -> list[T]:
+def run(
+    fn: Callable[..., T],
+    jobs: int,
+    args: tuple,
+    what: str,
+    names: Callable[[int], Iterable[int]] = lambda item: (item,),
+) -> list[T]:
     """``[fn(i, *args) for i in range(jobs)]``, striped over ``lanes(jobs)``
-    processes. ``what`` names a worker and its items in the error raised
-    when it dies ("sampler worker for chains" gives "sampler worker for
-    chains 1, 3 died (signal 9)")."""
+    processes. ``what`` and ``names(i)``, the numbers item i stands for
+    (i itself by default), name a worker in the error raised when it dies
+    ("sampler worker for chains" gives "sampler worker for chains 2, 3
+    died (signal 9)")."""
     n = lanes(jobs)
     stripes = [range(k, jobs, n) for k in range(n)]
     running = []  # (pid, pipe) of each child not yet waited for
@@ -116,7 +124,7 @@ def run(fn: Callable[..., T], jobs: int, args: tuple, what: str) -> list[T]:
             running.pop(0)
             if code != 0:
                 how = f"signal {-code}" if code < 0 else f"status {code}"
-                died = SplitreadError(f"{what} {_listing(stripe)} died ({how})")
+                died = SplitreadError(f"{what} {_listing(stripe, names)} died ({how})")
                 outcomes.append(([], [], (stripe.start, died)))
             else:
                 outcomes.append(pickle.loads(data))  # written by the child above

@@ -313,24 +313,44 @@ def naive_tnodes(tree: ParseTree) -> float:
 
 def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
     """Leapfrog integration that evaluates the full log density on every
-    step and stops at the first non-finite value or gradient."""
-    q = q.copy()
-    p = p + 0.5 * eps * grad
-    lp = -math.inf
-    for step in range(n_steps):
-        q += eps * p
-        lp, grad = logpost(q)
-        if not np.all(np.isfinite(grad)) or not math.isfinite(lp):
-            return q, p, -math.inf, grad
-        if step < n_steps - 1:
-            p += eps * grad
-    p += 0.5 * eps * grad
-    return q, p, lp, grad
+    step. Column j of (k, W) arrays, or the one trajectory of (k,) arrays,
+    takes ``n_steps[j]`` steps of ``eps[j]`` and stops at its end or at its
+    first non-finite value or gradient, with density -inf; a stopped
+    column keeps its place, unchanged, in every later evaluation."""
+    q, p = np.array(q, dtype=float), np.array(p, dtype=float)
+    k = q.shape[0]
+    qs, ps = q.reshape(k, -1), p.reshape(k, -1)  # views: one column each
+    width = qs.shape[1]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (width,))
+    n_steps = np.broadcast_to(np.asarray(n_steps), (width,))
+    grads = np.array(grad, dtype=float).reshape(k, -1)
+    lps = np.full(width, -math.inf)
+    for j in range(width):
+        ps[:, j] += 0.5 * eps[j] * grads[:, j]
+    running = {j for j in range(width) if n_steps[j] > 0}
+    for step in range(1, max(n_steps) + 1):
+        for j in running:
+            qs[:, j] += eps[j] * ps[:, j]
+        lp, g = logpost(q)
+        lp, g = np.atleast_1d(lp), g.reshape(k, -1)
+        for j in sorted(running):
+            if not np.all(np.isfinite(g[:, j])) or not math.isfinite(lp[j]):
+                grads[:, j] = g[:, j]
+                running.discard(j)
+            elif step < n_steps[j]:
+                ps[:, j] += eps[j] * g[:, j]
+            else:
+                ps[:, j] += 0.5 * eps[j] * g[:, j]
+                lps[j], grads[:, j] = lp[j], g[:, j]
+                running.discard(j)
+    grad = grads.reshape(q.shape)
+    return q, p, (lps if q.ndim == 2 else lps[0]), grad
 
 
 def pin_lanes(monkeypatch, lanes):
-    """Run every job of the lane pool, the chains of ``sample_posterior``
-    and the triples of ``extract_features``, in ``lanes`` processes."""
+    """Run every job of the lane pool, the pairs of chains of
+    ``sample_posterior`` and the triples of ``extract_features``, in
+    ``lanes`` processes."""
     monkeypatch.setattr(pool, "lanes", lambda jobs: lanes)
 
 

@@ -293,7 +293,10 @@ class TestFitLanes:
         nan_in_worker = nan_density_in_children(inference._logpost_arrays)
         monkeypatch.setattr(inference, "_logpost_arrays", nan_in_worker)
         pin_lanes(monkeypatch, 2)
-        config = _write_config(tmp, triples, judgments, tmp / "fit_worker_error")
+        # Four chains: pair 1, chains 2 and 3, runs in the forked lane.
+        config = _write_config(
+            tmp, triples, judgments, tmp / "fit_worker_error", sampler={"chains": 4}
+        )
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == "error: log posterior is not finite at initialization\n"
@@ -312,6 +315,48 @@ class TestFitLanes:
             assert cli.main(argv) == 0
             written.append([(out / name).read_bytes() for name in names])
         assert written[1] == written[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+class TestFitAffinity:
+    def test_artifacts_independent_of_cpu_affinity(self, workspace):
+        # As `taskset -c 0 splitread fit ...` runs it: pool.lanes reads the
+        # affinity of a real process, here restricted to one CPU or not.
+        tmp, triples, judgments = workspace
+        out = tmp / "fit_affinity"  # one path: it is part of the config hash
+        config = _write_config(
+            tmp, triples, judgments, out,
+            predictors=["fluency", "split", "ted1"],
+            sampler={"chains": 4, "warmup": 100, "draws": 100},
+        )
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from splitread import cli, pool\n"
+            "print(pool.lanes(2))\n"  # the lanes of four chains' two pairs
+            "sys.exit(cli.main(['fit', '--config', sys.argv[2]]))"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        lanes, artifacts = [], []
+        for affinity in ("pinned", "unrestricted"):
+            result = subprocess.run(
+                [sys.executable, "-c", code, affinity, str(config)],
+                env=env, cwd=tmp, capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            lanes.append(int(result.stdout.splitlines()[0]))
+            artifacts.append(
+                {
+                    name: (out / name).read_bytes()
+                    for name in ("summary.csv", "draws.csv", "histograms.csv")
+                }
+            )
+        assert lanes[0] == 1
+        assert lanes[1] == min(2, len(os.sched_getaffinity(0)))
+        assert artifacts[1] == artifacts[0]
 
 
 class TestExtractLanes:

@@ -123,15 +123,16 @@ class TestLogPosterior:
         )
     )
     def test_margin_form_matches_reference_twin(self, beta):
-        # Beyond |t| = 709.78 the margin form's e^v overflows to inf. The
-        # two forms add the same terms in other orders and roundings, so
-        # each result may differ by a small multiple of its summed size.
+        # Beyond |t| = 709.78 the margin form's e^v overflows to inf, a
+        # warning its callers silence. The two forms add the same terms in
+        # other orders and roundings, so each result may differ by a small
+        # multiple of its summed size.
         matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
         X = matrix.predictor_matrix(matrix.columns)
         A = inference._signed_design(X, matrix.y)
         beta = np.asarray(beta)
         prior_sd = np.full(3, 2.5)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("error")
             lp, grad = inference._logpost_arrays(beta, A, prior_sd)
         ref_lp, ref_grad = reference_logpost_arrays(beta, X, matrix.y, prior_sd)
@@ -380,9 +381,25 @@ class TestSampler:
         assert np.array_equal(d1.draws, d2.draws)
 
 
+def _boxed(logpost, bound, column=None):
+    """``logpost`` with a NaN gradient in each column whose coefficients
+    leave the box max|beta| <= ``bound``: in every call, or, given
+    ``column``, in that column of a pair's calls alone."""
+
+    def boxed(beta, *args, value=True):
+        lp, grad = logpost(beta, *args, value=value)
+        outside = np.abs(beta).max(axis=0) > bound
+        if column is not None:
+            outside = beta.ndim == 2 and outside & (np.arange(beta.shape[1]) == column)
+        return lp, np.where(outside, math.nan, grad)
+
+    return boxed
+
+
 class TestLeapfrog:
     """Interior leapfrog steps compute only the gradient; the log density
-    is computed once per trajectory, at its endpoint."""
+    is computed once per pair's trajectory, at a step where a chain of the
+    pair ends."""
 
     @pytest.mark.parametrize("seed", [17, 18])
     def test_draws_equal_full_density_twin(self, small_fit, monkeypatch, seed):
@@ -398,95 +415,102 @@ class TestLeapfrog:
 
     def test_density_computed_once_per_trajectory(self, small_fit, monkeypatch):
         matrix, spec, config, _ = small_fit
-        calls = {True: 0, False: 0}
-        search_calls = 0
-        trajectory_steps = []
-        in_search = False
+        config = dataclasses.replace(config, chains=3)  # one pair has a lone chain
+        single = {True: 0, False: 0}
+        trajectories = []  # (path lengths, value flag of each call) per pair
         real_logpost = inference._logpost_arrays
         real_leapfrog = inference._leapfrog
-        real_search = inference._find_reasonable_epsilon
 
-        def counting_logpost(*args, value=True):
-            calls[value] += 1
-            return real_logpost(*args, value=value)
+        def counting_logpost(beta, *args, value=True):
+            if beta.ndim == 1:
+                single[value] += 1
+            return real_logpost(beta, *args, value=value)
 
         def recording_leapfrog(q, p, grad, eps, n_steps, logpost):
-            if not in_search:
-                trajectory_steps.append(n_steps)
-            return real_leapfrog(q, p, grad, eps, n_steps, logpost)
+            flags = []
 
-        def counting_search(*args):
-            nonlocal in_search, search_calls
-            before = calls[True] + calls[False]
-            in_search = True
-            try:
-                return real_search(*args)
-            finally:
-                in_search = False
-                search_calls += calls[True] + calls[False] - before
+            def recording(beta, *, value=True):
+                flags.append(value)
+                return logpost(beta, value=value)
 
-        # The counters live in this process, so every chain must run here.
+            if q.ndim == 2:
+                trajectories.append((list(n_steps), flags))
+            return real_leapfrog(q, p, grad, eps, n_steps, recording)
+
+        # The counters live in this process, so every pair must run here.
         pin_lanes(monkeypatch, 1)
         monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
         monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
-        monkeypatch.setattr(inference, "_find_reasonable_epsilon", counting_search)
         sample_posterior(matrix, spec, config)
-        iterations = config.chains * (config.warmup + config.draws)
-        assert len(trajectory_steps) == iterations
-        assert search_calls > 0
-        assert calls[True] == config.chains + search_calls + iterations
-        assert calls[True] + calls[False] == (
-            config.chains + search_calls + sum(trajectory_steps)
-        )
+        pairs = -(-config.chains // inference.PAIR)
+        assert len(trajectories) == pairs * (config.warmup + config.draws)
+        for lengths, flags in trajectories:
+            assert len(flags) == max(lengths)
+            density_steps = {step for step, value in enumerate(flags, 1) if value}
+            assert density_steps == {max(lengths)} <= set(lengths)
+        # Starts and epsilon searches: single columns, each with its density.
+        assert single[False] == 0 and single[True] > config.chains
 
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
             st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-            min_size=3,
-            max_size=3,
+            min_size=6,
+            max_size=6,
         )
     )
     def test_gradient_only_call_matches_full_call(self, beta):
         matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
         A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
-        beta = np.asarray(beta)
         prior_sd = np.full(3, 2.5)
-        _, grad = inference._logpost_arrays(beta, A, prior_sd)
-        lp, grad_only = inference._logpost_arrays(beta, A, prior_sd, value=False)
-        assert math.isnan(lp)
-        assert np.array_equal(grad_only, grad)
+        for b in (np.asarray(beta[:3]), np.reshape(beta, (3, 2))):
+            with np.errstate(over="ignore"):
+                _, grad = inference._logpost_arrays(b, A, prior_sd)
+                lp, grad_only = inference._logpost_arrays(b, A, prior_sd, value=False)
+            assert math.isnan(lp)
+            assert np.array_equal(grad_only, grad)
 
     def test_non_finite_interior_gradient_stops_trajectory(self):
-        calls = []
-
+        # Column 0's gradient is NaN from the second call on; column 1 runs
+        # on with the bits it has in a NaN-free pair, the twin's bits.
         def logpost(q, *, value=True):
             calls.append(value)
-            grad = np.full(q.size, math.nan if len(calls) == 2 else 0.5)
-            return (0.0 if value else math.nan), grad
+            grad = np.cos(q) - 0.1 * q
+            if poisoned and len(calls) >= 2:
+                grad[:, 0] = math.nan
+            return (-(q * q).sum(axis=0) if value else math.nan), grad
 
-        _, _, lp, _ = inference._leapfrog(
-            np.zeros(2), np.ones(2), np.ones(2), 0.1, 5, logpost
-        )
-        assert lp == -math.inf
-        assert calls == [False, False]
+        start = (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+        paths = (np.array([0.1, 0.2]), np.array([5, 7]))
+        poisoned, calls = True, []
+        q1, p1, lp1, _ = inference._leapfrog(*start, *paths, logpost)
+        assert calls == [False] * 6 + [True]
+        assert lp1[0] == -math.inf and math.isfinite(lp1[1])
+        assert naive_leapfrog(*start, *paths, logpost)[2][0] == -math.inf
+        poisoned, calls = False, []
+        q2, p2, lp2, _ = inference._leapfrog(*start, *paths, logpost)
+        assert np.array_equal(q1[:, 1], q2[:, 1])
+        assert np.array_equal(p1[:, 1], p2[:, 1])
+        assert lp1[1] == lp2[1]
+        for got, want in zip((q2, p2, lp2), naive_leapfrog(*start, *paths, logpost)):
+            assert np.array_equal(got, want)
+
+    def test_non_finite_single_column_rejected(self):
+        def logpost(q, *, value=True):
+            return (0.0 if value else math.nan), np.full(q.size, math.nan)
+
+        start = (np.zeros(2), np.ones(2), np.ones(2))
+        assert inference._leapfrog(*start, 0.1, 1, logpost)[2] == -math.inf
 
     def test_failed_trajectories_rejected_and_counted(self, monkeypatch):
         # The gradient is NaN outside the box max|beta| <= bound, so every
         # trajectory that leaves it fails; none may be accepted.
         bound = 0.6
-        real_logpost = inference._logpost_arrays
-
-        def boxed_logpost(beta, *args, value=True):
-            lp, grad = real_logpost(beta, *args, value=value)
-            if np.max(np.abs(beta)) > bound:
-                grad = np.full_like(grad, math.nan)
-            return lp, grad
-
         matrix = make_logit_matrix(400, [0.3, 0.5, -0.4], seed=5)
         spec = ModelSpec(predictors=matrix.columns)
         config = SamplerConfig(chains=2, warmup=200, draws=200, seed=7, num_steps=12)
         pin_lanes(monkeypatch, 1)
+        boxed_logpost = _boxed(inference._logpost_arrays, bound)
         monkeypatch.setattr(inference, "_logpost_arrays", boxed_logpost)
         fast = sample_posterior(matrix, spec, config)
         assert fast.divergences > 0
@@ -532,19 +556,21 @@ class TestLanes:
 
     def test_chains_striped_over_lanes(self, lane_matrix, monkeypatch, tmp_path):
         matrix, spec = lane_matrix
-        real_run_chain = inference._run_chain
+        real_run_pair = inference._run_pair
 
-        def recording_run_chain(chain, *args):
-            (tmp_path / f"{chain}.pid").write_text(str(os.getpid()))
-            return real_run_chain(chain, *args)
+        def recording_run_pair(pair, *args):
+            chains = real_run_pair(pair, *args)
+            for c in inference._pair_chains(pair, config.chains):
+                (tmp_path / f"{c}.pid").write_text(str(os.getpid()))
+            return chains
 
-        monkeypatch.setattr(inference, "_run_chain", recording_run_chain)
+        monkeypatch.setattr(inference, "_run_pair", recording_run_pair)
         pin_lanes(monkeypatch, 2)
-        config = SamplerConfig(chains=3, warmup=20, draws=20, seed=5, num_steps=4)
+        config = SamplerConfig(chains=5, warmup=20, draws=20, seed=5, num_steps=4)
         sample_posterior(matrix, spec, config)
-        pids = [int((tmp_path / f"{c}.pid").read_text()) for c in range(3)]
-        assert pids[0] == pids[2] == os.getpid()
-        assert pids[1] != os.getpid()
+        pids = [int((tmp_path / f"{c}.pid").read_text()) for c in range(5)]
+        assert pids[0] == pids[1] == pids[4] == os.getpid()
+        assert pids[2] == pids[3] != os.getpid()
 
     def test_ablation_table_matches_single_lane(self, lane_matrix, monkeypatch):
         matrix, spec = lane_matrix
@@ -570,58 +596,151 @@ class TestLanes:
     def test_grad_evals_and_step_size_match_the_sampler(self, lane_matrix, monkeypatch):
         matrix, spec = lane_matrix
         config = SamplerConfig(chains=2, warmup=50, draws=40, seed=3, num_steps=6)
-        calls = 0
-        trajectory_eps = []
+        single_calls = 0
+        trajectories = []  # (step sizes, path lengths, calls) of each pair's
         real_logpost = inference._logpost_arrays
         real_leapfrog = inference._leapfrog
 
-        def counting_logpost(*args, value=True):
-            nonlocal calls
-            calls += 1
-            return real_logpost(*args, value=value)
+        def counting_logpost(beta, *args, value=True):
+            nonlocal single_calls
+            single_calls += beta.ndim == 1
+            return real_logpost(beta, *args, value=value)
 
         def recording_leapfrog(q, p, grad, eps, n_steps, logpost):
-            if n_steps > 1:  # not the epsilon search's single steps
-                trajectory_eps.append(eps)
-            return real_leapfrog(q, p, grad, eps, n_steps, logpost)
+            calls = []
+
+            def counted(beta, *, value=True):
+                calls.append(beta.shape)
+                return logpost(beta, value=value)
+
+            if q.ndim == 2:  # not the epsilon search's single steps
+                trajectories.append((list(eps), list(n_steps), calls))
+            return real_leapfrog(q, p, grad, eps, n_steps, counted)
 
         pin_lanes(monkeypatch, 1)
         monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
         monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
         draws = sample_posterior(matrix, spec, config)
-        assert draws.grad_evals.sum() == calls
+        # A pair's call evaluates the columns of the chains still on their
+        # path: a chain's own path length, summed over its trajectories.
+        for _, lengths, calls in trajectories:
+            assert calls == [(3, inference.PAIR)] * max(lengths)
+        columns = sum(sum(lengths) for _, lengths, _ in trajectories)
+        assert draws.grad_evals.sum() == single_calls + columns
         per_chain = config.warmup + config.draws
-        assert len(trajectory_eps) == config.chains * per_chain
+        assert len(trajectories) == per_chain
         for c in range(config.chains):
-            kept = trajectory_eps[c * per_chain + config.warmup : (c + 1) * per_chain]
-            assert set(kept) == {draws.step_size[c]}
+            kept = {eps[c] for eps, _, _ in trajectories[config.warmup :]}
+            assert kept == {draws.step_size[c]}
+
+class TestPairs:
+    """Chains 2u and 2u + 1 run as the two columns of one pair. A column's
+    bits depend on neither its partner nor on the other pairs, and each
+    chain draws its random stream as one chain running alone did."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-30, 30, allow_nan=False, allow_infinity=False),
+            min_size=6,
+            max_size=6,
+        )
+    )
+    def test_column_bits_independent_of_partner_and_position(self, values):
+        matrix = make_logit_matrix(300, [0.3, 1.0, -0.5], seed=4)
+        A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
+        prior_sd = np.full(3, 2.5)
+        beta, other = np.array(values[:3]), np.array(values[3:])
+        with np.errstate(over="ignore"):
+            lp, grad = inference._logpost_arrays(np.c_[beta, other], A, prior_sd)
+            for pair, j in ((np.c_[beta, -other], 0), (np.c_[other, beta], 1)):
+                lp_j, grad_j = inference._logpost_arrays(pair, A, prior_sd)
+                assert lp_j[j] == lp[0]
+                assert np.array_equal(grad_j[:, j], grad[:, 0])
+
+    def test_chains_independent_of_chain_count(self, lane_matrix):
+        matrix, spec = lane_matrix
+        fits = {
+            chains: sample_posterior(
+                matrix,
+                spec,
+                SamplerConfig(chains=chains, warmup=80, draws=80, seed=13, num_steps=8),
+            )
+            for chains in (2, 3, 4)
+        }
+        for chains in (3, 4):
+            for c in (0, 1):
+                assert np.array_equal(fits[chains].draws[c], fits[2].draws[c])
+                assert np.array_equal(fits[chains].logp[c], fits[2].logp[c])
+            assert np.array_equal(fits[chains].step_size[:2], fits[2].step_size)
+            assert np.array_equal(fits[chains].grad_evals[:2], fits[2].grad_evals)
+        # Chain 2 alone (beside a padding column) and beside chain 3.
+        assert np.array_equal(fits[3].draws[2], fits[4].draws[2])
+        assert np.array_equal(fits[3].logp[2], fits[4].logp[2])
+
+    def test_nan_trajectory_leaves_partner_bits(self, monkeypatch):
+        # Chain 0's gradient is NaN outside a box, in its own column alone;
+        # chain 1, its partner, must draw exactly as in a NaN-free run.
+        matrix = make_logit_matrix(400, [0.3, 0.5, -0.4], seed=5)
+        spec = ModelSpec(predictors=matrix.columns)
+        config = SamplerConfig(chains=2, warmup=150, draws=150, seed=7, num_steps=12)
+        clean = sample_posterior(matrix, spec, config)
+        boxed = _boxed(inference._logpost_arrays, 0.6, column=0)
+        monkeypatch.setattr(inference, "_logpost_arrays", boxed)
+        poisoned = sample_posterior(matrix, spec, config)
+        assert poisoned.divergences > 0
+        assert not np.array_equal(poisoned.draws[0], clean.draws[0])
+        assert np.array_equal(poisoned.draws[1], clean.draws[1])
+        assert np.array_equal(poisoned.logp[1], clean.logp[1])
+        assert poisoned.accept_rate[1] == clean.accept_rate[1]
+        assert poisoned.step_size[1] == clean.step_size[1]
+
+    @pytest.mark.parametrize(
+        "config, grad_evals",
+        [
+            (SamplerConfig(chains=3, warmup=100, draws=100, seed=5, num_steps=8),
+             [1602, 1604, 1597]),
+            (SamplerConfig(chains=4, warmup=60, draws=60, seed=21, num_steps=16),
+             [1919, 1890, 1937, 1912]),
+        ],
+    )
+    def test_grad_evals_as_one_chain_alone(self, lane_matrix, config, grad_evals):
+        # Recorded when each chain ran alone, one GEMV per gradient: the
+        # path lengths and epsilon searches depend only on each chain's
+        # random stream, drawn in the same order (jitter, momentum, accept).
+        matrix, spec = lane_matrix
+        draws = sample_posterior(matrix, spec, config)
+        assert draws.grad_evals.tolist() == grad_evals
 
 
 class TestWorkerFailures:
+    # Four chains: pair 1, chains 2 and 3, runs in the forked lane.
+
     def test_chain_error_in_worker_raised_here(self, lane_matrix, monkeypatch):
         matrix, spec = lane_matrix
         nan_in_worker = nan_density_in_children(inference._logpost_arrays)
         monkeypatch.setattr(inference, "_logpost_arrays", nan_in_worker)
         pin_lanes(monkeypatch, 2)
-        config = SamplerConfig(chains=2, warmup=20, draws=20, seed=5, num_steps=4)
+        config = SamplerConfig(chains=4, warmup=20, draws=20, seed=5, num_steps=4)
         with pytest.raises(ValidationError, match="not finite at initialization"):
             sample_posterior(matrix, spec, config)
 
     def test_dead_worker_raises_and_is_reaped(self, lane_matrix, monkeypatch, tmp_path):
         matrix, spec = lane_matrix
         parent = os.getpid()
-        real_run_chain = inference._run_chain
+        real_run_pair = inference._run_pair
 
-        def dying_run_chain(chain, *args):
+        def dying_run_pair(pair, *args):
             if os.getpid() != parent:
                 (tmp_path / "worker.pid").write_text(str(os.getpid()))
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_run_chain(chain, *args)
+            return real_run_pair(pair, *args)
 
-        monkeypatch.setattr(inference, "_run_chain", dying_run_chain)
+        monkeypatch.setattr(inference, "_run_pair", dying_run_pair)
         pin_lanes(monkeypatch, 2)
         config = SamplerConfig(chains=4, warmup=20, draws=20, seed=5, num_steps=4)
-        with pytest.raises(SplitreadError, match=r"worker for chains 1, 3 died \(signal 9\)"):
+        died = r"worker for chains 2, 3 died \(signal 9\)$"
+        with pytest.raises(SplitreadError, match=died):
             sample_posterior(matrix, spec, config)
         with pytest.raises(ChildProcessError):
             os.waitpid(int((tmp_path / "worker.pid").read_text()), os.WNOHANG)
@@ -632,7 +751,7 @@ class TestWorkerFailures:
 
         pid_file = tmp_path / "worker.pid"
 
-        def stalled_or_failing(chain, *args):
+        def stalled_or_failing(pair, *args):
             if os.getpid() != parent:
                 written = tmp_path / "worker.tmp"
                 written.write_text(str(os.getpid()))
@@ -643,9 +762,9 @@ class TestWorkerFailures:
                 time.sleep(0.01)  # until the worker is surely running
             raise ValidationError("failed in lane 0")
 
-        monkeypatch.setattr(inference, "_run_chain", stalled_or_failing)
+        monkeypatch.setattr(inference, "_run_pair", stalled_or_failing)
         pin_lanes(monkeypatch, 2)
-        config = SamplerConfig(chains=2, warmup=20, draws=20, seed=5, num_steps=4)
+        config = SamplerConfig(chains=4, warmup=20, draws=20, seed=5, num_steps=4)
         start = time.monotonic()
         with pytest.raises(ValidationError, match="failed in lane 0"):
             sample_posterior(matrix, spec, config)
