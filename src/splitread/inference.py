@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -240,23 +240,12 @@ def _find_reasonable_epsilon(
     return eps
 
 
-class _Chain(NamedTuple):
-    """One chain's post-warmup draws and log densities, and its sampler
-    statistics."""
-
-    draws: np.ndarray  # (draws, coefficients)
-    logp: np.ndarray  # (draws,)
-    accept_rate: float
-    divergences: int
-    step_size: float  # the adapted step size, used for every kept draw
-    # Log-density/gradient evaluations: its start and epsilon search, and
-    # one per step of each of its own trajectories.
-    grad_evals: int
-
-
 class _ChainState:
-    """One chain of a pair: its random stream, its step size, adapted by
-    dual averaging during warmup, its draws and its statistics."""
+    """One chain of a pair, sent back whole by its lane: its random stream,
+    its step size ``eps`` (adapted by dual averaging during warmup, then
+    fixed), its post-warmup ``draws`` and ``logp``, ``accepted_probs`` and
+    ``divergences``, and ``grad_evals``, the log-density/gradient calls of
+    its start, epsilon search and trajectory steps."""
 
     def __init__(self, chain: int, logpost: Callable, dim: int, config: SamplerConfig):
         self.config = config
@@ -310,16 +299,6 @@ class _ChainState:
         self.eps = math.exp(log_eps if it < config.warmup - 1 else self.log_eps_bar)
         return accepted
 
-    def result(self) -> _Chain:
-        return _Chain(
-            self.draws,
-            self.logp,
-            float(np.mean(self.accepted_probs)),
-            self.divergences,
-            self.eps,
-            self.grad_evals,
-        )
-
 
 def _pair_chains(pair: int, chains: int) -> range:
     """The chains of pair ``pair``: 2 * pair and 2 * pair + 1, or the first
@@ -332,14 +311,14 @@ def _run_pair(
     A: np.ndarray,
     prior_sd: np.ndarray,
     config: SamplerConfig,
-) -> list[_Chain]:
+) -> list[_ChainState]:
     """Run the chains of pair ``pair``, each seeded with ``config.seed +
     chain``, as the columns of (k, PAIR) arrays; a lone chain's partner
     column stays at 0 with step size 0. Each chain starts and searches its
     step size alone; then every iteration runs both trajectories in one
     ``_leapfrog``. A non-finite density or gradient already ends its
     trajectory as rejected, so numpy's floating-point warnings are
-    silenced; no value changes."""
+    silenced; no value changes. Returns the chains' states, in order."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
 
         def logpost(beta: np.ndarray, *, value: bool = True) -> tuple:
@@ -372,7 +351,7 @@ def _run_pair(
                 if it >= config.warmup:
                     c.draws[it - config.warmup] = q[:, j]
                     c.logp[it - config.warmup] = lp[j]
-        return [c.result() for c in chains]
+        return chains
 
 
 def sample_posterior(
@@ -408,9 +387,9 @@ def sample_posterior(
         names=spec.coefficient_names(),
         draws=np.stack([c.draws for c in chains]),
         logp=np.stack([c.logp for c in chains]),
-        accept_rate=np.array([c.accept_rate for c in chains]),
+        accept_rate=np.array([np.mean(c.accepted_probs) for c in chains]),
         divergences=sum(c.divergences for c in chains),
-        step_size=np.array([c.step_size for c in chains]),
+        step_size=np.array([c.eps for c in chains]),
         grad_evals=np.array([c.grad_evals for c in chains]),
     )
 

@@ -99,7 +99,10 @@ def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
     else:
         text = read_text(path)
     words = set()
-    for line in text.splitlines():
+    # Lines end at \n alone (read_text has made every \r\n and lone \r a
+    # \n): str.splitlines() would also break a line at \f, U+0085, U+2028
+    # and the other Unicode line boundaries.
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -166,6 +166,16 @@ class TestWordList:
         path.write_text("# comment\nword\n\nother\n", encoding="utf-8")
         assert load_easy_words(path) == frozenset({"word", "other"})
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_lines_end_at_newline_alone(self, tmp_path, sep):
+        # Only \n, \r\n and a lone \r end a line, as in the JSONL and
+        # CoNLL-U readers; the other Unicode line boundaries stay in the word.
+        path = tmp_path / "list.txt"
+        path.write_bytes(f"gamma{sep}delta\r\nword\rother\n".encode("utf-8"))
+        assert load_easy_words(path) == frozenset({f"gamma{sep}delta", "word", "other"})
+
     def test_text_stats_counts(self):
         easy = frozenset({"vanya", "walks", "home"})
         stats = text_stats([["Vanya", "walks", "home", "."]], easy)
