@@ -44,12 +44,13 @@ class DegenerateInputWarning(UserWarning):
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of ``path`` with every \\r\\n and lone \\r made a \\n,
-    as ``Path.read_text`` gives it. Bytes that are not UTF-8 raise a
-    FormatError naming the line they are on."""
+    as ``Path.read_text`` gives it, and one leading byte order mark
+    dropped. Bytes that are not UTF-8 raise a FormatError naming the line
+    they are on."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")

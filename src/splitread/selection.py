@@ -86,10 +86,6 @@ class WaicResult:
     pointwise: np.ndarray  # per-row elpd contributions
     unreliable_rows: int = 0  # rows with p_waic_i > P_WAIC_LIMIT
 
-    @property
-    def n(self) -> int:
-        return len(self.pointwise)
-
 
 def waic(loglik: np.ndarray) -> WaicResult:
     """Score a pointwise log-likelihood array of shape (samples, rows)."""
@@ -149,11 +145,11 @@ def compare(
     converged: Mapping[str, bool] | None = None,
 ) -> ComparisonTable:
     """Rank models by WAIC (descending), with gaps and their standard
-    errors against the top model. All models must be scored on the same
-    rows."""
+    errors against the top model (0.0 on its own row). All models must be
+    scored on the same rows."""
     if len(results) < 2:
         raise ValidationError("compare needs at least 2 models")
-    sizes = {r.n for r in results.values()}
+    sizes = {len(r.pointwise) for r in results.values()}
     if len(sizes) != 1:
         raise ValidationError("models were evaluated on different row sets")
     n = sizes.pop()
@@ -164,21 +160,15 @@ def compare(
     rows = []
     for rank, name in enumerate(order):
         res = results[name]
-        if rank == 0:
-            d_waic, dse = 0.0, 0.0
-        else:
-            diff = top.pointwise - res.pointwise
-            d_waic = top.waic - res.waic
-            dse = math.sqrt(n * float(diff.var()))
         rows.append(
             ComparisonRow(
                 name=name,
                 rank=rank,
                 waic=res.waic,
                 p_waic=res.p_waic,
-                d_waic=d_waic,
+                d_waic=top.waic - res.waic,
                 se=res.se,
-                dse=dse,
+                dse=math.sqrt(n * float((top.pointwise - res.pointwise).var())),
                 converged=True if converged is None else converged.get(name, True),
                 unreliable_rows=res.unreliable_rows,
             )
@@ -192,20 +182,19 @@ def ablate(
     config: SamplerConfig,
     sample_fn: Callable[[DesignMatrix, ModelSpec, SamplerConfig], PosteriorDraws] = sample_posterior,
 ) -> ComparisonTable:
-    """Fit the full model plus one model per removed predictor and rank
-    them by WAIC on identical rows. A fit that fails the convergence gate
-    (``PosteriorSummary.converged``) is flagged, not dropped."""
+    """Fit the full model, row ``base``, plus one model per removed
+    predictor, named after it, and rank them by WAIC on identical rows. A
+    fit that fails the convergence gate (``PosteriorSummary.converged``) is
+    flagged, not dropped."""
     if len(full_spec.predictors) < 2:
         raise ValidationError("ablation needs at least 2 predictors")
-    specs: dict[str, ModelSpec] = {"base": full_spec}
-    for predictor in full_spec.predictors:
-        reduced = tuple(p for p in full_spec.predictors if p != predictor)
-        specs[predictor] = replace(full_spec, predictors=reduced)
+    if "base" in full_spec.predictors:
+        raise ValidationError("no predictor may be named 'base', the full model's row")
     results: dict[str, WaicResult] = {}
     converged: dict[str, bool] = {}
-    for name, spec in specs.items():
-        draws = sample_fn(matrix, spec, config)
-        summary = summarize(draws)
-        converged[name] = summary.converged()
+    for name in ("base", *full_spec.predictors):
+        kept = tuple(p for p in full_spec.predictors if p != name)
+        draws = sample_fn(matrix, replace(full_spec, predictors=kept), config)
+        converged[name] = summarize(draws).converged()
         results[name] = waic(pointwise_loglik(draws, matrix))
     return compare(results, converged)

@@ -23,15 +23,3 @@ def fig_tree():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)
-
-
-@pytest.fixture(scope="session")
-def demo_data(tmp_path_factory):
-    """A small synthetic triples/judgments pair shared across tests."""
-    from splitread.synth import make_demo_dataset
-
-    out = tmp_path_factory.mktemp("demo")
-    triples_path, judgments_path = make_demo_dataset(
-        out, n_triples=12, n_workers=3, seed=99
-    )
-    return triples_path, judgments_path

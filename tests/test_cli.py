@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import nan_density_in_children, pin_lanes
 
-from splitread import cli, inference, selection
+from splitread import cli, inference, readability, selection
 from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec, SamplerConfig
 from splitread.inference import PosteriorDraws
 from splitread.synth import make_demo_dataset
@@ -1184,6 +1184,38 @@ class TestNotUtf8:
         ])
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {paths[name]}:{line}: not UTF-8 text\n"
+
+
+class TestByteOrderMark:
+    # One leading U+FEFF is dropped (RFC 8259 section 8.1 lets a JSON
+    # parser ignore it), so a file saved with it reads as the file without:
+    # the word list keeps its first word, and no JSON reader rejects it.
+    @pytest.mark.parametrize(
+        "command, name",
+        [("extract", "triples"), ("report", "judgments"), ("extract", "words"),
+         ("extract", "config")],
+    )
+    def test_read_as_without(self, tmp_path, capsys, command, name):
+        names = ("triples", "judgments", "words", "config")
+        paths = {key: tmp_path / f"{key}.txt" for key in names}
+        paths["triples"].write_text(json.dumps(_TRIPLE) + "\n", "utf-8")
+        paths["judgments"].write_text(json.dumps(_JUDGMENT) + "\n", "utf-8")
+        paths["words"].write_text("x\ny\n", "utf-8")
+        config = {"word_list": str(paths["words"]), "predictors": ["split", "dale"]}
+        paths["config"].write_text(json.dumps(config), "utf-8")
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):
+            code = cli.main([
+                command, "--config", str(paths["config"]), "--triples", str(paths["triples"]),
+                "--judgments", str(paths["judgments"]), "--out", str(out),
+            ])
+            artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((code, capsys.readouterr(), artifacts))
+            paths[name].write_bytes(b"\xef\xbb\xbf" + paths[name].read_bytes())
+            readability.load_easy_words.cache_clear()  # it caches by path
+        assert runs[0][0] == cli.EXIT_OK
+        assert runs[1] == runs[0]
 
 
 class TestDeepTrees:

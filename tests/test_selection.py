@@ -366,6 +366,18 @@ class TestAblate:
                 SamplerConfig(chains=2, warmup=10, draws=10, seed=1),
             )
 
+    def test_predictor_named_base_rejected_before_any_fit(self):
+        # "base" is the full model's row: a predictor of that name would
+        # take its key, and the full model would drop out of the table.
+        matrix = make_logit_matrix(50, [0.0, 1.0, 0.0], seed=1)
+        matrix = DesignMatrix.from_arrays(("base", "x"), matrix.X, matrix.y)
+
+        def no_fit(matrix, spec, config):
+            raise AssertionError("ablate fitted a model")
+
+        with pytest.raises(ValidationError, match="'base'"):
+            ablate(matrix, ModelSpec(predictors=matrix.columns), SamplerConfig(), no_fit)
+
     def test_pure_noise_ablation_within_two_dse(self):
         # y depends only on x1; removing the noise column x2 must not move
         # WAIC by more than twice the difference's standard error.
