@@ -699,11 +699,10 @@ class SamplerConfig:
 
 
 def side_features(
-    triple: Triple, side: str, config: FeatureConfig | None = None
+    triple: Triple, side: str, config: FeatureConfig, easy_words: frozenset[str]
 ) -> dict[str, float]:
-    """The enabled side predictors of one (triple, side)."""
-    config = config or FeatureConfig()
-    easy_words = readability.load_easy_words(config.word_list)
+    """The enabled side predictors of one (triple, side), with
+    ``easy_words`` the Dale-Chall easy-word list."""
     enabled = set(config.predictors)
     simp = triple.side(side)
     trees = simp.trees
@@ -773,18 +772,13 @@ def side_features(
         return feats
 
 
-def _triple_rows(
-    index: int, triples: Sequence[Triple], config: FeatureConfig, enabled: list[str]
-) -> list[list]:
-    """The side a and side b rows of ``triples[index]``."""
-    triple = triples[index]
-    rows = []
+def _triple_sides(
+    index: int, triples: Sequence[Triple], config: FeatureConfig, easy_words: frozenset
+) -> list[dict[str, float]]:
+    """The side a and side b features of ``triples[index]``."""
     # Both sides share the triple's tree preparations, released with it.
     with cohesion.preparation_scope():
-        for side in ("a", "b"):
-            feats = side_features(triple, side, config)
-            rows.append([triple.id, side, *(feats[p] for p in enabled)])
-    return rows
+        return [side_features(triples[index], s, config, easy_words) for s in ("a", "b")]
 
 
 def extract_features(
@@ -792,23 +786,29 @@ def extract_features(
 ) -> tuple[list[str], list[list]]:
     """Per-(triple, side) feature table in a stable column order.
 
-    The triples, sorted by id, are striped over ``pool.lanes`` processes
-    with both sides of a triple in one lane, where they share the triple's
-    tree preparations (``cohesion.preparation_scope``). The rows, and the
-    error raised for the first failing triple and side, are those of one
-    process featurizing the triples in turn.
+    The word list is read once, here. The triples, sorted by id, are then
+    striped over ``pool.lanes`` processes with both sides of a triple in
+    one lane, where they share the triple's tree preparations
+    (``cohesion.preparation_scope``). The rows, and the error raised for
+    the first failing triple and side, are those of one process
+    featurizing the triples in turn.
     """
     config = config or FeatureConfig()
+    easy_words = readability.load_easy_words(config.word_list)
     enabled = [p for p in SIDE_PREDICTORS if p in set(config.predictors)]
     header = ["triple_id", "side", *enabled]
     ordered = sorted(triples, key=lambda t: t.id)
     per_triple = pool.run(
-        _triple_rows,
+        _triple_sides,
         len(ordered),
-        (ordered, config, enabled),
+        (ordered, config, easy_words),
         "feature worker for sorted triples",
     )
-    return header, [row for rows in per_triple for row in rows]
+    return header, [
+        [triple.id, side, *(feats[p] for p in enabled)]
+        for triple, sides in zip(ordered, per_triple)
+        for side, feats in zip(("a", "b"), sides)
+    ]
 
 
 @dataclass

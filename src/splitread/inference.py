@@ -216,7 +216,8 @@ def _find_reasonable_epsilon(
     grad: np.ndarray,
     logpost: Callable,
     rng: np.random.Generator,
-) -> float:
+) -> tuple[float, int]:
+    """A starting step size and the log-density calls spent finding it."""
     eps = 1.0
     p = rng.standard_normal(q.size)
     h0 = -lp + 0.5 * float(p @ p)
@@ -226,7 +227,7 @@ def _find_reasonable_epsilon(
         h1 = -lp1 + 0.5 * float(p1 @ p1)
         return math.exp(min(0.0, h0 - h1)) if math.isfinite(h1) else 0.0
 
-    ratio = accept_ratio(eps)
+    ratio, calls = accept_ratio(eps), 1
     direction = 1.0 if ratio > 0.5 else -1.0
     for _ in range(50):
         if direction > 0 and ratio <= 0.5:
@@ -236,8 +237,8 @@ def _find_reasonable_epsilon(
         eps *= 2.0**direction
         if not 1e-8 < eps < 1e4:
             break
-        ratio = accept_ratio(eps)
-    return eps
+        ratio, calls = accept_ratio(eps), calls + 1
+    return eps, calls
 
 
 class _ChainState:
@@ -250,19 +251,14 @@ class _ChainState:
     def __init__(self, chain: int, logpost: Callable, dim: int, config: SamplerConfig):
         self.config = config
         self.rng = np.random.default_rng(config.seed + chain)
-        self.grad_evals = 0
-
-        def counted(beta: np.ndarray, *, value: bool = True) -> tuple:
-            self.grad_evals += 1
-            return logpost(beta, value=value)
-
         self.q = 0.1 * self.rng.standard_normal(dim)
-        self.lp, self.grad = counted(self.q)
+        self.lp, self.grad = logpost(self.q)
         if not math.isfinite(self.lp):
             raise ValidationError("log posterior is not finite at initialization")
-        self.eps = _find_reasonable_epsilon(
-            self.q, self.lp, self.grad, counted, self.rng
+        self.eps, calls = _find_reasonable_epsilon(
+            self.q, self.lp, self.grad, logpost, self.rng
         )
+        self.grad_evals = 1 + calls
         self.mu = math.log(10.0 * self.eps)
         self.h_bar = 0.0
         self.log_eps_bar = 0.0

@@ -9,7 +9,6 @@ a plain-text data file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -88,7 +87,6 @@ def dale_chall(stats: TextStats) -> float:
     return score
 
 
-@lru_cache(maxsize=8)
 def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
     """Load an easy-word list (one word per line, '#' comments ignored).
     With no path, the bundled Dale list is used."""

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import nan_density_in_children, pin_lanes
 
-from splitread import cli, inference, readability, selection
+from splitread import cli, inference, selection
 from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec, SamplerConfig
 from splitread.inference import PosteriorDraws
 from splitread.synth import make_demo_dataset
@@ -1185,6 +1185,20 @@ class TestNotUtf8:
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {paths[name]}:{line}: not UTF-8 text\n"
 
+    def test_word_list_checked_with_no_triples(self, tmp_path, capsys):
+        # The word list is read before featurization starts, so extract
+        # checks it even when the triples file holds no record.
+        triples, words, config = (tmp_path / n for n in ("t.jsonl", "w.txt", "c.json"))
+        triples.write_bytes(b"")
+        words.write_bytes(b"the\n\xffman\n")
+        config.write_text(json.dumps({"word_list": str(words)}), encoding="utf-8")
+        code = cli.main([
+            "extract", "--config", str(config), "--triples", str(triples),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {words}:2: not UTF-8 text\n"
+
 
 class TestByteOrderMark:
     # One leading U+FEFF is dropped (RFC 8259 section 8.1 lets a JSON
@@ -1213,7 +1227,6 @@ class TestByteOrderMark:
             artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs.append((code, capsys.readouterr(), artifacts))
             paths[name].write_bytes(b"\xef\xbb\xbf" + paths[name].read_bytes())
-            readability.load_easy_words.cache_clear()  # it caches by path
         assert runs[0][0] == cli.EXIT_OK
         assert runs[1] == runs[0]
 

@@ -409,7 +409,7 @@ class TestWorkPerTriple:
 
 class TestThreads:
     def test_concurrent_scopes_match_one_thread(self, demo_triples):
-        # Each thread has its own open scope, as _triple_rows opens one per
+        # Each thread has its own open scope, as _triple_sides opens one per
         # triple; a scope shared between threads would close under another.
         def features(triple):
             with cohesion.preparation_scope():

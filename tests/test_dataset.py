@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
-from splitread import cohesion, dataset
+from splitread import cohesion, dataset, readability
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     CATEGORIES,
@@ -53,6 +53,9 @@ from splitread.errors import (
 )
 from splitread.synth import make_demo_dataset
 from splitread.trees import parse_ptb
+
+# The bundled Dale easy-word list, as extract_features reads it by default.
+DALE = readability.load_easy_words()
 
 
 @pytest.fixture(scope="module")
@@ -696,7 +699,7 @@ class TestDesignMatrix:
         for j in decided:
             for side in ("a", "b"):
                 scores = j.scores_a if side == "a" else j.scores_b
-                feats = side_features(by_id[j.triple_id], side)
+                feats = side_features(by_id[j.triple_id], side, FeatureConfig(), DALE)
                 feats.update({cat: getattr(scores, cat) for cat in CATEGORIES})
                 raw.append([feats[name] for name in PREDICTORS])
                 y.append(1.0 if side == {"first": "a", "second": "b"}[j.choice] else 0.0)
@@ -790,7 +793,7 @@ class TestDesignMatrix:
         triples = load_triples(path)
         config = FeatureConfig(predictors=("samsa", "split"))
         with pytest.raises(ValidationError, match="t0"):
-            side_features(triples[0], "a", config)
+            side_features(triples[0], "a", config, DALE)
 
     def test_only_referenced_triples_featurized(self, loaded):
         # An unjudged triple without CoNLL-U cannot give dep_length, but
@@ -803,7 +806,7 @@ class TestDesignMatrix:
             split_b=replace(triples[0].split_b, graphs=()),
         )
         with pytest.raises(ValidationError, match="unjudged"):
-            side_features(unjudged, "a")
+            side_features(unjudged, "a", FeatureConfig(), DALE)
         matrix = build_design_matrix([*triples, unjudged], judgments)
         reference = build_design_matrix(triples, judgments)
         assert np.array_equal(matrix.X, reference.X)
@@ -998,7 +1001,7 @@ class TestTreeDepthLimit:
     @pytest.mark.parametrize("where", ["source", "side"])
     def test_deepest_allowed_tree_featurizes(self, loaded, where):
         triple = _with_deep_tree(loaded[0][0], where, MAX_TREE_DEPTH)
-        feats = side_features(triple, "a")
+        feats = side_features(triple, "a", FeatureConfig(), DALE)
         assert set(feats) == set(FeatureConfig().predictors) - set(CATEGORIES)
         assert all(math.isfinite(v) for v in feats.values())
 
@@ -1010,7 +1013,7 @@ class TestTreeDepthLimit:
             f"over the limit of {MAX_TREE_DEPTH}"
         )
         with pytest.raises(ValidationError) as info:
-            side_features(triple, "a")
+            side_features(triple, "a", FeatureConfig(), DALE)
         assert str(info.value) == message
 
 
@@ -1051,11 +1054,11 @@ class TestFeatureLanes:
         parent = os.getpid()
         real_side_features = dataset.side_features
 
-        def dying_side_features(triple, side, config=None):
+        def dying_side_features(triple, side, config, easy_words):
             if os.getpid() != parent:
                 (tmp_path / "worker.pid").write_text(str(os.getpid()))
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_side_features(triple, side, config)
+            return real_side_features(triple, side, config, easy_words)
 
         monkeypatch.setattr(dataset, "side_features", dying_side_features)
         pin_lanes(monkeypatch, 2)
@@ -1068,6 +1071,39 @@ class TestFeatureLanes:
                 extract_features(batch)
             with pytest.raises(ChildProcessError):
                 os.waitpid(int((tmp_path / "worker.pid").read_text()), os.WNOHANG)
+
+
+class TestWordListRead:
+    """extract_features reads its word list once per call, in the calling
+    process, before any lane starts; the lanes read no file."""
+
+    def test_rewritten_list_read_afresh(self, loaded, tmp_path):
+        triples, *_ = loaded
+        path = tmp_path / "words.txt"
+        config = FeatureConfig(predictors=("dale",), word_list=str(path))
+        tables = []
+        for words in ("the\nman\n", "\n".join(sorted(DALE))):
+            path.write_text(words, encoding="utf-8")
+            tables.append(extract_features(triples, config))
+        assert tables[1] == extract_features(triples, FeatureConfig(predictors=("dale",)))
+        assert tables[0] != tables[1]
+
+    def test_read_once_in_the_calling_process(self, loaded, monkeypatch):
+        triples, *_ = loaded
+        parent = os.getpid()
+        calls = []
+        real_load_easy_words = readability.load_easy_words
+
+        def counted_load_easy_words(path=None):
+            if os.getpid() != parent:
+                raise AssertionError("word list read in a lane")
+            calls.append(path)
+            return real_load_easy_words(path)
+
+        monkeypatch.setattr(readability, "load_easy_words", counted_load_easy_words)
+        pin_lanes(monkeypatch, 2)
+        extract_features(triples)
+        assert calls == [None]
 
 
 class TestFeatureErrorsLocated:
@@ -1125,7 +1161,7 @@ class TestExtractFeatures:
         triple = Triple(id="t0000", source_trees=(tree,), split_a=one, split_b=one)
         config = FeatureConfig(predictors=("ted2", "overlap"))
         with pytest.warns(DegenerateInputWarning) as record:
-            feats = side_features(triple, "a", config)
+            feats = side_features(triple, "a", config, DALE)
         assert feats == {"ted2": 0.0, "overlap": 0.0}
         assert [str(w.message) for w in record] == [
             "ted2 on a single sentence has no adjacent pairs; returning 0",

@@ -85,12 +85,12 @@ class TestLogPosterior:
 
     def test_wrong_dimension_rejected(self):
         matrix = _tiny_matrix()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"beta must have length 2, got \(1,\)"):
             log_posterior([0.0], matrix, ModelSpec(predictors=("x1",)))
 
     def test_non_finite_beta_rejected(self):
         matrix = _tiny_matrix()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="beta contains non-finite values"):
             log_posterior([0.0, math.nan], matrix, ModelSpec(predictors=("x1",)))
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -235,7 +235,9 @@ class TestRhat:
         assert math.isnan(rhat([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="rhat needs >= 2 chains with >= 2 draws each"
+        ):
             rhat([[1.0, 2.0]])
 
 
@@ -276,7 +278,7 @@ class TestSampler:
             y=np.array([0.0, 1.0] * 5),
             meta={},
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="predictor 'x1' has zero variance"):
             sample_posterior(
                 matrix, ModelSpec(predictors=("x1",)), SamplerConfig(seed=1)
             )
@@ -905,7 +907,7 @@ class TestDrawsCsv:
 
 class TestConfigValidation:
     def test_single_chain_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least 2 chains are required for R-hat"):
             SamplerConfig(chains=1)
 
     def test_negative_seed_rejected(self):
@@ -913,7 +915,7 @@ class TestConfigValidation:
             SamplerConfig(seed=-3)
 
     def test_bad_target_accept_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"target_accept must lie in \(0, 1\)"):
             SamplerConfig(target_accept=1.0)
 
     @pytest.mark.parametrize(
@@ -948,7 +950,9 @@ class TestConfigValidation:
         # True would run as 1.0, and inf or 10**400 would fail only at
         # sampling.
         for prior_sd in (0.0, True, math.inf, math.nan, 10**400):
-            with pytest.raises(ValidationError):
+            with pytest.raises(
+                ValidationError, match="prior_sd must be one positive finite number"
+            ):
                 ModelSpec(predictors=("x",), prior_sd=prior_sd)
 
     def test_prior_sd_square_must_be_normal(self):

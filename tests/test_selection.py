@@ -68,7 +68,7 @@ class TestPointwiseLoglik:
             columns=("x1",), X=np.array([[1.0]]), y=np.array([1.0]), meta={}
         )
         draws = _draws_from([[0.0, 1.0, 2.0]], ["intercept", "x1", "x2"])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no such column 'x2'"):
             pointwise_loglik(draws, matrix)
 
     def test_non_binary_outcome_rejected(self):
@@ -111,12 +111,16 @@ class TestWaic:
         assert result.p_waic == pytest.approx(0.1105, abs=1e-4)
 
     def test_single_sample_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="WAIC needs at least 2 posterior samples and 1 row"
+        ):
             waic(np.array([[math.log(0.5)]]))
 
     def test_no_rows_rejected(self):
         # Scored on nothing, a model would get waic 0 and tie in compare.
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="WAIC needs at least 2 posterior samples and 1 row"
+        ):
             waic(np.zeros((3, 0)))
 
     def test_p_waic_nonnegative_and_zero_iff_constant(self, rng):
@@ -302,13 +306,15 @@ class TestCompare:
         assert t1 == t2
 
     def test_mismatched_rows_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="models were evaluated on different row sets"
+        ):
             compare(
                 {"a": self._result([-0.5]), "b": self._result([-0.5, -0.5])}
             )
 
     def test_single_model_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="compare needs at least 2 models"):
             compare({"a": self._result([-0.5])})
 
     def test_no_rows_rejected(self):
@@ -359,7 +365,7 @@ class TestAblate:
 
     def test_single_predictor_spec_rejected(self):
         matrix = make_logit_matrix(50, [0.0, 1.0], seed=1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="ablation needs at least 2 predictors"):
             ablate(
                 matrix,
                 ModelSpec(predictors=matrix.columns),
