@@ -1,12 +1,12 @@
 """Judgment-study ingestion, descriptive tallies, the run configuration
-types and the design matrix.
+types, featurization (over ``pool`` lanes), atomic artifact writing and
+the design matrix.
 
 The inputs are two JSONL files: one triple record per source sentence
 (with its two- and three-sentence simplifications and their parses), and
 one judgment record per (triple, worker, question). The design matrix is
-assembled in long format: every definite two-vs-three preference yields
-two rows, one per simplification side, with a binary outcome marking the
-chosen side.
+long format: every definite two-vs-three preference yields two rows, one
+per simplification side, with a binary outcome marking the chosen side.
 
 Everything up to the design matrix runs on the standard library, so
 ``extract`` and ``report`` never load numpy: it is imported inside
@@ -376,9 +376,7 @@ _SIDE_SCORES = {
 def _parse_scores(scores: dict, side: str, where: str) -> SideScores:
     """The shared SideScores of the score object ``scores[side]``; an
     invalid one raises its first error, located at ``where``."""
-    obj = scores.get(side)
-    if type(obj) is not dict:
-        obj = _object(scores, side, f"{where}.scores")
+    obj = _object(scores, side, f"{where}.scores")
     key = (obj.get("grammar"), obj.get("meaning"), obj.get("fluency"))
     # True == 1 and 3.0 == 3, so only ints are looked up.
     if type(key[0]) is type(key[1]) is type(key[2]) is int and (
@@ -400,32 +398,24 @@ def load_judgments(
     Each record is read once, field by field, in this order: the
     ``scores`` object, ``triple_id``, ``worker_id``, ``question`` and
     ``choice`` present, ``scores.a``, ``scores.b``, the question and
-    choice values, the triple. A field that fails its inline test goes to
-    the helper that raises its located error, so the first error in that
-    order is the one reported."""
+    choice values (checked by ``JudgmentRecord``), the triple. Each field
+    goes through the helper that raises its located error, so the first
+    error in that order is the one reported."""
     records: list[JudgmentRecord] = []
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
-        scores = obj.get("scores")
-        if type(scores) is not dict:
-            scores = _object(obj, "scores", where)
-        triple_id, worker_id = obj.get("triple_id"), obj.get("worker_id")
-        if type(triple_id) is not str:
-            triple_id = _string(obj, "triple_id", where)
-        if type(worker_id) is not str:
-            worker_id = _string(obj, "worker_id", where)
-        question, choice = obj.get("question"), obj.get("choice")
-        if question is None or choice is None:  # absent, or null
-            _require(obj, "question", where)
-            _require(obj, "choice", where)
+        scores = _object(obj, "scores", where)
+        triple_id = _string(obj, "triple_id", where)
+        worker_id = _string(obj, "worker_id", where)
+        question = _require(obj, "question", where)
+        choice = _require(obj, "choice", where)
         a = _parse_scores(scores, "a", where)
         b = _parse_scores(scores, "b", where)
-        if question not in QUESTIONS or choice not in CHOICES:
-            with _located(where):
-                JudgmentRecord(triple_id, worker_id, question, choice, a, b)
+        with _located(where):  # an unknown question or choice
+            judgment = JudgmentRecord(triple_id, worker_id, question, choice, a, b)
         if triple_id not in triple_ids:
             raise IntegrityError(f"{where}.triple_id: unknown triple {triple_id!r}")
-        records.append(JudgmentRecord(triple_id, worker_id, question, choice, a, b))
+        records.append(judgment)
     return records
 
 

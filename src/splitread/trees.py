@@ -259,8 +259,6 @@ def parse_conllu(text: str) -> list[DepGraph]:
 
 def strip_token_leaves(tree: ParseTree) -> ParseTree:
     """Remove token leaves, leaving the category skeleton of the tree."""
-    if tree.is_leaf:
-        return tree
     kept = tuple(
         strip_token_leaves(child) for child in tree.children if not child.is_leaf
     )

@@ -1105,6 +1105,95 @@ _MALFORMED = [
 ]
 
 
+def _lines(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+_INPUTS = {"t.jsonl": _lines(_TRIPLE), "j.jsonl": _lines(_JUDGMENT)}
+_BOTH = ["--triples", "{tmp}/t.jsonl", "--judgments", "{tmp}/j.jsonl"]
+# CLI input checks as (argv, files written, error message, whether the
+# triples are read), each "{tmp}" standing for the test's directory.
+_INPUT_CHECKS = {
+    "config-missing": (
+        ["extract", "--config", "{tmp}/none.json"], {},
+        "config file not found: {tmp}/none.json", False,
+    ),
+    "no-triples": (["extract"], {}, "no triples path configured", False),
+    "triples-missing": (
+        ["extract", "--triples", "{tmp}/none.jsonl"], {},
+        "triples file not found: {tmp}/none.jsonl", False,
+    ),
+    "no-judgments": (
+        ["report", "--triples", "{tmp}/t.jsonl"], _INPUTS,
+        "no judgments path configured", False,
+    ),
+    "judgments-missing": (
+        ["report", "--triples", "{tmp}/t.jsonl", "--judgments", "{tmp}/none.jsonl"],
+        _INPUTS, "judgments file not found: {tmp}/none.jsonl", False,
+    ),
+    # report checks the word list, though it does not read it.
+    "word-list-missing": (
+        ["report", "--config", "{tmp}/c.json", *_BOTH],
+        {**_INPUTS, "c.json": json.dumps({"word_list": "{tmp}/none.txt"})},
+        "word list file not found: {tmp}/none.txt", False,
+    ),
+    "triple-not-an-object": (
+        ["extract", "--triples", "{tmp}/t.jsonl"], {"t.jsonl": "[1]\n"},
+        "{tmp}/t.jsonl:1: expected a JSON object", True,
+    ),
+    "duplicate-triple-id": (
+        ["extract", "--triples", "{tmp}/t.jsonl"],
+        {"t.jsonl": _lines(*[{**_TRIPLE, "id": "t0000"}] * 2)},
+        "{tmp}/t.jsonl:2: duplicate triple id 't0000'", True,
+    ),
+    "no-source-trees": (
+        ["extract", "--triples", "{tmp}/t.jsonl"],
+        {"t.jsonl": _lines({**_TRIPLE, "source": {"text": "x y", "ptb": []}})},
+        "{tmp}/t.jsonl:1: source has no parse trees", True,
+    ),
+    "unknown-predictor": (
+        ["extract", "--config", "{tmp}/c.json", *_BOTH],
+        {**_INPUTS, "c.json": json.dumps({"predictors": ["split2"]})},
+        "unknown predictors: ['split2']", False,
+    ),
+    "no-warmup": (
+        ["fit", "--config", "{tmp}/c.json", *_BOTH],
+        {**_INPUTS, "c.json": json.dumps({"sampler": {"warmup": 0}})},
+        "need warmup >= 1 and draws >= 2", False,
+    ),
+    "no-steps": (
+        ["fit", "--config", "{tmp}/c.json", *_BOTH],
+        {**_INPUTS, "c.json": json.dumps({"sampler": {"num_steps": 0}})},
+        "num_steps must be >= 1", False,
+    ),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "argv, files, message, reads_triples",
+        _INPUT_CHECKS.values(),
+        ids=_INPUT_CHECKS.keys(),
+    )
+    def test_message_and_exit(
+        self, tmp_path, capsys, monkeypatch, argv, files, message, reads_triples
+    ):
+        def at_tmp(text):
+            return text.replace("{tmp}", str(tmp_path))
+
+        for name, text in files.items():
+            (tmp_path / name).write_text(at_tmp(text), encoding="utf-8")
+        if not reads_triples:
+            def no_input(*args, **kwargs):
+                raise AssertionError("inputs read despite a failed check")
+
+            monkeypatch.setattr(cli.ds, "load_triples", no_input)
+        argv = [*map(at_tmp, argv), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {at_tmp(message)}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedRecords:
     # Each record field set to a value of the wrong shape must give a
     # located validation error, never an exception from deeper down.

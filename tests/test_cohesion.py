@@ -196,6 +196,10 @@ class TestTed1:
     def test_single_relabel_split(self):
         assert ted1(t("(A x)"), [t("(B x)")]) == 1.0
 
+    def test_bare_leaf_source(self):
+        # A lone leaf is its own skeleton: one relabel and one insertion.
+        assert ted1(ParseTree("x"), [t("(NP (NN x))")]) == 2.0
+
     def test_strips_token_leaves_by_default(self):
         # Same skeleton, different words: structural distance is 0.
         assert ted1(t("(A (B x))"), [t("(A (B y))")]) == 0.0

@@ -376,6 +376,9 @@ class TestHelpers:
         stripped = strip_token_leaves(tree)
         assert stripped == ParseTree("A", (ParseTree("B"), ParseTree("C")))
 
+    def test_strip_token_leaves_keeps_a_bare_leaf(self):
+        assert strip_token_leaves(ParseTree("x")) == ParseTree("x")
+
     def test_is_punctuation_token(self):
         assert is_punctuation_token(".")
         assert is_punctuation_token("...")
