@@ -400,8 +400,14 @@ def load_judgments(
     ``choice`` present, ``scores.a``, ``scores.b``, the question and
     choice values (checked by ``JudgmentRecord``), the triple. Each field
     goes through the helper that raises its located error, so the first
-    error in that order is the one reported."""
+    error in that order is the one reported.
+
+    A record that repeats an earlier one's (triple, worker, question) is
+    kept and counted like any other; one DegenerateInputWarning per file,
+    located at the first repeat, says how many there are."""
     records: list[JudgmentRecord] = []
+    first_lines: dict[tuple[str, str, str], int] = {}
+    repeats: list[tuple[int, int]] = []  # (line, the line it repeats)
     for lineno, obj in _json_lines(path):
         where = f"{path}:{lineno}"
         scores = _object(obj, "scores", where)
@@ -415,7 +421,19 @@ def load_judgments(
             judgment = JudgmentRecord(triple_id, worker_id, question, choice, a, b)
         if triple_id not in triple_ids:
             raise IntegrityError(f"{where}.triple_id: unknown triple {triple_id!r}")
+        first = first_lines.setdefault((triple_id, worker_id, question), lineno)
+        if first != lineno:
+            repeats.append((lineno, first))
         records.append(judgment)
+    if repeats:
+        (lineno, first), n = repeats[0], len(repeats)
+        warnings.warn(
+            f"{path}:{lineno}: {n} repeated (triple, worker, question) "
+            f"record{'s' if n > 1 else ''}, the first repeating line {first}; "
+            "each is counted",
+            DegenerateInputWarning,
+            stacklevel=2,
+        )
     return records
 
 

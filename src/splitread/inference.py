@@ -366,10 +366,11 @@ def sample_posterior(
     is not 0/1 raises ValidationError.
     """
     X = matrix.predictor_matrix(spec.predictors)
-    for name, column in zip(spec.predictors, X.T):
-        if np.ptp(column) == 0.0:
-            raise ValidationError(f"predictor {name!r} has zero variance")
+    # The finite check comes first: an all-inf column has min == max.
     A = _signed_design(X, matrix.y)
+    for name, column in zip(spec.predictors, X.T):
+        if column.min() == column.max():
+            raise ValidationError(f"predictor {name!r} has zero variance")
     del X  # the lanes need A alone
     pairs = pool.run(
         _run_pair,

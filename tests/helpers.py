@@ -354,6 +354,15 @@ def pin_lanes(monkeypatch, lanes):
     monkeypatch.setattr(pool, "lanes", lambda jobs: lanes)
 
 
+def fresh_interpreter_env() -> dict[str, str]:
+    """The environment for a fresh interpreter that imports the splitread
+    under test: ``os.environ`` with its ``src`` directory put first on
+    PYTHONPATH."""
+    src = str(Path(pool.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def nan_density_in_children(logpost):
     """``logpost`` made to return a NaN density in every process other
     than the calling one, such as a forked sampler worker."""

@@ -8,11 +8,10 @@ import shutil
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import nan_density_in_children, pin_lanes
+from helpers import fresh_interpreter_env, nan_density_in_children, pin_lanes
 
 from splitread import cli, inference, selection
 from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec, SamplerConfig
@@ -84,6 +83,85 @@ _CONFIG_VALUE_EXPECTED = {
     "kernel_sigma": "a finite number",
     "layout": '"long"',
 }
+
+_TRIPLE = {
+    "id": "t0",
+    "source": {"text": "x y", "ptb": ["(S (NN x) (NN y))"]},
+    "a": {"text": "x . y .", "ptb": ["(S (NN x)) (S (NN y))"], "origin": "human"},
+    "b": {"text": "x . y . z .", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
+}
+_JUDGMENT = {
+    "triple_id": "t0",
+    "worker_id": "w0",
+    "question": "A_vs_B",
+    "choice": "first",
+    "scores": {
+        "a": {"grammar": 4, "meaning": 4, "fluency": 4},
+        "b": {"grammar": 3, "meaning": 3, "fluency": 3},
+    },
+}
+
+
+def _lines(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+_INPUTS = {"t.jsonl": _lines(_TRIPLE), "j.jsonl": _lines(_JUDGMENT)}
+_BOTH = ["--triples", "t.jsonl", "--judgments", "j.jsonl"]
+
+
+def _with_config(**values):
+    """``_INPUTS`` and a config file ``c.json`` holding ``values``."""
+    return {**_INPUTS, "c.json": json.dumps(values)}
+
+
+def _no_input(*args, **kwargs):
+    raise AssertionError("inputs read despite a failed check")
+
+
+@pytest.fixture
+def reject(tmp_path, capsys, monkeypatch):
+    """The runner of every CLI rejection test.
+
+    ``reject(argv, files, message)`` writes ``files`` (name: text or
+    bytes) into the test's directory, runs ``cli.main(argv)`` there and
+    checks:
+    - the exit code ``code``, returned, or raised by argparse;
+    - stderr: ``error: <message>`` (``i/o error:`` at exit 3) and a
+      newline, after argparse's usage lines where it wrote them, compared
+      whole, or with ``prefix`` only as far as ``message`` goes;
+    - that no warning was issued and no file added under the directory;
+    - unless ``reads``, that no triples were read (``ingest`` reads them
+      through ``load_triples`` too).
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv, files, message, *, code=cli.EXIT_VALIDATION, reads=True, prefix=False):
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data.encode() if type(data) is str else data)
+        if not reads:
+            monkeypatch.setattr(cli.ds, "load_triples", _no_input)
+        before = sorted(tmp_path.rglob("*"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                exit_code = cli.main(argv)
+            except SystemExit as exc:
+                exit_code = exc.code
+        assert exit_code == code
+        err = capsys.readouterr().err
+        if err.startswith("usage: splitread "):  # then "<prog>: error: <message>"
+            err = "error: " + err.rpartition(": error: ")[2]
+        expected = ("i/o error: " if code == cli.EXIT_IO else "error: ") + message
+        if prefix:  # the rest is not splitread's wording
+            err = err[: len(expected)]
+        else:
+            expected += "\n"
+        assert err == expected
+        assert [str(w.message) for w in caught] == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    return run
 
 
 class TestConfigHeader:
@@ -243,16 +321,11 @@ class TestFit:
         assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().out == f"wrote {out / 'summary.csv'} (max R-hat nan)\n"
 
-    def test_zero_variance_column_named(self, workspace, tmp_path):
-        tmp, triples, judgments = workspace
+    def test_zero_variance_column_named(self, tmp_path, reject):
         # bart never varies when every triple is human-origin.
-        t2, j2 = make_demo_dataset(
-            tmp_path / "allhuman", n_triples=4, n_workers=2, seed=8, bart_fraction=0.0
-        )
-        out = tmp_path / "fit_zero"
-        config = _write_config(tmp_path, t2, j2, out)
-        code = cli.main(["fit", "--config", str(config)])
-        assert code == cli.EXIT_VALIDATION
+        make_demo_dataset(tmp_path, n_triples=4, n_workers=2, seed=8, bart_fraction=0.0)
+        argv = ["fit", "--triples", "triples.jsonl", "--judgments", "judgments.jsonl"]
+        reject(argv, {}, "predictor 'bart' has zero variance")
 
 
 class TestFitLanes:
@@ -337,14 +410,11 @@ class TestFitAffinity:
             "print(pool.lanes(2))\n"  # the lanes of four chains' two pairs
             "sys.exit(cli.main(['fit', '--config', sys.argv[2]]))"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
         lanes, artifacts = [], []
         for affinity in ("pinned", "unrestricted"):
             result = subprocess.run(
                 [sys.executable, "-c", code, affinity, str(config)],
-                env=env, cwd=tmp, capture_output=True, text=True,
+                env=fresh_interpreter_env(), cwd=tmp, capture_output=True, text=True,
             )
             assert result.returncode == 0, result.stderr
             lanes.append(int(result.stdout.splitlines()[0]))
@@ -390,14 +460,11 @@ class TestExtractLanes:
             "pool.lanes = lambda jobs: int(sys.argv[1])\n"
             "sys.exit(cli.main(['extract', '--triples', sys.argv[2], '--out', 'out']))"
         )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
         stderr = []
         for lanes in ("1", "2"):
             result = subprocess.run(
                 [sys.executable, "-c", code, lanes, str(triples)],
-                env=env, cwd=tmp_path, capture_output=True, text=True,
+                env=fresh_interpreter_env(), cwd=tmp_path, capture_output=True, text=True,
             )
             assert result.returncode == 0, result.stderr
             stderr.append(result.stderr)
@@ -458,22 +525,13 @@ class TestAblate:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert len(lines) == 2 + 7  # base + 6 ablations
 
-    def test_unknown_predictor_rejected(self, workspace):
-        tmp, triples, judgments = workspace
-        out = tmp / "ablate_bad"
-        config = _write_config(tmp, triples, judgments, out)
-        code = cli.main(
-            ["ablate", "--config", str(config), "--predictors", "nope,split"]
-        )
-        assert code == cli.EXIT_VALIDATION
-
 
 class TestAblateArguments:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--predictors", ""], "argument --predictors: no predictor named"),
-            (["--predictors", ","], "argument --predictors: no predictor named"),
+            (["--predictors", ""], "argument --predictors: no predictor named in ''"),
+            (["--predictors", ","], "argument --predictors: no predictor named in ','"),
             (
                 ["--reduced", "--predictors", "fluency,split"],
                 "argument --predictors: not allowed with argument --reduced",
@@ -485,71 +543,41 @@ class TestAblateArguments:
         ],
         ids=["empty", "comma", "reduced", "duplicate"],
     )
-    def test_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, flags, message
-    ):
-        tmp, triples, judgments = workspace
-        config = _write_config(tmp_path, triples, judgments, tmp_path / "out")
-
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("inputs read despite invalid arguments")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["ablate", "--config", str(config), *flags])
-        assert exc.value.code == cli.EXIT_VALIDATION
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_rejected_before_input_read(self, reject, flags, message):
+        reject(["ablate", *_BOTH, *flags], _INPUTS, message, reads=False)
 
     @pytest.mark.parametrize(
-        "flags, predictors, missing",
+        "flags, config, missing",
         [
-            (["--predictors", "nope,split"], None, "['nope']"),
+            (["--predictors", "nope,split"], {}, "['nope']"),
             (
                 ["--reduced"],
-                ["grammar", "meaning", "fluency", "split"],
+                {"predictors": ["grammar", "meaning", "fluency", "split"]},
                 "['ease', 'fk_grade']",
             ),
         ],
         ids=["unknown", "reduced"],
     )
     def test_unconfigured_predictor_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, flags, predictors, missing
+        self, reject, flags, config, missing
     ):
-        tmp, triples, judgments = workspace
-        extra = {} if predictors is None else {"predictors": predictors}
-        config = _write_config(tmp_path, triples, judgments, tmp_path / "out", **extra)
-
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("inputs read despite invalid arguments")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
-        code = cli.main(["ablate", "--config", str(config), *flags])
-        assert code == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err == f"error: predictors not in the design matrix: {missing}\n"
-        assert not (tmp_path / "out").exists()
+        argv = ["ablate", "--config", "c.json", *_BOTH, *flags]
+        message = f"predictors not in the design matrix: {missing}"
+        reject(argv, _with_config(**config), message, reads=False)
 
     @pytest.mark.parametrize(
-        "flags, predictors",
-        [(["--predictors", "fluency"], None), ([], ["fluency"]), ([], [])],
+        "flags, config",
+        [
+            (["--predictors", "fluency"], {}),
+            ([], {"predictors": ["fluency"]}),
+            ([], {"predictors": []}),
+        ],
         ids=["flag", "config-one", "config-none"],
     )
-    def test_too_few_predictors_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, flags, predictors
-    ):
-        tmp, triples, judgments = workspace
-        extra = {} if predictors is None else {"predictors": predictors}
-        config = _write_config(tmp_path, triples, judgments, tmp_path / "out", **extra)
-
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("inputs read despite invalid arguments")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
-        code = cli.main(["ablate", "--config", str(config), *flags])
-        assert code == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: ablation needs at least 2 predictors\n"
-        assert not (tmp_path / "out").exists()
+    def test_too_few_predictors_rejected_before_input_read(self, reject, flags, config):
+        argv = ["ablate", "--config", "c.json", *_BOTH, *flags]
+        message = "ablation needs at least 2 predictors"
+        reject(argv, _with_config(**config), message, reads=False)
 
 
 class TestConfiguredPrior:
@@ -742,23 +770,19 @@ class TestReport:
 
 class TestErrors:
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, message, prefix",
         [
-            (["fit", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
-            (["fit", "--bogus"], "error: unrecognized arguments: --bogus"),
-            (["fit", "--profile", "huge"], "argument --profile: invalid choice: 'huge'"),
-            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["fit", "--seed", "abc"], "argument --seed: invalid int value: 'abc'", False),
+            (["fit", "--bogus"], "unrecognized arguments: --bogus", False),
+            # The list of choices that follows is argparse's wording.
+            (["fit", "--profile", "huge"], "argument --profile: invalid choice: 'huge'", True),
+            (["bogus"], "argument command: invalid choice: 'bogus'", True),
         ],
         ids=["seed", "unknown-flag", "profile", "subcommand"],
     )
-    def test_usage_error_exits_validation(self, argv, message, capsys):
+    def test_usage_error_exits_validation(self, reject, argv, message, prefix):
         # Exit 2 is reserved for the convergence gate.
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("usage: splitread")
-        assert message in err
+        reject(argv, {}, message, prefix=prefix)
 
     def test_help_exits_ok(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -766,106 +790,62 @@ class TestErrors:
         assert exc.value.code == cli.EXIT_OK
         assert "--profile" in capsys.readouterr().out
 
-    def test_io_failure_exit_code(self, workspace, tmp_path):
-        tmp, triples, judgments = workspace
-        blocker = tmp_path / "blocked"
-        blocker.write_text("not a directory", encoding="utf-8")
-        config = _write_config(tmp_path, triples, judgments, blocker)
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_IO
+    # Python's json module words the rest of these messages.
+    def test_bad_config_json(self, reject):
+        argv = ["extract", "--config", "c.json"]
+        reject(argv, {"c.json": "{"}, "config file is not valid JSON: ", prefix=True)
 
-    def test_missing_triples_path(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"triples": str(tmp_path / "none.jsonl"), "judgments": ""}),
-            encoding="utf-8",
-        )
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
+    def test_config_integer_past_digit_limit(self, reject):
+        files = {"c.json": '{"kernel_sigma": ' + "1" * 5000 + "}"}
+        argv = ["extract", "--config", "c.json"]
+        reject(argv, files, "config file is not valid JSON: ", prefix=True)
 
-    def test_missing_word_list(self, workspace, tmp_path):
-        tmp, triples, judgments = workspace
-        config = _write_config(
-            tmp_path, triples, judgments, tmp_path / "out",
-            word_list=str(tmp_path / "missing.txt"),
-        )
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
-
-    def test_bad_config_json(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text("{", encoding="utf-8")
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
-
-    def test_config_integer_past_digit_limit(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text('{"kernel_sigma": ' + "1" * 5000 + "}", encoding="utf-8")
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert "config file is not valid JSON" in capsys.readouterr().err
-
-    def test_config_nested_past_recursion_limit(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(
-            '{"sampler": ' + "[" * 100000 + "]" * 100000 + "}", encoding="utf-8"
-        )
-        assert cli.main(["extract", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert "config file is not valid JSON" in capsys.readouterr().err
+    def test_config_nested_past_recursion_limit(self, reject):
+        files = {"c.json": '{"sampler": ' + "[" * 100000 + "]" * 100000 + "}"}
+        argv = ["extract", "--config", "c.json"]
+        reject(argv, files, "config file is not valid JSON: ", prefix=True)
 
     @pytest.mark.parametrize("name", ["triples", "judgments"])
-    def test_input_nested_past_recursion_limit(self, tmp_path, capsys, name):
-        files = {"triples": json.dumps(_TRIPLE), "judgments": json.dumps(_JUDGMENT)}
-        files[name] = '{"id": "x", "n": ' + "[" * 100000 + "]" * 100000 + "}"
-        paths = {key: tmp_path / f"{key}.jsonl" for key in files}
-        for key, text in files.items():
-            paths[key].write_text(text + "\n", encoding="utf-8")
-        code = cli.main([
-            "report", "--triples", str(paths["triples"]),
-            "--judgments", str(paths["judgments"]), "--out", str(tmp_path / "out"),
-        ])
-        assert code == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {paths[name]}:1: bad JSON: ")
-        assert "Traceback" not in err
+    def test_input_nested_past_recursion_limit(self, reject, name):
+        path = {"triples": "t.jsonl", "judgments": "j.jsonl"}[name]
+        files = {**_INPUTS, path: '{"id": "x", "n": ' + "[" * 100000 + "]" * 100000 + "}\n"}
+        reject(["report", *_BOTH], files, f"{path}:1: bad JSON: ", prefix=True)
 
-    def test_kernel_overflow_named(self, tmp_path, capsys):
+    def test_kernel_overflow_named(self, reject):
         # sigma + 1 is finite, but the product of two self-kernels is not.
-        triples, config = tmp_path / "triples.jsonl", tmp_path / "config.json"
-        triples.write_text(json.dumps(_TRIPLE) + "\n", encoding="utf-8")
-        config.write_text(json.dumps({"kernel_sigma": 1e200}), encoding="utf-8")
-        args = ["--triples", str(triples), "--out", str(tmp_path / "out")]
-        assert cli.main(["extract", "--config", str(config), *args]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            "error: triple 't0', side a: tree kernel overflows the float range "
-            "at kernel_sigma 1e+200\n"
+        files = _with_config(kernel_sigma=1e200)
+        message = (
+            "triple 't0', side a: tree kernel overflows the float range "
+            "at kernel_sigma 1e+200"
         )
+        reject(["extract", "--config", "c.json", *_BOTH], files, message)
 
-    def test_unknown_sampler_key_rejected(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({**_MINIMAL_CONFIG, "sampler": {"warmpu": 50}}),
-            encoding="utf-8",
-        )
-        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert "warmpu" in capsys.readouterr().err
+    def test_unknown_sampler_key_rejected(self, reject):
+        files = {"c.json": json.dumps({**_MINIMAL_CONFIG, "sampler": {"warmpu": 50}})}
+        allowed = ", ".join(_README_CONFIG["sampler"])
+        message = f"unknown sampler keys ['warmpu']; allowed: {allowed}"
+        reject(["fit", "--config", "c.json"], files, message)
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            ([1], "must hold a JSON object"),
-            ({**_MINIMAL_CONFIG, "sampler": None}, "sampler=null: expected an object"),
+            ([1], "config file must hold a JSON object"),
+            (
+                {**_MINIMAL_CONFIG, "sampler": None},
+                "config value sampler=null: expected an object",
+            ),
         ],
+        ids=["data0-must hold a JSON object", "data1-sampler=null: expected an object"],
     )
-    def test_config_not_an_object(self, tmp_path, capsys, data, message):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(data), encoding="utf-8")
-        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert message in capsys.readouterr().err
+    def test_config_not_an_object(self, reject, data, message):
+        reject(["fit", "--config", "c.json"], {"c.json": json.dumps(data)}, message)
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"kernal_sigma": 3}), encoding="utf-8")
-        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert "kernal_sigma" in err
-        for key in _README_CONFIG:
-            assert key in err
+    def test_unknown_config_key_rejected(self, reject):
+        # The message names every key the README's example spells out.
+        allowed = ", ".join(_README_CONFIG)
+        message = f"unknown config keys ['kernal_sigma']; allowed: {allowed}"
+        files = {"c.json": json.dumps({"kernal_sigma": 3})}
+        reject(["fit", "--config", "c.json"], files, message)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -882,15 +862,11 @@ class TestErrors:
             ("layout", "diff"),
         ],
     )
-    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
-        config = tmp_path / "config.json"
-        data = {**_MINIMAL_CONFIG, key: value}
-        config.write_text(json.dumps(data), encoding="utf-8")
-        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
+    def test_config_value_of_wrong_type_rejected(self, reject, key, value):
+        files = {"c.json": json.dumps({**_MINIMAL_CONFIG, key: value})}
         expected = _CONFIG_VALUE_EXPECTED[key]
-        assert capsys.readouterr().err == (
-            f"error: config value {key}={json.dumps(value)}: expected {expected}\n"
-        )
+        message = f"config value {key}={json.dumps(value)}: expected {expected}"
+        reject(["fit", "--config", "c.json"], files, message)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -907,75 +883,38 @@ class TestErrors:
             ("prior_sd", 10**400),
         ],
     )
-    def test_sampler_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+    def test_sampler_value_of_wrong_type_rejected(self, reject, key, value):
         # Values are checked, not cast: 1000.7 must not run as 1000 warmup
         # iterations, nor "500" as 500 draws.
-        config = tmp_path / "config.json"
-        data = {**_MINIMAL_CONFIG, "sampler": {key: value}}
-        config.write_text(json.dumps(data), encoding="utf-8")
-        assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-        assert f"{key}={json.dumps(value)}" in capsys.readouterr().err
+        files = {"c.json": json.dumps({**_MINIMAL_CONFIG, "sampler": {key: value}})}
+        integers = ("chains", "warmup", "draws", "seed", "num_steps")
+        expected = "an integer" if key in integers else "a finite number"
+        message = f"sampler value {key}={json.dumps(value)}: expected {expected}"
+        reject(["fit", "--config", "c.json"], files, message)
 
     @pytest.mark.parametrize(
         "sampler, flags",
         [({"seed": -3}, []), ({}, ["--seed", "-3"])],
         ids=["config", "flag"],
     )
-    def test_negative_seed_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, sampler, flags
-    ):
-        tmp, triples, judgments = workspace
-        config = _write_config(
-            tmp_path, triples, judgments, tmp_path / "out", sampler=sampler
-        )
-
-        def no_ingest(*args, **kwargs):
-            raise AssertionError("inputs read despite an invalid seed")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_ingest)
-        assert cli.main(["fit", "--config", str(config), *flags]) == cli.EXIT_VALIDATION
-        assert "seed must be >= 0, got -3" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_negative_seed_rejected_before_input_read(self, reject, sampler, flags):
+        argv = ["fit", "--config", "c.json", *_BOTH, *flags]
+        files = _with_config(sampler=sampler)
+        reject(argv, files, "seed must be >= 0, got -3", reads=False)
 
     @pytest.mark.parametrize("command", ["extract", "fit", "ablate", "report"])
     @pytest.mark.parametrize("out", ["blocker", "blocker/sub", "blocker/a/b"])
-    def test_out_under_a_file_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, command, out
-    ):
-        tmp, triples, judgments = workspace
-        (tmp_path / "blocker").write_text("not a directory", encoding="utf-8")
-        config = _write_config(tmp_path, triples, judgments, tmp_path / out)
-
-        def no_input(*args, **kwargs):
-            raise AssertionError("inputs read despite an unusable --out")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_input)
-        monkeypatch.setattr(cli.ds, "load_triples", no_input)
-        before = sorted(tmp_path.rglob("*"))
-        assert cli.main([command, "--config", str(config)]) == cli.EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: [Errno 20] Not a directory")
-        assert sorted(tmp_path.rglob("*")) == before
+    def test_out_under_a_file_rejected_before_input_read(self, reject, command, out):
+        files = {**_INPUTS, "blocker": "not a directory"}
+        message = f"[Errno 20] Not a directory: '{out}'"
+        argv = [command, *_BOTH, "--out", out]
+        reject(argv, files, message, code=cli.EXIT_IO, reads=False)
 
     @pytest.mark.parametrize("command", ["extract", "fit", "ablate"])
-    def test_repeated_config_predictor_rejected_before_input_read(
-        self, workspace, tmp_path, capsys, monkeypatch, command
-    ):
-        tmp, triples, judgments = workspace
-        config = _write_config(
-            tmp_path, triples, judgments, tmp_path / "out",
-            predictors=["split", "fluency", "split"],
-        )
-
-        def no_input(*args, **kwargs):
-            raise AssertionError("inputs read despite a repeated predictor")
-
-        monkeypatch.setattr(cli.ds, "ingest", no_input)
-        monkeypatch.setattr(cli.ds, "load_triples", no_input)
-        assert cli.main([command, "--config", str(config)]) == cli.EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err == "error: duplicate predictor names: ['split']\n"
-        assert not (tmp_path / "out").exists()
+    def test_repeated_config_predictor_rejected_before_input_read(self, reject, command):
+        files = _with_config(predictors=["split", "fluency", "split"])
+        argv = [command, "--config", "c.json", *_BOTH]
+        reject(argv, files, "duplicate predictor names: ['split']", reads=False)
 
     def test_profile_presets(self, workspace):
         tmp, triples, judgments = workspace
@@ -988,22 +927,6 @@ class TestErrors:
         assert cfg.sampler.draws == 4000
 
 
-_TRIPLE = {
-    "id": "t0",
-    "source": {"text": "x y", "ptb": ["(S (NN x) (NN y))"]},
-    "a": {"text": "x . y .", "ptb": ["(S (NN x)) (S (NN y))"], "origin": "human"},
-    "b": {"text": "x . y . z .", "ptb": ["(S (NN x)) (S (NN y)) (S (NN z))"]},
-}
-_JUDGMENT = {
-    "triple_id": "t0",
-    "worker_id": "w0",
-    "question": "A_vs_B",
-    "choice": "first",
-    "scores": {
-        "a": {"grammar": 4, "meaning": 4, "fluency": 4},
-        "b": {"grammar": 3, "meaning": 3, "fluency": 3},
-    },
-}
 _TWO_SENTENCES = (
     "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n"
     "\n"
@@ -1050,14 +973,16 @@ _MALFORMED = [
     (
         "conllu.a",
         "1\tx\n",
-        ":1.conllu.a: line 1: expected the 10-column CoNLL-U layout",
+        ":1.conllu.a: line 1: expected the 10-column CoNLL-U layout "
+        "(HEAD/DEPREL missing): '1\\tx'",
     ),
     (
         # A tab line is split on tabs alone: a space in its FORM does not
         # make up for the missing column.
         "conllu.source",
         "1\tNew York\t_\t_\t_\t0\troot\n",
-        ":1.conllu.source: line 1: expected the 10-column CoNLL-U layout",
+        ":1.conllu.source: line 1: expected the 10-column CoNLL-U layout "
+        "(HEAD/DEPREL missing): '1\\tNew York\\t_\\t_\\t_\\t0\\troot'",
     ),
     (
         "conllu.source",
@@ -1105,65 +1030,59 @@ _MALFORMED = [
 ]
 
 
-def _lines(*records):
-    return "".join(json.dumps(record) + "\n" for record in records)
-
-
-_INPUTS = {"t.jsonl": _lines(_TRIPLE), "j.jsonl": _lines(_JUDGMENT)}
-_BOTH = ["--triples", "{tmp}/t.jsonl", "--judgments", "{tmp}/j.jsonl"]
 # CLI input checks as (argv, files written, error message, whether the
-# triples are read), each "{tmp}" standing for the test's directory.
+# triples are read).
 _INPUT_CHECKS = {
     "config-missing": (
-        ["extract", "--config", "{tmp}/none.json"], {},
-        "config file not found: {tmp}/none.json", False,
+        ["extract", "--config", "none.json"], {},
+        "config file not found: none.json", False,
     ),
     "no-triples": (["extract"], {}, "no triples path configured", False),
     "triples-missing": (
-        ["extract", "--triples", "{tmp}/none.jsonl"], {},
-        "triples file not found: {tmp}/none.jsonl", False,
+        ["extract", "--triples", "none.jsonl"], {},
+        "triples file not found: none.jsonl", False,
     ),
     "no-judgments": (
-        ["report", "--triples", "{tmp}/t.jsonl"], _INPUTS,
+        ["report", "--triples", "t.jsonl"], _INPUTS,
         "no judgments path configured", False,
     ),
     "judgments-missing": (
-        ["report", "--triples", "{tmp}/t.jsonl", "--judgments", "{tmp}/none.jsonl"],
-        _INPUTS, "judgments file not found: {tmp}/none.jsonl", False,
+        ["report", "--triples", "t.jsonl", "--judgments", "none.jsonl"],
+        _INPUTS, "judgments file not found: none.jsonl", False,
     ),
     # report checks the word list, though it does not read it.
     "word-list-missing": (
-        ["report", "--config", "{tmp}/c.json", *_BOTH],
-        {**_INPUTS, "c.json": json.dumps({"word_list": "{tmp}/none.txt"})},
-        "word list file not found: {tmp}/none.txt", False,
+        ["report", "--config", "c.json", *_BOTH],
+        _with_config(word_list="none.txt"),
+        "word list file not found: none.txt", False,
     ),
     "triple-not-an-object": (
-        ["extract", "--triples", "{tmp}/t.jsonl"], {"t.jsonl": "[1]\n"},
-        "{tmp}/t.jsonl:1: expected a JSON object", True,
+        ["extract", "--triples", "t.jsonl"], {"t.jsonl": "[1]\n"},
+        "t.jsonl:1: expected a JSON object", True,
     ),
     "duplicate-triple-id": (
-        ["extract", "--triples", "{tmp}/t.jsonl"],
+        ["extract", "--triples", "t.jsonl"],
         {"t.jsonl": _lines(*[{**_TRIPLE, "id": "t0000"}] * 2)},
-        "{tmp}/t.jsonl:2: duplicate triple id 't0000'", True,
+        "t.jsonl:2: duplicate triple id 't0000'", True,
     ),
     "no-source-trees": (
-        ["extract", "--triples", "{tmp}/t.jsonl"],
+        ["extract", "--triples", "t.jsonl"],
         {"t.jsonl": _lines({**_TRIPLE, "source": {"text": "x y", "ptb": []}})},
-        "{tmp}/t.jsonl:1: source has no parse trees", True,
+        "t.jsonl:1: source has no parse trees", True,
     ),
     "unknown-predictor": (
-        ["extract", "--config", "{tmp}/c.json", *_BOTH],
-        {**_INPUTS, "c.json": json.dumps({"predictors": ["split2"]})},
+        ["extract", "--config", "c.json", *_BOTH],
+        _with_config(predictors=["split2"]),
         "unknown predictors: ['split2']", False,
     ),
     "no-warmup": (
-        ["fit", "--config", "{tmp}/c.json", *_BOTH],
-        {**_INPUTS, "c.json": json.dumps({"sampler": {"warmup": 0}})},
+        ["fit", "--config", "c.json", *_BOTH],
+        _with_config(sampler={"warmup": 0}),
         "need warmup >= 1 and draws >= 2", False,
     ),
     "no-steps": (
-        ["fit", "--config", "{tmp}/c.json", *_BOTH],
-        {**_INPUTS, "c.json": json.dumps({"sampler": {"num_steps": 0}})},
+        ["fit", "--config", "c.json", *_BOTH],
+        _with_config(sampler={"num_steps": 0}),
         "num_steps must be >= 1", False,
     ),
 }
@@ -1175,23 +1094,8 @@ class TestInputChecks:
         _INPUT_CHECKS.values(),
         ids=_INPUT_CHECKS.keys(),
     )
-    def test_message_and_exit(
-        self, tmp_path, capsys, monkeypatch, argv, files, message, reads_triples
-    ):
-        def at_tmp(text):
-            return text.replace("{tmp}", str(tmp_path))
-
-        for name, text in files.items():
-            (tmp_path / name).write_text(at_tmp(text), encoding="utf-8")
-        if not reads_triples:
-            def no_input(*args, **kwargs):
-                raise AssertionError("inputs read despite a failed check")
-
-            monkeypatch.setattr(cli.ds, "load_triples", no_input)
-        argv = [*map(at_tmp, argv), "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {at_tmp(message)}\n"
-        assert not (tmp_path / "out").exists()
+    def test_message_and_exit(self, reject, argv, files, message, reads_triples):
+        reject(argv, files, message, reads=reads_triples)
 
 
 class TestMalformedRecords:
@@ -1202,7 +1106,7 @@ class TestMalformedRecords:
         _MALFORMED,
         ids=[f"{field}={json.dumps(value)}" for field, value, _ in _MALFORMED],
     )
-    def test_rejected_with_location(self, tmp_path, capsys, field, value, message):
+    def test_rejected_with_location(self, reject, field, value, message):
         triple, judgment = copy.deepcopy(_TRIPLE), copy.deepcopy(_JUDGMENT)
         in_judgment = field.split(".")[0] in _JUDGMENT
         record = judgment if in_judgment else triple
@@ -1210,35 +1114,22 @@ class TestMalformedRecords:
         for name in parents:
             record = record.setdefault(name, {})
         record[key] = value
-        triples, judgments = tmp_path / "triples.jsonl", tmp_path / "judgments.jsonl"
-        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
-        judgments.write_text(json.dumps(judgment) + "\n", encoding="utf-8")
-        command = "report" if in_judgment else "extract"
-        args = [command, "--triples", str(triples), "--judgments", str(judgments)]
-        code = cli.main([*args, "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_VALIDATION
-        assert err.startswith("error:")
-        assert message in err
-        assert "Traceback" not in err
+        files = {"t.jsonl": _lines(triple), "j.jsonl": _lines(judgment)}
+        command, path = ("report", "j.jsonl") if in_judgment else ("extract", "t.jsonl")
+        reject([command, *_BOTH], files, path + message)
 
 
 class TestConlluIds:
     # Token IDs run 1, 2, ... in each sentence; the rule is checked where
     # the reader keeps each token's head.
-    def test_out_of_order_id_rejected_with_location(self, tmp_path, capsys):
-        triple = copy.deepcopy(_TRIPLE)
-        triple["conllu"] = {
-            "a": "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n3\ty\t_\t_\t_\t_\t1\tdep\t_\t_\n"
-        }
-        triples = tmp_path / "triples.jsonl"
-        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
-        code = cli.main(["extract", "--triples", str(triples), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            f"error: {triples}:1.conllu.a: token indices must be consecutive "
-            "from 1; got 3 at position 2\n"
+    def test_out_of_order_id_rejected_with_location(self, reject):
+        conllu = "1\tx\t_\t_\t_\t_\t0\troot\t_\t_\n3\ty\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+        files = {"t.jsonl": _lines({**_TRIPLE, "conllu": {"a": conllu}})}
+        message = (
+            "t.jsonl:1.conllu.a: token indices must be consecutive "
+            "from 1; got 3 at position 2"
         )
+        reject(["extract", "--triples", "t.jsonl"], files, message)
 
 
 class TestNotUtf8:
@@ -1253,40 +1144,30 @@ class TestNotUtf8:
             ("extract", "config", 1),
         ],
     )
-    def test_rejected_with_line(self, tmp_path, capsys, command, name, line):
-        names = ("triples", "judgments", "words", "config")
-        paths = {key: tmp_path / f"{key}.txt" for key in names}
+    def test_rejected_with_line(self, reject, command, name, line):
         files = {
             "triples": (json.dumps(_TRIPLE) + "\n").encode(),
             "judgments": (json.dumps(_JUDGMENT) + "\n" + json.dumps(_JUDGMENT)).encode(),
             "words": b"the\nman\n",
-            "config": json.dumps({"word_list": str(paths["words"])}).encode(),
+            "config": json.dumps({"word_list": "words"}).encode(),
         }
         bad = files[name]
         cut = sum(len(s) + 1 for s in bad.split(b"\n")[: line - 1])
         files[name] = bad[:cut] + b"\xff" + bad[cut:]
-        for key, data in files.items():
-            paths[key].write_bytes(data)
-        code = cli.main([
-            command, "--config", str(paths["config"]), "--triples", str(paths["triples"]),
-            "--judgments", str(paths["judgments"]), "--out", str(tmp_path / "out"),
-        ])
-        assert code == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {paths[name]}:{line}: not UTF-8 text\n"
+        argv = [command, "--config", "config", "--triples", "triples",
+                "--judgments", "judgments"]
+        reject(argv, files, f"{name}:{line}: not UTF-8 text")
 
-    def test_word_list_checked_with_no_triples(self, tmp_path, capsys):
+    def test_word_list_checked_with_no_triples(self, reject):
         # The word list is read before featurization starts, so extract
         # checks it even when the triples file holds no record.
-        triples, words, config = (tmp_path / n for n in ("t.jsonl", "w.txt", "c.json"))
-        triples.write_bytes(b"")
-        words.write_bytes(b"the\n\xffman\n")
-        config.write_text(json.dumps({"word_list": str(words)}), encoding="utf-8")
-        code = cli.main([
-            "extract", "--config", str(config), "--triples", str(triples),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {words}:2: not UTF-8 text\n"
+        files = {
+            "t.jsonl": b"",
+            "w.txt": b"the\n\xffman\n",
+            "c.json": json.dumps({"word_list": "w.txt"}),
+        }
+        argv = ["extract", "--config", "c.json", "--triples", "t.jsonl"]
+        reject(argv, files, "w.txt:2: not UTF-8 text")
 
 
 class TestByteOrderMark:
@@ -1321,58 +1202,40 @@ class TestByteOrderMark:
 
 
 class TestDeepTrees:
-    def test_extract_names_depth_limit_and_report_runs(self, tmp_path, capsys):
-        triple = copy.deepcopy(_TRIPLE)
-        triple["source"]["ptb"] = ["(A " * 4999 + "x" + ")" * 4999]
-        triples, judgments = tmp_path / "triples.jsonl", tmp_path / "judgments.jsonl"
-        triples.write_text(json.dumps(triple) + "\n", encoding="utf-8")
-        judgments.write_text(json.dumps(_JUDGMENT) + "\n", encoding="utf-8")
-        args = ["--triples", str(triples), "--out", str(tmp_path / "out")]
-        assert cli.main(["extract", *args]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            "error: triple 't0', side a: source tree 1 is 5000 levels deep, "
-            f"over the limit of {MAX_TREE_DEPTH}\n"
+    def test_extract_names_depth_limit_and_report_runs(self, tmp_path, reject):
+        deep = {**_TRIPLE["source"], "ptb": ["(A " * 4999 + "x" + ")" * 4999]}
+        files = {**_INPUTS, "t.jsonl": _lines({**_TRIPLE, "source": deep})}
+        message = (
+            "triple 't0', side a: source tree 1 is 5000 levels deep, "
+            f"over the limit of {MAX_TREE_DEPTH}"
         )
-        assert cli.main(["report", *args, "--judgments", str(judgments)]) == cli.EXIT_OK
+        reject(["extract", "--triples", "t.jsonl"], files, message)
+        assert cli.main(["report", *_BOTH]) == cli.EXIT_OK
         assert (tmp_path / "out" / "report.txt").exists()
 
 
-def test_column_too_large_to_standardize_named(tmp_path, capsys):
+def _samsa_study(values):
+    """A 4-triple demo study in the working directory whose SAMSA values,
+    in triple order, start with ``values``; the arguments that fit it."""
+    triples, _ = make_demo_dataset(".", n_triples=4, n_workers=2)
+    records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
+    for record, value in zip(records, values):
+        record["precomputed"] = {"samsa_a": value, "samsa_b": 0.0}
+    triples.write_text(_lines(*records), "utf-8")
+    return ["fit", "--triples", "triples.jsonl", "--judgments", "judgments.jsonl"]
+
+
+def test_column_too_large_to_standardize_named(reject):
     # Both SAMSA values are finite, so the reader takes them, but the
     # squares of the column's deviations overflow.
-    triples, judgments = make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
-    records[0]["precomputed"]["samsa_a"] = 1e308
-    records[1]["precomputed"]["samsa_a"] = -1e308
-    triples.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-    argv = ["fit", "--triples", str(triples), "--judgments", str(judgments),
-            "--out", str(tmp_path / "out")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "error: column 'samsa' is too large to standardize\n"
-    )
-    assert [str(w.message) for w in caught] == []
+    argv = _samsa_study([1e308, -1e308])
+    reject(argv, {}, "column 'samsa' is too large to standardize")
 
 
-def test_column_too_small_to_standardize_named(tmp_path, capsys):
+def test_column_too_small_to_standardize_named(reject):
     # The column's values differ, but its deviations' squares underflow.
-    triples, judgments = make_demo_dataset(tmp_path / "data", n_triples=4, n_workers=2)
-    records = [json.loads(line) for line in triples.read_text("utf-8").splitlines()]
-    for record in records:
-        record["precomputed"] = {"samsa_a": 0.0, "samsa_b": 0.0}
-    records[0]["precomputed"]["samsa_a"] = 1e-170
-    triples.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-    argv = ["fit", "--triples", str(triples), "--judgments", str(judgments),
-            "--out", str(tmp_path / "out")]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "error: column 'samsa' is too small to standardize\n"
-    )
-    assert [str(w.message) for w in caught] == []
+    argv = _samsa_study([1e-170, 0.0, 0.0, 0.0])
+    reject(argv, {}, "column 'samsa' is too small to standardize")
 
 
 @pytest.fixture(scope="module")
@@ -1390,9 +1253,6 @@ def blocked_run(tmp_path_factory):
     (tmp / "fit.json").write_text(
         json.dumps({"sampler": {"warmup": 50, "draws": 50}}), encoding="utf-8"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import sys\n"
         "sys.modules['scipy'] = sys.modules['numpy'] = None\n"
@@ -1409,7 +1269,8 @@ def blocked_run(tmp_path_factory):
         "run('ablate', '--config', 'fit.json', '--predictors', 'fluency,split', *data)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=tmp, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        env=fresh_interpreter_env(), cwd=tmp, capture_output=True, text=True,
     )
     printed = [line for line in result.stdout.splitlines() if "wrote" not in line]
     return tmp, printed, result.stderr
@@ -1542,24 +1403,13 @@ def test_no_runtime_warning_in_any_command(strict_run):
 
 
 @pytest.mark.parametrize("prior_sd", [1e-200, 1e200])
-def test_prior_sd_with_no_normal_square_rejected_before_input_read(
-    workspace, tmp_path, capsys, monkeypatch, prior_sd
-):
-    tmp, triples, judgments = workspace
-    config = _write_config(
-        tmp_path, triples, judgments, tmp_path / "out", sampler={"prior_sd": prior_sd}
+def test_prior_sd_with_no_normal_square_rejected_before_input_read(reject, prior_sd):
+    files = _with_config(sampler={"prior_sd": prior_sd})
+    message = (
+        "prior_sd must lie between about 1.5e-154 and 1.3e154, "
+        "where its square is a normal float"
     )
-
-    def no_ingest(*args, **kwargs):
-        raise AssertionError("inputs read despite an invalid prior_sd")
-
-    monkeypatch.setattr(cli.ds, "ingest", no_ingest)
-    assert cli.main(["fit", "--config", str(config)]) == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err == (
-        "error: prior_sd must lie between about 1.5e-154 and 1.3e154, "
-        "where its square is a normal float\n"
-    )
-    assert not (tmp_path / "out").exists()
+    reject(["fit", "--config", "c.json", *_BOTH], files, message, reads=False)
 
 
 def test_artifacts_follow_umask_and_leave_no_temp_file(strict_run):

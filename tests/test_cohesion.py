@@ -332,6 +332,23 @@ class TestKernelSimilarity:
         assert kernel_similarity([tree], [tree], "subset", 1e10) == 1.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ted2([]), "ted2 requires at least one split sentence"),
+        (
+            lambda: kernel_similarity([ParseTree("x")], [t("(A x)")]),
+            "tree has no internal structure; self-kernel is zero",
+        ),
+    ],
+    ids=["ted2-no-splits", "kernel-bare-leaf"],
+)
+def test_degenerate_input_rejected(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestReferenceTwins:
     """tree_edit_distance and tree_kernel against verbatim copies (in
     helpers) of the implementations they replaced, compared with ==."""

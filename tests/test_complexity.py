@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pytest
 from helpers import (
     naive_frazier_costs,
     naive_tnodes,
@@ -15,7 +16,7 @@ from splitread.complexity import (
     yngve_costs,
     yngve_score,
 )
-from splitread.trees import DepGraph, parse_conllu, parse_ptb
+from splitread.trees import DepGraph, ParseTree, parse_conllu, parse_ptb
 
 
 def chain(depth: int, label: str = "A") -> str:
@@ -77,6 +78,12 @@ class TestFrazier:
     def test_non_leftmost_word_scores_zero(self):
         costs = frazier_costs(parse_ptb("(A x y)")[0])
         assert costs == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("costs", [yngve_costs, frazier_costs])
+def test_bare_leaf_costs_zero(costs):
+    # A lone token has no edge to weigh: one word, of cost 0.
+    assert costs(ParseTree("x")) == [0.0]
 
 
 class TestTnodes:

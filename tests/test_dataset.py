@@ -29,6 +29,8 @@ from splitread.dataset import (
     PREDICTORS,
     DesignMatrix,
     FeatureConfig,
+    JudgmentRecord,
+    SideScores,
     Simplification,
     Triple,
     atomic_write,
@@ -66,6 +68,10 @@ def loaded(tmp_path_factory):
     )
     triples, judgments = ingest(judgments_path, triples_path)
     return triples, judgments, triples_path, judgments_path
+
+
+# The warning of a judgments file that repeats a (triple, worker, question).
+_REPEATED = r"repeated \(triple, worker, question\) record"
 
 
 def _judgment_line(triple_id="t0000", question="A_vs_B", choice="first", score=4):
@@ -113,6 +119,26 @@ class TestIngest:
         with pytest.raises(IntegrityError) as info:
             ingest(bad, loaded[2])
         assert str(info.value) == f"{bad}:1.triple_id: unknown triple 't9'"
+
+    def test_repeated_records_warned_and_counted(self, loaded, tmp_path):
+        # One triple's A_vs_B record twice, a second worker's once, and
+        # another question of the first worker: two repeats of line 1.
+        lines = [
+            _judgment_line(),
+            _judgment_line(question="S_vs_A"),
+            _judgment_line(),
+            _judgment_line().replace('"w0"', '"w1"'),
+            _judgment_line(choice="second"),
+        ]
+        path = tmp_path / "judgments.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.warns(DegenerateInputWarning) as caught:
+            judgments = load_judgments(path, {"t0000"})
+        assert [str(w.message) for w in caught] == [
+            f"{path}:3: 2 repeated (triple, worker, question) records, the first "
+            "repeating line 1; each is counted"
+        ]
+        assert tally(judgments, "A_vs_B") == {"first": 3, "second": 1, "not_sure": 0}
 
     def test_empty_judgments_file(self, loaded, tmp_path):
         triples_path = loaded[2]
@@ -238,7 +264,10 @@ class TestIngest:
         with pytest.raises(FormatError, match="judgments.jsonl:3: bad JSON"):
             load_judgments(path, {"t0000"})
         path.write_bytes((newline.join(lines[:2]) + newline).encode("utf-8"))
-        assert [j.worker_id for j in load_judgments(path, {"t0000"})] == ["w\u2028\u0085"] * 2
+        # The second record repeats the first, and the warning names its line.
+        with pytest.warns(DegenerateInputWarning, match=r"judgments.jsonl:2: 1 repeated"):
+            judgments = load_judgments(path, {"t0000"})
+        assert [j.worker_id for j in judgments] == ["w\u2028\u0085"] * 2
 
     def test_unknown_schema_rejected(self, tmp_path):
         # The schema is the JSON integer 1; true and 1.0 compare equal to
@@ -634,7 +663,8 @@ class TestDesignMatrix:
         path = tmp_path / "judgments.jsonl"
         lines = [_judgment_line(choice=choice) for choice in choices]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        judgments = load_judgments(path, {t.id for t in triples})
+        with pytest.warns(DegenerateInputWarning, match=_REPEATED):
+            judgments = load_judgments(path, {t.id for t in triples})
         matrix = build_design_matrix(triples, judgments, FeatureConfig(("split",)))
         expected = [1.0 if c == "first" else 0.0 for c in choices]
         assert list(matrix.y) == [y for e in expected for y in (e, 1.0 - e)]
@@ -862,6 +892,62 @@ def _keep_pair_order(records, order):
     ]
 
 
+def _one_sentence_triple():
+    (tree,) = parse_ptb("(S (NN x))")
+    one = Simplification(trees=(tree,), origin="human")
+    return Triple(id="t0", source_trees=(tree,), split_a=one, split_b=one)
+
+
+_SCORES = SideScores(grammar=4, meaning=4, fluency=4)
+
+
+# Library calls that the CLI's readers never make, and the error of each.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _one_sentence_triple().side("c"), ValueError, "unknown side 'c'"),
+        (
+            lambda: DesignMatrix.from_arrays(["x"], [[1.0, 2.0]], [1.0]),
+            ValidationError,
+            "X shape does not match the column list",
+        ),
+        (
+            lambda: DesignMatrix.from_arrays(["x"], [[1.0], [2.0]], [1.0]),
+            ValidationError,
+            "y length does not match X",
+        ),
+        (
+            lambda: DesignMatrix.from_arrays(["x"], [[1.0], [2.0]], [1.0, 0.5]),
+            ValidationError,
+            "y must be binary",
+        ),
+        (
+            lambda: DesignMatrix.from_arrays(["x"], [[1.0], [math.inf]], [1.0, 0.0]),
+            ValidationError,
+            "column 'x' has non-finite values",
+        ),
+        (
+            lambda: DesignMatrix.from_arrays(["split"], [[1.0], [2.0]], [1.0, 0.0]),
+            ValidationError,
+            "categorical column 'split' must be 0/1 valued",
+        ),
+        (
+            lambda: build_design_matrix(
+                [], [JudgmentRecord("t9", "w0", "A_vs_B", "first", _SCORES, _SCORES)]
+            ),
+            IntegrityError,
+            "judgment references unknown triple 't9'",
+        ),
+    ],
+    ids=["side", "x-shape", "y-length", "y-binary", "non-finite", "categorical",
+         "absent-triple"],
+)
+def test_library_input_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 # Ids that load_triples accepts and csv_line writes in one cell.
 _IDS = st.text(
     st.characters(codec="utf-8", exclude_characters=',"\n\r'), min_size=1, max_size=5
@@ -903,9 +989,9 @@ class TestMatrixRelations:
         for name, records in (("triples", triples), ("judgments", judgments)):
             text = "".join(json.dumps(record) + "\n" for record in records)
             (tmp / f"{name}.jsonl").write_text(text, encoding="utf-8")
-        return build_design_matrix(
-            *ingest(tmp / "judgments.jsonl", tmp / "triples.jsonl")
-        )
+        with pytest.warns(DegenerateInputWarning, match=_REPEATED):
+            inputs = ingest(tmp / "judgments.jsonl", tmp / "triples.jsonl")
+        return build_design_matrix(*inputs)
 
     @staticmethod
     def _assert_same(matrix, base):

@@ -152,15 +152,22 @@ class TestLogPosterior:
         with pytest.raises(ValidationError, match="y must be binary"):
             log_posterior([0.0, 1.0], matrix, ModelSpec(predictors=("x1",)))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_design_rejected(self, value):
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [1.0, -1.0, math.nan],
+            [1.0, -1.0, math.inf],
+            [1.0, -1.0, -math.inf],
+            [math.inf] * 3,  # no zero-variance error either
+        ],
+        ids=["nan", "inf", "-inf", "all-inf"],
+    )
+    def test_non_finite_design_rejected(self, column):
         # A hand-built matrix skips from_arrays' check. Unchecked, the
         # density and WAIC come out NaN and the sampler fails with a
         # misleading "not finite at initialization".
         matrix = DesignMatrix(
-            columns=("x1",),
-            X=np.array([[1.0], [-1.0], [value]]),
-            y=np.array([1.0, 0.0, 1.0]),
+            columns=("x1",), X=np.array([column]).T, y=np.array([1.0, 0.0, 1.0])
         )
         spec = ModelSpec(predictors=("x1",))
         draws = PosteriorDraws(
@@ -177,6 +184,19 @@ class TestLogPosterior:
             selection.waic(selection.pointwise_loglik(draws, matrix))
         with pytest.raises(ValidationError, match=message):
             sample_posterior(matrix, spec, SamplerConfig(seed=1))
+
+    def test_overflowing_start_density_rejected(self):
+        # A hand-built finite column passes every design check, but at
+        # +-1e308 the margins overflow the density where the chains start.
+        matrix = DesignMatrix(
+            columns=("x1",),
+            X=np.array([[1e308], [-1e308]] * 20),
+            y=np.array([1.0, 0.0] * 20),
+        )
+        config = SamplerConfig(chains=2, seed=1)
+        message = "^log posterior is not finite at initialization$"
+        with pytest.raises(ValidationError, match=message):
+            sample_posterior(matrix, ModelSpec(predictors=("x1",)), config)
 
 
 class TestKernels:

@@ -191,3 +191,8 @@ class TestWordList:
     def test_text_stats_no_words_rejected(self):
         with pytest.raises(ValidationError):
             text_stats([[".", ","]], frozenset())
+
+    def test_text_stats_no_sentences_rejected(self):
+        message = "^text_stats requires at least one sentence$"
+        with pytest.raises(ValidationError, match=message):
+            text_stats([], frozenset())

@@ -16,6 +16,7 @@ from splitread.inference import ModelSpec, PosteriorDraws, SamplerConfig, sample
 from splitread.selection import (
     P_WAIC_LIMIT,
     ROW_BLOCK,
+    ComparisonTable,
     WaicResult,
     _log_sum_exp,
     ablate,
@@ -170,6 +171,44 @@ def _random_fit(rng, n_rows, n_samples, k=17):
         divergences=0,
     )
     return draws, matrix
+
+
+def _one_row_loglik(beta, names):
+    """pointwise_loglik of the one draw ``beta`` on a one-row matrix of
+    column x1."""
+    matrix = DesignMatrix(
+        columns=("x1",), X=np.array([[1.0]]), y=np.array([1.0]), meta={}
+    )
+    return pointwise_loglik(_draws_from([beta], names), matrix)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: _one_row_loglik([0.0, 1.0], ["x1", "intercept"]),
+            ValidationError,
+            "draws must carry an intercept as first coefficient",
+        ),
+        (
+            lambda: _one_row_loglik([0.0, 1.0, 2.0], ["intercept", "x1"]),
+            ValidationError,
+            "draw dimension does not match the design matrix",
+        ),
+        (
+            lambda: waic(np.zeros(3)),
+            ValidationError,
+            "loglik must be a (samples, rows) array",
+        ),
+        # A KeyError's message is its key's repr.
+        (lambda: ComparisonTable(rows=()).row("x1"), KeyError, "'x1'"),
+    ],
+    ids=["no-intercept", "draw-width", "waic-1d", "absent-row"],
+)
+def test_library_input_rejected(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestRowBlocks:

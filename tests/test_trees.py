@@ -324,9 +324,10 @@ class TestDepGraphCheck:
         assert str(err.value) == f"cyclic heads involving token {n // 2 + 2}"
 
     def test_random_heads_match_reference(self):
-        # Cycles, self-loops, 0 or 2 roots and out-of-range heads give the
-        # error, with its token, that the quadratic check gave.
+        # No tokens, cycles, self-loops, 0 or 2 roots and out-of-range heads
+        # give the error, with its token, that the quadratic check gave.
         rng = random.Random(31)
+        assert _check_outcome(DepGraph, ()) == _check_outcome(reference_dep_graph_check, ())
         kinds: Counter = Counter()
         for _ in range(20_000):
             n = rng.randint(1, 7)
