@@ -15,6 +15,7 @@ Everything up to the design matrix runs on the standard library, so
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -706,77 +707,68 @@ class SamplerConfig:
             raise ValidationError("num_steps must be >= 1")
 
 
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
 def side_features(
     triple: Triple, side: str, config: FeatureConfig, easy_words: frozenset[str]
 ) -> dict[str, float]:
-    """The enabled side predictors of one (triple, side), with
-    ``easy_words`` the Dale-Chall easy-word list."""
-    enabled = set(config.predictors)
+    """The enabled side predictors of one (triple, side), with ``easy_words``
+    the Dale-Chall easy-word list. They are computed in ``SIDE_PREDICTORS``
+    order, the column order, so the first of them that fails gives the error."""
     simp = triple.side(side)
-    trees = simp.trees
+    src, trees = triple.source_trees, simp.trees
     with _located(f"triple {triple.id!r}, side {side}"):
-        for where, group in (("source tree", triple.source_trees), ("tree", trees)):
+        for where, group in (("source tree", src), ("tree", trees)):
             for i, tree in enumerate(group, 1):
                 if (depth := tree.depth()) > MAX_TREE_DEPTH:
                     raise ValidationError(
                         f"{where} {i} is {depth} levels deep, "
                         f"over the limit of {MAX_TREE_DEPTH}"
                     )
-        feats: dict[str, float] = {}
-        if "bart" in enabled:
-            feats["bart"] = 1.0 if (side == "a" and simp.origin == "bart") else 0.0
-        if "split" in enabled:
-            feats["split"] = 1.0 if side == "a" else 0.0
-        if "ted1" in enabled:
-            values = [cohesion.ted1(src, trees) for src in triple.source_trees]
-            feats["ted1"] = sum(values) / len(values)
-        if "ted2" in enabled:
-            feats["ted2"] = cohesion.ted2(trees)
-        for variant in ("subset", "subtree"):
-            if variant in enabled:
-                feats[variant] = cohesion.kernel_similarity(
-                    triple.source_trees, trees, variant, config.kernel_sigma
-                )
-        if "overlap" in enabled:
-            # Content-word overlap of neighboring sentences inside the
-            # simplification, averaged over adjacent pairs.
-            pairs = [
-                cohesion.overlap_coefficient(trees[i].tokens(), trees[i + 1].tokens())
-                for i in range(len(trees) - 1)
-            ]
-            if not pairs:
-                warnings.warn(
-                    "overlap on a single sentence has no adjacent pairs; returning 0",
-                    DegenerateInputWarning,
-                    stacklevel=2,
-                )
-            feats["overlap"] = sum(pairs) / len(pairs) if pairs else 0.0
-        if "yngve" in enabled:
-            values = [complexity.yngve_score(t) for t in trees]
-            feats["yngve"] = sum(values) / len(values)
-        if "frazier" in enabled:
-            values = [complexity.frazier_score(t) for t in trees]
-            feats["frazier"] = sum(values) / len(values)
-        if "tnodes" in enabled:
-            values = [complexity.tnodes(t) for t in trees]
-            feats["tnodes"] = sum(values) / len(values)
-        if "dep_length" in enabled:
+        tokens = [t.tokens() for t in trees]
+        # One text tally for the readability scores, made when the first needs it.
+        stats = functools.cache(lambda: readability.text_stats(tokens, easy_words))
+
+        def overlap() -> float:  # mean content-word overlap of adjacent sentences
+            if len(tokens) < 2:
+                msg = "overlap on a single sentence has no adjacent pairs; returning 0"
+                warnings.warn(msg, DegenerateInputWarning, stacklevel=3)
+                return 0.0
+            return _mean(list(map(cohesion.overlap_coefficient, tokens, tokens[1:])))
+
+        def dep_length() -> float:
             if not simp.graphs:
                 raise ValidationError("dependency parses missing (dep_length enabled)")
-            values = [complexity.dep_distance(g) for g in simp.graphs]
-            feats["dep_length"] = sum(values) / len(values)
-        if enabled & {"dale", "ease", "fk_grade"}:
-            stats = readability.text_stats([t.tokens() for t in trees], easy_words)
-            if "dale" in enabled:
-                feats["dale"] = readability.dale_chall(stats)
-            if "ease" in enabled:
-                feats["ease"] = readability.flesch_reading_ease(stats)
-            if "fk_grade" in enabled:
-                feats["fk_grade"] = readability.fk_grade(stats)
-        if "samsa" in enabled:
+            return _mean([complexity.dep_distance(g) for g in simp.graphs])
+
+        def samsa() -> float:
             if simp.samsa is None:
                 raise ValidationError("samsa value missing (samsa enabled)")
-            feats["samsa"] = float(simp.samsa)
+            return float(simp.samsa)
+
+        sigma = config.kernel_sigma
+        compute = {
+            "bart": lambda: float(side == "a" and simp.origin == "bart"),
+            "ted1": lambda: _mean([cohesion.ted1(s, trees) for s in src]),
+            "ted2": lambda: cohesion.ted2(trees),
+            "subset": lambda: cohesion.kernel_similarity(src, trees, "subset", sigma),
+            "subtree": lambda: cohesion.kernel_similarity(src, trees, "subtree", sigma),
+            "overlap": overlap,
+            "frazier": lambda: _mean([complexity.frazier_score(t) for t in trees]),
+            "yngve": lambda: _mean([complexity.yngve_score(t) for t in trees]),
+            "dep_length": dep_length,
+            "tnodes": lambda: _mean([complexity.tnodes(t) for t in trees]),
+            "dale": lambda: readability.dale_chall(stats()),
+            "ease": lambda: readability.flesch_reading_ease(stats()),
+            "fk_grade": lambda: readability.fk_grade(stats()),
+            "split": lambda: float(side == "a"),
+            "samsa": samsa,
+        }
+        feats = {}  # a plain loop: this frame calls each entry, as stacklevel=3 needs
+        for name in (p for p in SIDE_PREDICTORS if p in config.predictors):
+            feats[name] = compute[name]()
         return feats
 
 
@@ -803,8 +795,8 @@ def extract_features(
     """
     config = config or FeatureConfig()
     easy_words = readability.load_easy_words(config.word_list)
-    enabled = [p for p in SIDE_PREDICTORS if p in set(config.predictors)]
-    header = ["triple_id", "side", *enabled]
+    wanted = set(config.predictors)
+    header = ["triple_id", "side", *(p for p in SIDE_PREDICTORS if p in wanted)]
     ordered = sorted(triples, key=lambda t: t.id)
     per_triple = pool.run(
         _triple_sides,
@@ -813,7 +805,7 @@ def extract_features(
         "feature worker for sorted triples",
     )
     return header, [
-        [triple.id, side, *(feats[p] for p in enabled)]
+        [triple.id, side, *feats.values()]
         for triple, sides in zip(ordered, per_triple)
         for side, feats in zip(("a", "b"), sides)
     ]

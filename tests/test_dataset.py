@@ -21,12 +21,13 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import stdtr
 
-from splitread import cohesion, dataset, readability
+from splitread import cohesion, complexity, dataset, readability
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     CATEGORIES,
     MAX_TREE_DEPTH,
     PREDICTORS,
+    SIDE_PREDICTORS,
     DesignMatrix,
     FeatureConfig,
     JudgmentRecord,
@@ -54,7 +55,7 @@ from splitread.errors import (
     ValidationError,
 )
 from splitread.synth import make_demo_dataset
-from splitread.trees import parse_ptb
+from splitread.trees import ParseTree, parse_ptb
 
 # The bundled Dale easy-word list, as extract_features reads it by default.
 DALE = readability.load_easy_words()
@@ -892,10 +893,17 @@ def _keep_pair_order(records, order):
     ]
 
 
+def _library_triple(ptb, source_trees=None):
+    """A triple whose two sides hold the trees of ``ptb``, without
+    dependency parses or a SAMSA value; its source is the side's first
+    tree unless ``source_trees`` is given."""
+    trees = tuple(parse_ptb(ptb))
+    side = Simplification(trees=trees, origin="human")
+    return Triple("t0", source_trees or trees[:1], side, side)
+
+
 def _one_sentence_triple():
-    (tree,) = parse_ptb("(S (NN x))")
-    one = Simplification(trees=(tree,), origin="human")
-    return Triple(id="t0", source_trees=(tree,), split_a=one, split_b=one)
+    return _library_triple("(S (NN x))")
 
 
 _SCORES = SideScores(grammar=4, meaning=4, fluency=4)
@@ -1280,3 +1288,118 @@ class TestExtractFeatures:
             expected_bart = 1.0 if side == "a" and triple.split_a.origin == "bart" else 0.0
             assert row[bart_idx] == expected_bart
             assert row[split_idx] == (1.0 if side == "a" else 0.0)
+
+
+_LETTERLESS = "(S (CD 1) (CD 2)) (S (CD 3))"
+
+
+class TestSideOrder:
+    """Side predictors run in ``SIDE_PREDICTORS`` order, the column order,
+    each through its function's module attribute."""
+
+    @pytest.mark.parametrize(
+        "triple, dropped, error, message",
+        [
+            (
+                lambda: _library_triple(_LETTERLESS),
+                (),
+                ValidationError,
+                "triple 't0', side a: dependency parses missing (dep_length enabled)",
+            ),
+            (
+                lambda: _library_triple(_LETTERLESS),
+                ("dep_length",),
+                ValidationError,
+                "triple 't0', side a: text has no countable words",
+            ),
+            (
+                lambda: _library_triple(_LETTERLESS),
+                ("dep_length", "dale", "ease", "fk_grade"),
+                ValidationError,
+                "triple 't0', side a: samsa value missing (samsa enabled)",
+            ),
+            (
+                lambda: _library_triple("(S (NN x)) (S (NN y))", (ParseTree("x"),)),
+                (),
+                ValidationError,
+                "triple 't0', side a: tree has no internal structure; "
+                "self-kernel is zero",
+            ),
+            (
+                _one_sentence_triple,
+                (),
+                DegenerateInputWarning,
+                "ted2 on a single sentence has no adjacent pairs; returning 0",
+            ),
+            (
+                _one_sentence_triple,
+                ("ted2",),
+                DegenerateInputWarning,
+                "overlap on a single sentence has no adjacent pairs; returning 0",
+            ),
+        ],
+        ids=["dep-length", "readability", "samsa", "kernel", "ted2", "overlap"],
+    )
+    def test_first_failure_reported(self, triple, dropped, error, message):
+        config = FeatureConfig(tuple(p for p in SIDE_PREDICTORS if p not in dropped))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateInputWarning)
+            with pytest.raises(error) as info:
+                side_features(triple(), "a", config, DALE)
+        assert str(info.value) == message
+
+    def test_overlap_warning_names_the_caller(self):
+        config = FeatureConfig(predictors=("overlap",))
+        with pytest.warns(DegenerateInputWarning) as record:
+            side_features(_one_sentence_triple(), "a", config, DALE)
+        assert [w.filename for w in record] == [__file__]
+
+    # The predictor functions that bench/traced.py wraps, by module.
+    _WRAPPED = {
+        cohesion: ("ted1", "ted2", "kernel_similarity", "overlap_coefficient"),
+        complexity: ("yngve_score", "frazier_score", "tnodes", "dep_distance"),
+        readability: ("text_stats", "dale_chall", "flesch_reading_ease", "fk_grade"),
+    }
+
+    def test_each_function_called_through_its_module(self, loaded, monkeypatch):
+        triples, *_ = loaded
+        calls = Counter()
+        for module, names in self._WRAPPED.items():
+            for name in names:
+
+                def counted(*args, _name=name, _real=getattr(module, name)):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        pin_lanes(monkeypatch, 1)  # the counter lives in this process
+        extract_features(triples)
+        sides = [t.side(s) for t in triples for s in ("a", "b")]
+        trees = sum(len(side.trees) for side in sides)
+        assert calls == {
+            "ted1": 2 * sum(len(t.source_trees) for t in triples),
+            "ted2": len(sides),
+            "kernel_similarity": 2 * len(sides),
+            "overlap_coefficient": trees - len(sides),
+            "yngve_score": trees,
+            "frazier_score": trees,
+            "tnodes": trees,
+            "dep_distance": sum(len(side.graphs) for side in sides),
+            **dict.fromkeys(self._WRAPPED[readability], len(sides)),
+        }
+        calls.clear()
+        extract_features(triples, FeatureConfig(predictors=("ted2",)))
+        assert calls == {"ted2": len(sides)}
+
+    def test_columns_follow_side_predictors(self, loaded):
+        triples, *_ = loaded
+        shuffled = list(PREDICTORS)
+        random.Random(0).shuffle(shuffled)
+        config = FeatureConfig(predictors=tuple(shuffled))
+        header, rows = extract_features(triples, config)
+        assert header == ["triple_id", "side", *SIDE_PREDICTORS]
+        ordered = sorted(triples, key=lambda t: t.id)
+        for triple, row in zip(ordered, rows[::2]):
+            feats = side_features(triple, "a", config, DALE)
+            assert list(feats) == list(SIDE_PREDICTORS)
+            assert row[2:] == list(feats.values())
