@@ -187,16 +187,18 @@ def _leapfrog(
     ``eps[j]``. A column whose trajectory has ended steps with 0, which
     leaves its bits unchanged, until the longest one ends. Interior steps
     compute only the gradient, the last step also the log density, which
-    for an ended column is that of its endpoint. A non-finite gradient
-    makes p non-finite, and p then stays so; a column whose p or density
-    is not finite at the end therefore ends with density -inf, which the
-    energy test rejects."""
+    for an ended column is that of its endpoint. Every column's last
+    half-kick is taken after that last call, from its endpoint gradient,
+    so a column's trajectory is the same whichever step its partner ends
+    at. A non-finite gradient makes p non-finite, and p then stays so; a
+    column whose p or density is not finite at the end therefore ends
+    with density -inf, which the energy test rejects."""
     eps = np.asarray(eps, dtype=float)
     n_steps = np.asarray(n_steps)
     # Row s - 1 holds each column's position and momentum step sizes at step s.
     step = np.arange(1, n_steps.max() + 1).reshape((-1,) + (1,) * n_steps.ndim)
     drift = np.where(step <= n_steps, eps, 0.0)
-    kick = np.where(step < n_steps, eps, np.where(step == n_steps, 0.5 * eps, 0.0))
+    kick = np.where(step < n_steps, eps, 0.0)
     q = q.copy()
     p = p + 0.5 * eps * grad
     for a, b in zip(drift[:-1], kick[:-1]):
@@ -205,7 +207,7 @@ def _leapfrog(
         p += b * grad
     q += drift[-1] * p
     lp, grad = logpost(q)
-    p += kick[-1] * grad
+    p += 0.5 * eps * grad
     failed = ~(np.isfinite(lp) & np.isfinite(p).all(axis=0))
     return q, p, np.where(failed, -math.inf, lp), grad
 
