@@ -15,6 +15,17 @@ alone is not finite needs A @ beta or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
 either way with the same random draws consumed.
 
+Interior forces are float32, both ends float64. The forces of a
+trajectory's interior steps are computed on a float32 copy of the signed
+design A below, made once per fit; the trajectory's start and end keep
+the float64 density and gradient, and every chain's last half-kick is
+taken from its endpoint's float64 gradient. The leapfrog map is
+reversible and volume-preserving for any force that depends on the
+position alone, and the Metropolis test reads the float64 density at
+both ends, so the target stays exact: a cruder interior force costs
+accept rate, not accuracy (Neal 2011, section 5, on trajectories
+computed from an approximate Hamiltonian).
+
 The density is computed in margin form. Once per fit, before the chains
 start, the intercept column and the outcome are folded into one
 column-major signed design A = diag(s) [1, X], with s = 2y - 1. The
@@ -91,8 +102,9 @@ class PosteriorDraws:
 
 def _expit_neg(v: np.ndarray) -> np.ndarray:
     """The logistic sigmoid of -v, 1 / (1 + e^v), computed in ``v``'s own
-    buffer, which it returns. Above v = 709.78, e^v overflows to inf and
-    the result is exactly 0; the caller silences that overflow warning."""
+    buffer, which it returns. Above v = 709.78 (88.72 in float32), e^v
+    overflows to inf and the result is exactly 0; the caller silences
+    that overflow warning."""
     np.exp(v, out=v)
     v += 1.0
     return np.divide(1.0, v, out=v)
@@ -133,15 +145,19 @@ def _logpost_arrays(
     """Log density and gradient on the signed design ``A`` at ``beta``, a
     coefficient vector (k,) or one per column of a (k, W) array, whose
     densities are then a (W,) array; with ``value=False`` only the
-    gradient (bit-identical to the full call's) and NaN in place of the
-    density. The caller silences the overflow warning of e^v."""
+    gradient (bit-identical to the full call's on the same ``A``) and NaN
+    in place of the density. The likelihood term is computed in ``A``'s
+    dtype: on a float32 copy of the design, the margins, the sigmoid and
+    the A^T product are float32, and the gradient returns to float64
+    before the prior term. The caller silences the overflow warnings of
+    e^v and of a beta beyond float32 range."""
     if beta.ndim == 2:
         prior_sd = prior_sd[:, None]
-    v = A @ beta
+    v = A @ beta.astype(A.dtype, copy=False)
     if value:
         # log lik = sum y*t - log(1 + e^t) = -sum log(1 + e^-v).
         loglik = -_softplus(np.negative(v)).sum(axis=0)
-    grad = A.T @ _expit_neg(v)
+    grad = (A.T @ _expit_neg(v)).astype(float, copy=False)
     grad -= beta / prior_sd**2
     if not value:
         return math.nan, grad
@@ -187,12 +203,15 @@ def _leapfrog(
     ``eps[j]``. A column whose trajectory has ended steps with 0, which
     leaves its bits unchanged, until the longest one ends. Interior steps
     compute only the gradient, the last step also the log density, which
-    for an ended column is that of its endpoint. Every column's last
-    half-kick is taken after that last call, from its endpoint gradient,
-    so a column's trajectory is the same whichever step its partner ends
-    at. A non-finite gradient makes p non-finite, and p then stays so; a
-    column whose p or density is not finite at the end therefore ends
-    with density -inf, which the energy test rejects."""
+    for an ended column is that of its endpoint. ``logpost`` may compute
+    the interior forces (``value=False``) less precisely than the last
+    call; every column's last half-kick is therefore taken after that
+    call, from its endpoint gradient, so each trajectory starts and ends
+    with the same precision, and a column's trajectory is the same
+    whichever step its partner ends at. A non-finite gradient makes p
+    non-finite, and p then stays so; a column whose p or density is not
+    finite at the end therefore ends with density -inf, which the energy
+    test rejects."""
     eps = np.asarray(eps, dtype=float)
     n_steps = np.asarray(n_steps)
     # Row s - 1 holds each column's position and momentum step sizes at step s.
@@ -314,13 +333,17 @@ def _run_pair(
     chain``, as the columns of (k, PAIR) arrays; a lone chain's partner
     column stays at 0 with step size 0. Each chain starts and searches its
     step size alone; then every iteration runs both trajectories in one
-    ``_leapfrog``. A non-finite density or gradient already ends its
-    trajectory as rejected, so numpy's floating-point warnings are
-    silenced; no value changes. Returns the chains' states, in order."""
+    ``_leapfrog``. Its interior forces (``value=False``) are computed on a
+    float32 copy of ``A``, made once here; every call with the density,
+    so both ends of every trajectory, on ``A`` itself. A non-finite
+    density or gradient already ends its trajectory as rejected, so
+    numpy's floating-point warnings are silenced; no value changes.
+    Returns the chains' states, in order."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        A32 = A.astype(np.float32)
 
         def logpost(beta: np.ndarray, *, value: bool = True) -> tuple:
-            return _logpost_arrays(beta, A, prior_sd, value=value)
+            return _logpost_arrays(beta, A if value else A32, prior_sd, value=value)
 
         dim = prior_sd.size
         members = _pair_chains(pair, config.chains)

@@ -314,9 +314,11 @@ def naive_tnodes(tree: ParseTree) -> float:
 def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
     """Leapfrog integration that evaluates the full log density on every
     step. Column j of (k, W) arrays, or the one trajectory of (k,) arrays,
-    takes ``n_steps[j]`` steps of ``eps[j]`` and stops at its end or at its
-    first non-finite value or gradient, with density -inf; a stopped
-    column keeps its place, unchanged, in every later evaluation."""
+    takes ``n_steps[j]`` steps of ``eps[j]``: its interior kicks use the
+    gradient-only force ``logpost(q, value=False)``, its last half-kick the
+    full call's gradient at its end. It stops at its end or at its first
+    non-finite value, gradient or interior force, with density -inf; a
+    stopped column keeps its place, unchanged, in every later evaluation."""
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
     k = q.shape[0]
     qs, ps = q.reshape(k, -1), p.reshape(k, -1)  # views: one column each
@@ -332,13 +334,16 @@ def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
         for j in running:
             qs[:, j] += eps[j] * ps[:, j]
         lp, g = logpost(q)
-        lp, g = np.atleast_1d(lp), g.reshape(k, -1)
+        _, force = logpost(q, value=False)
+        lp, g, force = np.atleast_1d(lp), g.reshape(k, -1), force.reshape(k, -1)
         for j in sorted(running):
-            if not np.all(np.isfinite(g[:, j])) or not math.isfinite(lp[j]):
+            interior = step < n_steps[j]
+            finite = np.isfinite(g[:, j]).all() and math.isfinite(lp[j])
+            if not finite or interior and not np.isfinite(force[:, j]).all():
                 grads[:, j] = g[:, j]
                 running.discard(j)
-            elif step < n_steps[j]:
-                ps[:, j] += eps[j] * g[:, j]
+            elif interior:
+                ps[:, j] += eps[j] * force[:, j]
             else:
                 ps[:, j] += 0.5 * eps[j] * g[:, j]
                 lps[j], grads[:, j] = lp[j], g[:, j]

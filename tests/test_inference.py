@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from splitread import cli, inference, pool, selection
-from splitread.dataset import DesignMatrix, FeatureConfig, _located
+from splitread.dataset import (
+    DesignMatrix,
+    FeatureConfig,
+    _located,
+    build_design_matrix,
+    ingest,
+)
 from splitread.errors import ParseError, SplitreadError, ValidationError
 from splitread.inference import (
     ModelSpec,
@@ -33,7 +39,7 @@ from splitread.inference import (
     sample_posterior,
     summarize,
 )
-from splitread.synth import make_logit_matrix
+from splitread.synth import make_demo_dataset, make_logit_matrix
 from splitread.trees import parse_ptb
 
 
@@ -371,6 +377,24 @@ class TestSampler:
         assert abs(draws[:, 0].std() - grid_sd0) < 0.03
         assert abs(draws[:, 1].std() - grid_sd1) < 0.03
 
+    @pytest.mark.parametrize("scale", [1.5, 0.6])
+    def test_posterior_exact_under_wrong_interior_force(self, monkeypatch, scale):
+        # Only a trajectory's ends enter the energy test, so any interior
+        # force that depends on the position alone leaves the target exact:
+        # a force off by a factor costs accept rate, not accuracy.
+        real_logpost = inference._logpost_arrays
+        forces = []
+
+        def wrong_force(beta, *args, value=True):
+            lp, grad = real_logpost(beta, *args, value=value)
+            forces.append(not value)
+            return lp, (grad if value else scale * grad)
+
+        pin_lanes(monkeypatch, 1)
+        monkeypatch.setattr(inference, "_logpost_arrays", wrong_force)
+        self.test_posterior_matches_grid_quadrature()
+        assert sum(forces) > len(forces) / 2
+
     def test_chain_permutation_invariance(self, small_fit):
         *_, draws = small_fit
         summary = summarize(draws)
@@ -517,6 +541,20 @@ class TestLeapfrog:
         for got, want in zip((q2, p2, lp2), naive_leapfrog(*start, *paths, logpost)):
             assert np.array_equal(got, want)
 
+    def test_last_half_kick_uses_endpoint_gradient(self):
+        # The gradient-only force is 1% off the full call's gradient, so a
+        # last half-kick taken from it would show in column 0's bits.
+        def logpost(q, *, value=True):
+            grad = np.cos(q) - 0.1 * q
+            return (-(q * q).sum(axis=0), grad) if value else (math.nan, 1.01 * grad)
+
+        start = (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+        eps = np.array([0.1, 0.2])
+        short = inference._leapfrog(*start, eps, np.array([5, 5]), logpost)
+        beside_long = inference._leapfrog(*start, eps, np.array([5, 9]), logpost)
+        for got, want in zip(beside_long, short):
+            assert np.array_equal(got[..., 0], want[..., 0])
+
     def test_non_finite_single_column_rejected(self):
         def logpost(q, *, value=True):
             return (0.0 if value else math.nan), np.full(q.size, math.nan)
@@ -544,6 +582,75 @@ class TestLeapfrog:
         assert np.array_equal(fast.logp, naive.logp)
         assert np.array_equal(fast.accept_rate, naive.accept_rate)
         assert fast.divergences == naive.divergences
+
+
+@pytest.fixture(scope="module")
+def paper_matrix(tmp_path_factory):
+    """The design matrix of the paper-scale demo study (221 triples x 7
+    workers, data seed 3): 2994 rows, 18 predictors."""
+    triples, judgments = make_demo_dataset(
+        tmp_path_factory.mktemp("paper"), n_triples=221, n_workers=7, seed=3
+    )
+    return build_design_matrix(*ingest(judgments, triples))
+
+
+class TestFloat32Forces:
+    """Interior leapfrog forces are computed on a float32 copy of the
+    signed design; the density and gradient at a trajectory's ends stay
+    float64."""
+
+    def test_interior_calls_on_float32_design(self, lane_matrix, monkeypatch):
+        designs = set()  # (value flag, design dtype) of every call
+        real_logpost = inference._logpost_arrays
+
+        def recording(beta, A, *args, value=True):
+            designs.add((value, A.dtype.name))
+            return real_logpost(beta, A, *args, value=value)
+
+        pin_lanes(monkeypatch, 1)
+        monkeypatch.setattr(inference, "_logpost_arrays", recording)
+        matrix, spec = lane_matrix
+        config = SamplerConfig(chains=3, warmup=20, draws=20, seed=5, num_steps=6)
+        sample_posterior(matrix, spec, config)
+        assert designs == {(True, "float64"), (False, "float32")}
+
+    def test_force_is_float64_near_the_float64_gradient(self, paper_matrix, rng):
+        A = inference._signed_design(paper_matrix.X, paper_matrix.y)
+        prior_sd = np.full(A.shape[1], 2.5)
+        k = A.shape[1]
+        for beta in (0.1 * rng.standard_normal(k), rng.standard_normal((k, 2))):
+            with np.errstate(over="ignore"):
+                _, grad = inference._logpost_arrays(beta, A, prior_sd, value=False)
+                _, force = inference._logpost_arrays(
+                    beta, A.astype(np.float32), prior_sd, value=False
+                )
+            assert force.dtype == np.float64 and force.shape == grad.shape
+            assert np.linalg.norm(force - grad) <= 1e-5 * np.linalg.norm(grad)
+
+    def test_position_beyond_float32_range_rejected(self, paper_matrix, monkeypatch):
+        # Column 0 of the first pair trajectory starts at 1e39, past
+        # float32's range though not float64's.
+        ends = []
+        real_leapfrog = inference._leapfrog
+
+        def far_leapfrog(q, p, grad, eps, n_steps, logpost):
+            if q.ndim == 2 and not ends:
+                q = q.copy()
+                q[:, 0] = 1e39
+                ends.append(real_leapfrog(q, p, grad, eps, n_steps, logpost))
+                return ends[0]
+            return real_leapfrog(q, p, grad, eps, n_steps, logpost)
+
+        pin_lanes(monkeypatch, 1)
+        monkeypatch.setattr(inference, "_leapfrog", far_leapfrog)
+        spec = ModelSpec(predictors=paper_matrix.columns)
+        config = SamplerConfig(chains=2, warmup=2, draws=2, seed=5, num_steps=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_posterior(paper_matrix, spec, config)
+        _, _, lp, _ = ends[0]
+        assert lp[0] == -math.inf and math.isfinite(lp[1])
+        assert np.abs(draws.draws).max() < 10.0
 
 
 @pytest.fixture(scope="module")
