@@ -16,7 +16,8 @@ from importlib import import_module
 
 from .cohesion import tree_edit_distance
 from .complexity import frazier_score, yngve_score
-from .dataset import ModelSpec, SamplerConfig, build_design_matrix, ingest
+from .config import ModelSpec, SamplerConfig
+from .dataset import build_design_matrix, ingest
 from .errors import (
     DegenerateInputWarning,
     FormatError,

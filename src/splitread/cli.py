@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset as ds
-from .dataset import ModelSpec, SamplerConfig
+from .config import FeatureConfig, ModelSpec, SamplerConfig
+from .config import TYPE_RULES, check_unique_predictors, field_rules
 from .errors import SplitreadError, ValidationError, read_text
 
 if TYPE_CHECKING:
@@ -66,7 +67,7 @@ PROFILES = {
     "paper": _PAPER,
 }
 
-_FEATURE_KEYS = tuple(f.name for f in fields(ds.FeatureConfig))
+_FEATURE_KEYS = tuple(f.name for f in fields(FeatureConfig))
 
 
 def _is_str(value) -> bool:
@@ -75,8 +76,6 @@ def _is_str(value) -> bool:
 
 # The JSON value a config key must hold: (description, check).
 _STRING = ("a string", _is_str)
-_INTEGER = ("an integer", ds._is_integer)
-_NUMBER = ("a finite number", ds._is_number)  # read as a float
 
 _CONFIG_KEYS = {
     "triples": _STRING,
@@ -86,7 +85,7 @@ _CONFIG_KEYS = {
     "predictors": (
         "a list of strings", lambda v: type(v) is list and all(map(_is_str, v))
     ),
-    "kernel_sigma": _NUMBER,
+    "kernel_sigma": TYPE_RULES[float],
     "keep_punctuation": ("true or false", lambda v: type(v) is bool),
     # The long format is the only design-matrix layout.
     "layout": ('"long"', lambda v: v == "long"),
@@ -94,13 +93,7 @@ _CONFIG_KEYS = {
 }
 # SamplerConfig's fields, by the types of their defaults, and prior_sd,
 # which is written in the sampler block but sets the model prior.
-_SAMPLER_KEYS = {
-    **{
-        f.name: _INTEGER if type(f.default) is int else _NUMBER
-        for f in fields(SamplerConfig)
-    },
-    "prior_sd": _NUMBER,
-}
+_SAMPLER_KEYS = {**field_rules(SamplerConfig), "prior_sd": TYPE_RULES[float]}
 
 
 @dataclass(frozen=True)
@@ -112,7 +105,7 @@ class RunConfig:
     judgments: str
     out: str
     keep_punctuation: bool
-    features: ds.FeatureConfig
+    features: FeatureConfig
     model: ModelSpec
     sampler: SamplerConfig
 
@@ -149,7 +142,8 @@ def _checked(block: str, values: dict, allowed: dict) -> dict:
             raise SplitreadError(
                 f"{block} value {key}={json.dumps(value)}: expected {expected}"
             )
-    return {k: float(v) if allowed[k] is _NUMBER else v for k, v in values.items()}
+    number = TYPE_RULES[float]
+    return {k: float(v) if allowed[k] is number else v for k, v in values.items()}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -175,7 +169,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     features = {k: data[k] for k in _FEATURE_KEYS if k in data}
     if "predictors" in features:
         features["predictors"] = tuple(features["predictors"])
-    features = ds.FeatureConfig(**features)
+    features = FeatureConfig(**features)
     # ModelSpec holds the default prior scale and rejects a non-positive one.
     prior_sd = sampler.pop("prior_sd", ModelSpec.prior_sd)
     return RunConfig(
@@ -202,6 +196,8 @@ def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
     word_list = cfg.features.word_list
     if word_list is not None and not Path(word_list).exists():
         raise SplitreadError(f"word list file not found: {word_list}")
+    if not cfg.out:
+        raise SplitreadError("no output directory configured")
     # An output path that is, or lies under, a file fails now, as writing
     # the artifacts would after all the work.
     out = Path(cfg.out)
@@ -394,7 +390,7 @@ def _predictor_list(text: str) -> tuple[str, ...]:
     if not names:
         raise argparse.ArgumentTypeError(f"no predictor named in {text!r}")
     try:
-        ds.check_unique_predictors(names)
+        check_unique_predictors(names)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return names

@@ -1,6 +1,5 @@
-"""Judgment-study ingestion, descriptive tallies, the run configuration
-types, featurization (over ``pool`` lanes), atomic artifact writing and
-the design matrix.
+"""Judgment-study ingestion, descriptive tallies, featurization (over
+``pool`` lanes), atomic artifact writing and the design matrix.
 
 The inputs are two JSONL files: one triple record per source sentence
 (with its two- and three-sentence simplifications and their parses), and
@@ -19,16 +18,16 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from . import cohesion, complexity, pool, readability
+from .config import PREDICTORS, FeatureConfig, _is_number, check_unique_predictors
 from .errors import (
     DegenerateInputWarning,
     FormatError,
@@ -48,27 +47,6 @@ CHOICES = ("first", "second", "not_sure")
 CATEGORIES = ("grammar", "meaning", "fluency")
 ORIGINS = ("bart", "human")
 
-# Canonical predictor battery and its column order.
-PREDICTORS = (
-    "bart",
-    "ted1",
-    "ted2",
-    "subset",
-    "subtree",
-    "overlap",
-    "frazier",
-    "yngve",
-    "dep_length",
-    "tnodes",
-    "dale",
-    "ease",
-    "fk_grade",
-    "grammar",
-    "meaning",
-    "fluency",
-    "split",
-    "samsa",
-)
 CATEGORICAL_PREDICTORS = ("bart", "split")
 # Predictors computed from the triple alone (everything but the per-worker
 # perception scores).
@@ -253,23 +231,6 @@ def _object(obj: dict, key: str, where: str, *, required: bool = True) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{where}.{key}: expected a JSON object")
     return value
-
-
-def _is_integer(value) -> bool:
-    """An integer: any ``numbers.Integral`` (numpy's too), never a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A ``numbers.Real`` (numpy's too), never a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _read_parses(
@@ -620,93 +581,6 @@ def score_summary(
     return out
 
 
-def check_unique_predictors(names: Sequence[str]) -> None:
-    """Reject a predictor list that names a predictor twice."""
-    repeated = sorted({p for p in names if names.count(p) > 1})
-    if repeated:
-        raise ValidationError(f"duplicate predictor names: {repeated}")
-
-
-def _check_numbers(config) -> None:
-    """Reject a setting of the wrong type: a field whose default is an int
-    takes an integer, one whose default is a float a real number, and a
-    bool is neither. NaN fails the range checks, and an infinite
-    kernel_sigma the kernels' overflow check."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if type(f.default) is int and not _is_integer(value):
-            raise ValidationError(f"{f.name} must be an integer")
-        if type(f.default) is float and not _is_real(value):
-            raise ValidationError(f"{f.name} must be a number")
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    predictors: tuple[str, ...] = PREDICTORS
-    kernel_sigma: float = 1.0
-    word_list: str | None = None
-
-    def __post_init__(self) -> None:
-        _check_numbers(self)
-        check_unique_predictors(self.predictors)
-        unknown = [p for p in self.predictors if p not in PREDICTORS]
-        if unknown:
-            raise ValidationError(f"unknown predictors: {unknown}")
-        if not self.kernel_sigma > 0:  # NaN included
-            raise ValidationError("kernel_sigma must be positive")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Named predictors plus the one Normal(0, prior_sd) prior scale that
-    every coefficient, intercept included, shares."""
-
-    predictors: tuple[str, ...]
-    prior_sd: float = 2.5
-
-    def __post_init__(self) -> None:
-        check_unique_predictors(self.predictors)
-        if not (_is_number(self.prior_sd) and self.prior_sd > 0):
-            raise ValidationError("prior_sd must be one positive finite number")
-        # The log density divides by the square, which must be a normal float.
-        sd = float(self.prior_sd)
-        if not sys.float_info.min <= sd * sd <= sys.float_info.max:
-            raise ValidationError(
-                "prior_sd must lie between about 1.5e-154 and 1.3e154, "
-                "where its square is a normal float"
-            )
-
-    def coefficient_names(self) -> tuple[str, ...]:
-        return ("intercept", *self.predictors)
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """The sampler settings. The CLI's ``sampler`` block takes these keys
-    (and ``prior_sd``), checked by the types of their defaults, and its
-    ``desk`` profile is their defaults."""
-
-    chains: int = 4
-    warmup: int = 1000
-    draws: int = 1000
-    seed: int = 20240501
-    target_accept: float = 0.8
-    num_steps: int = 32  # leapfrog path length, jittered +-20% per iteration
-
-    def __post_init__(self) -> None:
-        _check_numbers(self)
-        if self.chains < 2:
-            raise ValidationError("at least 2 chains are required for R-hat")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.warmup < 1 or self.draws < 2:
-            raise ValidationError("need warmup >= 1 and draws >= 2")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValidationError("target_accept must lie in (0, 1)")
-        if self.num_steps < 1:
-            raise ValidationError("num_steps must be >= 1")
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
@@ -843,6 +717,7 @@ class DesignMatrix:
             raise ValidationError("X shape does not match the column list")
         if y.shape != (X.shape[0],):
             raise ValidationError("y length does not match X")
+        check_unique_predictors(columns)
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValidationError("y must be binary")
         if X.shape[0] == 0:

@@ -63,7 +63,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pool
-from .dataset import DesignMatrix, ModelSpec, SamplerConfig, csv_line, write_artifact
+from .config import ModelSpec, SamplerConfig
+from .dataset import DesignMatrix, csv_line, write_artifact
 from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)

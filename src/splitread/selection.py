@@ -28,7 +28,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .dataset import DesignMatrix, ModelSpec, SamplerConfig
+from .config import ModelSpec, SamplerConfig
+from .dataset import DesignMatrix
 from .errors import ValidationError
 from .inference import (
     PosteriorDraws,

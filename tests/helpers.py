@@ -26,10 +26,10 @@ import numpy as np
 
 from splitread import pool
 from splitread.cohesion import KERNEL_VARIANTS
+from splitread.config import FeatureConfig
 from splitread.dataset import (
     CATEGORIES,
     SIDE_PREDICTORS,
-    FeatureConfig,
     GroupComparison,
     JudgmentRecord,
     SideScores,

@@ -14,7 +14,8 @@ import pytest
 from helpers import fresh_interpreter_env, nan_density_in_children, pin_lanes
 
 from splitread import cli, inference, selection
-from splitread.dataset import MAX_TREE_DEPTH, PREDICTORS, ModelSpec, SamplerConfig
+from splitread.config import PREDICTORS, ModelSpec, SamplerConfig
+from splitread.dataset import MAX_TREE_DEPTH
 from splitread.inference import PosteriorDraws
 from splitread.synth import make_demo_dataset
 
@@ -1041,6 +1042,11 @@ _INPUT_CHECKS = {
     "triples-missing": (
         ["extract", "--triples", "none.jsonl"], {},
         "triples file not found: none.jsonl", False,
+    ),
+    # An empty output path would write the artifacts into the working directory.
+    "no-out": (
+        ["extract", "--config", "c.json", *_BOTH], _with_config(out=""),
+        "no output directory configured", False,
     ),
     "no-judgments": (
         ["report", "--triples", "t.jsonl"], _INPUTS,

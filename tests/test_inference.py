@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from splitread import cli, inference, pool, selection
+from splitread.config import FeatureConfig
 from splitread.dataset import (
     DesignMatrix,
-    FeatureConfig,
     _located,
     build_design_matrix,
     ingest,
@@ -554,6 +554,28 @@ class TestLeapfrog:
         beside_long = inference._leapfrog(*start, eps, np.array([5, 9]), logpost)
         for got, want in zip(beside_long, short):
             assert np.array_equal(got[..., 0], want[..., 0])
+
+    def test_trajectory_reverses(self):
+        # Leapfrog is reversible under any force that depends on position
+        # alone, so a trajectory run back from its end with the momentum
+        # negated returns to its start, whichever step each column ends at.
+        # The gradient-only force is 1% off the full call's gradient: a
+        # last half-kick taken from it would break the symmetry.
+        matrix = make_logit_matrix(400, [0.3, 1.0, -0.5, 0.2], seed=5)
+        A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
+        prior_sd = np.full(A.shape[1], 2.5)
+
+        def logpost(q, *, value=True):
+            lp, grad = inference._logpost_arrays(q, A, prior_sd)
+            return (lp, grad) if value else (math.nan, 1.01 * grad)
+
+        paths = (np.array([0.05, 0.07]), np.array([7, 11]))
+        q0 = np.random.default_rng(5).normal(0.0, 0.5, (A.shape[1], 2))
+        p0 = np.random.default_rng(6).standard_normal(q0.shape)
+        q1, p1, _, grad1 = inference._leapfrog(q0, p0, logpost(q0)[1], *paths, logpost)
+        q2, p2, _, _ = inference._leapfrog(q1, -p1, grad1, *paths, logpost)
+        assert np.max(np.abs(q2 - q0)) <= 1e-12
+        assert np.max(np.abs(-p2 - p0)) <= 1e-12
 
     def test_non_finite_single_column_rejected(self):
         def logpost(q, *, value=True):

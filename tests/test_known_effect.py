@@ -32,7 +32,8 @@ import pytest
 from helpers import make_known_effect_study
 
 from splitread import cli
-from splitread.dataset import FeatureConfig, ModelSpec, build_design_matrix, ingest
+from splitread.config import FeatureConfig, ModelSpec
+from splitread.dataset import build_design_matrix, ingest
 from splitread.inference import log_posterior
 from splitread.synth import make_demo_dataset
 
