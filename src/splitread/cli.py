@@ -146,14 +146,20 @@ def _checked(block: str, values: dict, allowed: dict) -> dict:
     return {k: float(v) if allowed[k] is number else v for k, v in values.items()}
 
 
+def _input_path(name: str, path: str) -> str:
+    """``path``, which must be set and name an existing file."""
+    if not path:
+        raise SplitreadError(f"no {name} path configured")
+    if not Path(path).exists():
+        raise SplitreadError(f"{name} file not found: {path}")
+    return path
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise SplitreadError(f"config file not found: {path}")
+    if args.config is not None:
         try:
-            data = json.loads(read_text(path))
+            data = json.loads(read_text(_input_path("config", args.config)))
         # ValueError also covers an integer past Python's digit limit, and
         # RecursionError a file nested deeper than the decoder's stack.
         except (ValueError, RecursionError) as exc:
@@ -173,9 +179,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     # ModelSpec holds the default prior scale and rejects a non-positive one.
     prior_sd = sampler.pop("prior_sd", ModelSpec.prior_sd)
     return RunConfig(
-        triples=args.triples or data.get("triples", ""),
-        judgments=args.judgments or data.get("judgments", ""),
-        out=args.out or data.get("out", "out"),
+        # A path flag that is given replaces the config's value, even when empty.
+        triples=args.triples if args.triples is not None else data.get("triples", ""),
+        judgments=(
+            args.judgments if args.judgments is not None else data.get("judgments", "")
+        ),
+        out=args.out if args.out is not None else data.get("out", "out"),
         keep_punctuation=data.get("keep_punctuation", True),
         features=features,
         model=ModelSpec(features.predictors, prior_sd),
@@ -184,18 +193,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_paths(cfg: RunConfig, need_judgments: bool) -> None:
-    if not cfg.triples:
-        raise SplitreadError("no triples path configured")
-    if not Path(cfg.triples).exists():
-        raise SplitreadError(f"triples file not found: {cfg.triples}")
+    _input_path("triples", cfg.triples)
     if need_judgments:
-        if not cfg.judgments:
-            raise SplitreadError("no judgments path configured")
-        if not Path(cfg.judgments).exists():
-            raise SplitreadError(f"judgments file not found: {cfg.judgments}")
-    word_list = cfg.features.word_list
-    if word_list is not None and not Path(word_list).exists():
-        raise SplitreadError(f"word list file not found: {word_list}")
+        _input_path("judgments", cfg.judgments)
+    if cfg.features.word_list is not None:
+        _input_path("word list", cfg.features.word_list)
     if not cfg.out:
         raise SplitreadError("no output directory configured")
     # An output path that is, or lies under, a file fails now, as writing

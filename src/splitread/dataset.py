@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
@@ -189,23 +190,16 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
         yield lineno, obj
 
 
-class _located:
+@contextmanager
+def _located(where: str):
     """Prefix a SplitreadError raised inside the block with ``where: ``;
-    the error keeps its type and attributes (a ParseError its ``.offset``).
-    A plain class rather than a generator-based context manager, as ingest
-    enters one a few times per record."""
-
-    __slots__ = ("where",)
-
-    def __init__(self, where: str):
-        self.where = where
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if isinstance(exc, SplitreadError):
-            exc.args = (f"{self.where}: {exc}",)
+    the error keeps its type and attributes (a ParseError its ``.offset``),
+    and any other exception passes through."""
+    try:
+        yield
+    except SplitreadError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _require(obj: dict, key: str, where: str):

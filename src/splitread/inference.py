@@ -252,9 +252,7 @@ def _find_reasonable_epsilon(
     ratio, calls = accept_ratio(eps), 1
     direction = 1.0 if ratio > 0.5 else -1.0
     for _ in range(50):
-        if direction > 0 and ratio <= 0.5:
-            break
-        if direction < 0 and ratio >= 0.5:
+        if direction * (ratio - 0.5) <= 0:
             break
         eps *= 2.0**direction
         if not 1e-8 < eps < 1e4:

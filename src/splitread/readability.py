@@ -9,13 +9,13 @@ a plain-text data file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, read_text
 
 _VOWELS = frozenset("aeiouy")
+_DALE_LIST = Path(__file__).parent / "data" / "dale_chall.txt"
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,7 @@ def dale_chall(stats: TextStats) -> float:
 def load_easy_words(path: str | Path | None = None) -> frozenset[str]:
     """Load an easy-word list (one word per line, '#' comments ignored).
     With no path, the bundled Dale list is used."""
-    if path is None:
-        text = (
-            resources.files("splitread").joinpath("data/dale_chall.txt").read_text("utf-8")
-        )
-    else:
-        text = read_text(path)
+    text = read_text(_DALE_LIST if path is None else path)
     words = set()
     # Lines end at \n alone (read_text has made every \r\n and lone \r a
     # \n): str.splitlines() would also break a line at \f, U+0085, U+2028

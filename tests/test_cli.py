@@ -1038,7 +1038,15 @@ _INPUT_CHECKS = {
         ["extract", "--config", "none.json"], {},
         "config file not found: none.json", False,
     ),
+    "config-empty": (
+        ["extract", "--config", "", *_BOTH], _INPUTS, "no config path configured", False,
+    ),
     "no-triples": (["extract"], {}, "no triples path configured", False),
+    # A path flag that is given replaces the config's value, even when empty.
+    "triples-flag-empty": (
+        ["extract", "--config", "c.json", "--triples", ""],
+        _with_config(triples="t.jsonl"), "no triples path configured", False,
+    ),
     "triples-missing": (
         ["extract", "--triples", "none.jsonl"], {},
         "triples file not found: none.jsonl", False,
@@ -1048,9 +1056,17 @@ _INPUT_CHECKS = {
         ["extract", "--config", "c.json", *_BOTH], _with_config(out=""),
         "no output directory configured", False,
     ),
+    "out-flag-empty": (
+        ["extract", "--config", "c.json", *_BOTH, "--out", ""], _with_config(out="o"),
+        "no output directory configured", False,
+    ),
     "no-judgments": (
         ["report", "--triples", "t.jsonl"], _INPUTS,
         "no judgments path configured", False,
+    ),
+    "judgments-flag-empty": (
+        ["report", "--config", "c.json", "--triples", "t.jsonl", "--judgments", ""],
+        _with_config(judgments="j.jsonl"), "no judgments path configured", False,
     ),
     "judgments-missing": (
         ["report", "--triples", "t.jsonl", "--judgments", "none.jsonl"],
@@ -1061,6 +1077,10 @@ _INPUT_CHECKS = {
         ["report", "--config", "c.json", *_BOTH],
         _with_config(word_list="none.txt"),
         "word list file not found: none.txt", False,
+    ),
+    "no-word-list": (
+        ["extract", "--config", "c.json", *_BOTH], _with_config(word_list=""),
+        "no word list path configured", False,
     ),
     "triple-not-an-object": (
         ["extract", "--triples", "t.jsonl"], {"t.jsonl": "[1]\n"},

@@ -24,7 +24,7 @@ _SETTINGS = [
     if type(f.default) in (int, float)
 ]
 _VALUES = [True, 3, 2.5, "3", None, math.nan, math.inf, -math.inf, 10**400,
-           np.int64(3), np.float32(0.5)]
+           np.int64(3), np.float32(0.5), np.float64(8)]
 
 
 @pytest.mark.parametrize(
