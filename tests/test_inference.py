@@ -1067,6 +1067,28 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match=r"target_accept must lie in \(0, 1\)"):
             SamplerConfig(target_accept=1.0)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: SamplerConfig(warmup=True), "warmup"),
+            (lambda: SamplerConfig(chains=2.5), "chains"),
+            (lambda: SamplerConfig(draws=3.5), "draws"),
+            (lambda: SamplerConfig(seed=1.5), "seed"),
+            (lambda: SamplerConfig(num_steps=np.float64(8)), "num_steps"),
+            (lambda: SamplerConfig(target_accept="0.8"), "target_accept"),
+            (lambda: FeatureConfig(kernel_sigma=True), "kernel_sigma"),
+            (lambda: FeatureConfig(kernel_sigma="x"), "kernel_sigma"),
+        ],
+        ids=["bool-warmup", "float-chains", "float-draws", "float-seed",
+             "numpy-float-num_steps", "str-target_accept", "bool-kernel_sigma",
+             "str-kernel_sigma"],
+    )
+    def test_setting_of_wrong_type_named_at_construction(self, make, field):
+        # A field whose default is an int takes an integer, one whose
+        # default is a float a real number; a bool is neither.
+        with pytest.raises(ValidationError, match=f"^{field} must be "):
+            make()
+
     def test_numpy_numbers_accepted(self):
         config = SamplerConfig(chains=np.int64(2), seed=np.uint32(5),
                                target_accept=np.float32(0.5))
