@@ -147,11 +147,14 @@ def _checked(block: str, values: dict, allowed: dict) -> dict:
 
 
 def _input_path(name: str, path: str) -> str:
-    """``path``, which must be set and name an existing file."""
+    """``path``, which must be set and name an existing file that is not
+    a directory (a pipe such as /dev/stdin will do)."""
     if not path:
         raise SplitreadError(f"no {name} path configured")
     if not Path(path).exists():
         raise SplitreadError(f"{name} file not found: {path}")
+    if Path(path).is_dir():
+        raise SplitreadError(f"{name} path is a directory: {path}")
     return path
 
 

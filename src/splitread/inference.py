@@ -11,7 +11,7 @@ factor.
 Leapfrog steps need only the gradient of the log density; its value is
 computed only at a trajectory's last step, for the Metropolis test (Neal
 2011). The draws are unchanged by this: an interior step whose density
-alone is not finite needs A @ beta or beta @ beta to overflow the float
+alone is not finite needs beta @ A^T or beta @ beta to overflow the float
 range, and such a trajectory ends non-finite or divergent, rejected
 either way with the same random draws consumed.
 
@@ -29,28 +29,31 @@ computed from an approximate Hamiltonian).
 The density is computed in margin form. Once per fit, before the chains
 start, the intercept column and the outcome are folded into one
 column-major signed design A = diag(s) [1, X], with s = 2y - 1. The
-margin v = A @ beta is s * t for the logit t, so the log-likelihood
+margin v = beta @ A^T is s * t for the logit t, so the log-likelihood
 sum y*t - log(1 + e^t) is -sum log(1 + e^-v) and its gradient is
-A^T sigmoid(-v), where sigmoid(-v) = 1 / (1 + e^v) is computed in v's own
-buffer. A gradient is two matrix products and three elementwise passes,
-with no separate intercept and no y - lambda.
+sigmoid(-v) @ A, where sigmoid(-v) = 1 / (1 + e^v) is computed in v's
+own buffer. A gradient is two matrix products and three elementwise
+passes, with no separate intercept and no y - lambda.
 
 The sigmoid and softplus of the density are numpy's vectorized
 ``exp``/``log1p``, the package's only logistic kernels. ``selection``'s
 WAIC terms are the density's -softplus(-v); ``synth`` draws with the sigmoid.
 
-The chains run in pairs: chains 2u and 2u + 1 are the two columns of
-(k, 2) state arrays, so a leapfrog step of both is one n x k x 2 matrix
-product A @ Q and one A^T sigmoid(-V), not two matrix-vector products
-per chain, one chain after the other. The pairs run at the same time,
-striped over one process per CPU by ``pool.run``. Each chain owns its
-seed, random stream, step size and path length, so the draws and every
+The chains run in pairs, chain-major: chains 2u and 2u + 1 are the two
+rows of (2, k) state arrays, so a leapfrog step of both is one 2 x k x n
+matrix product Q @ A^T, whose (2, n) result holds each chain's margins
+in one contiguous row, and one sigmoid(-V) @ A, not two matrix-vector
+products per chain, one chain after the other; the density sums each
+margin row on its own. ``selection.pointwise_loglik`` lays draws out the
+same way, one row per draw. The pairs run at the same time, striped
+over one process per CPU by ``pool.run``. Each chain owns its seed,
+random stream, step size and path length, so the draws and every
 per-chain statistic are byte-reproducible on one machine and the same
-for any number of lanes. A column's last bits depend on the width of the
-product (widths 1, 2 and 4 round differently) but not on the other
-column's values or its position, so the width is the constant ``PAIR``,
-never a setting; like the BLAS products (OpenBLAS's GEMM) themselves,
-they also depend on the CPU's SIMD dispatch.
+for any number of lanes. A row's last bits depend on the height of the
+product (a one-row product rounds differently from a two-row one) but
+not on the other row's values or its position, so the height is the
+constant ``PAIR``, never a setting; like the BLAS products (OpenBLAS's
+GEMM) themselves, they also depend on the CPU's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .errors import ValidationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _DIVERGENCE_ENERGY = 1000.0
-# Chains advanced together, one column of the state arrays each.
+# Chains advanced together, one row of the state arrays each.
 PAIR = 2
 
 # Dual-averaging constants.
@@ -108,7 +111,7 @@ def _expit_neg(v: np.ndarray) -> np.ndarray:
     that overflow warning."""
     np.exp(v, out=v)
     v += 1.0
-    return np.divide(1.0, v, out=v)
+    return np.reciprocal(v, out=v)
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
@@ -140,32 +143,33 @@ def _logpost_arrays(
     beta: np.ndarray,
     A: np.ndarray,
     prior_sd: np.ndarray,
+    prior_var: np.ndarray | None = None,
     *,
     value: bool = True,
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Log density and gradient on the signed design ``A`` at ``beta``, a
-    coefficient vector (k,) or one per column of a (k, W) array, whose
+    coefficient vector (k,) or one per row of a (W, k) array, whose
     densities are then a (W,) array; with ``value=False`` only the
     gradient (bit-identical to the full call's on the same ``A``) and NaN
-    in place of the density. The likelihood term is computed in ``A``'s
-    dtype: on a float32 copy of the design, the margins, the sigmoid and
-    the A^T product are float32, and the gradient returns to float64
-    before the prior term. The caller silences the overflow warnings of
-    e^v and of a beta beyond float32 range."""
-    if beta.ndim == 2:
-        prior_sd = prior_sd[:, None]
-    v = A @ beta.astype(A.dtype, copy=False)
+    in place of the density. ``prior_var`` is ``prior_sd**2``, which a
+    caller making many calls squares once. The likelihood term is
+    computed in ``A``'s dtype: on a float32 copy of the design, the
+    margins, the sigmoid and the product with ``A`` are float32, and the
+    gradient returns to float64 before the prior term. The caller
+    silences the overflow warnings of e^v and of a beta beyond float32
+    range."""
+    v = beta.astype(A.dtype, copy=False) @ A.T
     if value:
         # log lik = sum y*t - log(1 + e^t) = -sum log(1 + e^-v).
-        loglik = -_softplus(np.negative(v)).sum(axis=0)
-    grad = (A.T @ _expit_neg(v)).astype(float, copy=False)
-    grad -= beta / prior_sd**2
+        loglik = -_softplus(np.negative(v)).sum(axis=-1)
+    grad = (_expit_neg(v) @ A).astype(float, copy=False)
+    grad -= beta / (prior_sd**2 if prior_var is None else prior_var)
     if not value:
         return math.nan, grad
     z = beta / prior_sd
     # A chain's start and epsilon search keep the bits of one dot product.
-    zz = z @ z if z.ndim == 1 else (z * z).sum(axis=0)
-    logprior = -0.5 * zz - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * len(beta)
+    zz = z @ z if z.ndim == 1 else (z * z).sum(axis=-1)
+    logprior = -0.5 * zz - np.log(prior_sd).sum() - 0.5 * _LOG_2PI * len(prior_sd)
     return loglik + logprior, grad
 
 
@@ -200,22 +204,23 @@ def _leapfrog(
     logpost: Callable[..., tuple],
 ) -> tuple[np.ndarray, np.ndarray, float | np.ndarray, np.ndarray]:
     """Leapfrog trajectories from (q, p): one for (k,) arrays, or one per
-    column of (k, W) arrays, column j taking ``n_steps[j]`` steps of size
-    ``eps[j]``. A column whose trajectory has ended steps with 0, which
+    row of (W, k) arrays, row j taking ``n_steps[j]`` steps of size
+    ``eps[j]``. A row whose trajectory has ended steps with 0, which
     leaves its bits unchanged, until the longest one ends. Interior steps
     compute only the gradient, the last step also the log density, which
-    for an ended column is that of its endpoint. ``logpost`` may compute
+    for an ended row is that of its endpoint. ``logpost`` may compute
     the interior forces (``value=False``) less precisely than the last
-    call; every column's last half-kick is therefore taken after that
-    call, from its endpoint gradient, so each trajectory starts and ends
-    with the same precision, and a column's trajectory is the same
-    whichever step its partner ends at. A non-finite gradient makes p
-    non-finite, and p then stays so; a column whose p or density is not
-    finite at the end therefore ends with density -inf, which the energy
-    test rejects."""
-    eps = np.asarray(eps, dtype=float)
-    n_steps = np.asarray(n_steps)
-    # Row s - 1 holds each column's position and momentum step sizes at step s.
+    call; every row's last half-kick is therefore taken after that call,
+    from its endpoint gradient, so each trajectory starts and ends with
+    the same precision, and a row's trajectory is the same whichever
+    step its partner ends at. A non-finite gradient makes p non-finite,
+    and p then stays so; a row whose p or density is not finite at the
+    end therefore ends with density -inf, which the energy test
+    rejects."""
+    # Each row's step size and path length, broadcast along its row.
+    eps = np.asarray(eps, dtype=float)[..., None]
+    n_steps = np.asarray(n_steps)[..., None]
+    # Entry s - 1 holds each row's position and momentum step sizes at step s.
     step = np.arange(1, n_steps.max() + 1).reshape((-1,) + (1,) * n_steps.ndim)
     drift = np.where(step <= n_steps, eps, 0.0)
     kick = np.where(step < n_steps, eps, 0.0)
@@ -228,7 +233,7 @@ def _leapfrog(
     q += drift[-1] * p
     lp, grad = logpost(q)
     p += 0.5 * eps * grad
-    failed = ~(np.isfinite(lp) & np.isfinite(p).all(axis=0))
+    failed = ~(np.isfinite(lp) & np.isfinite(p).all(axis=-1))
     return q, p, np.where(failed, -math.inf, lp), grad
 
 
@@ -329,9 +334,9 @@ def _run_pair(
     config: SamplerConfig,
 ) -> list[_ChainState]:
     """Run the chains of pair ``pair``, each seeded with ``config.seed +
-    chain``, as the columns of (k, PAIR) arrays; a lone chain's partner
-    column stays at 0 with step size 0. Each chain starts and searches its
-    step size alone; then every iteration runs both trajectories in one
+    chain``, as the rows of (PAIR, k) arrays; a lone chain's partner row
+    stays at 0 with step size 0. Each chain starts and searches its step
+    size alone; then every iteration runs both trajectories in one
     ``_leapfrog``. Its interior forces (``value=False``) are computed on a
     float32 copy of ``A``, made once here; every call with the density,
     so both ends of every trajectory, on ``A`` itself. A non-finite
@@ -340,36 +345,38 @@ def _run_pair(
     Returns the chains' states, in order."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         A32 = A.astype(np.float32)
+        prior_var = prior_sd**2
 
         def logpost(beta: np.ndarray, *, value: bool = True) -> tuple:
-            return _logpost_arrays(beta, A if value else A32, prior_sd, value=value)
+            design = A if value else A32
+            return _logpost_arrays(beta, design, prior_sd, prior_var, value=value)
 
         dim = prior_sd.size
         members = _pair_chains(pair, config.chains)
         chains = [_ChainState(c, logpost, dim, config) for c in members]
-        q = np.zeros((dim, PAIR))
+        q = np.zeros((PAIR, dim))
         lp = np.zeros(PAIR)
-        grad = np.zeros((dim, PAIR))
+        grad = np.zeros((PAIR, dim))
         eps = np.zeros(PAIR)
         n_steps = np.zeros(PAIR, dtype=int)
-        p0 = np.zeros((dim, PAIR))
+        p0 = np.zeros((PAIR, dim))
         h0 = [0.0] * len(chains)
         for j, c in enumerate(chains):
-            q[:, j], lp[j], grad[:, j] = c.q, c.lp, c.grad
+            q[j], lp[j], grad[j] = c.q, c.lp, c.grad
 
         for it in range(config.warmup + config.draws):
             for j, c in enumerate(chains):
                 eps[j] = c.eps
                 n_steps[j], p = c.next_trajectory()
                 h0[j] = -lp[j] + 0.5 * float(p @ p)
-                p0[:, j] = p
+                p0[j] = p
             q1, p1, lp1, grad1 = _leapfrog(q, p0, grad, eps, n_steps, logpost)
             for j, c in enumerate(chains):
-                p = p1[:, j]
+                p = p1[j]
                 if c.transition(it, h0[j], -lp1[j] + 0.5 * float(p @ p)):
-                    q[:, j], lp[j], grad[:, j] = q1[:, j], lp1[j], grad1[:, j]
+                    q[j], lp[j], grad[j] = q1[j], lp1[j], grad1[j]
                 if it >= config.warmup:
-                    c.draws[it - config.warmup] = q[:, j]
+                    c.draws[it - config.warmup] = q[j]
                     c.logp[it - config.warmup] = lp[j]
         return chains
 

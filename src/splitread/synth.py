@@ -15,7 +15,10 @@ picks gave.
 
 Trees are drawn straight to text: each sentence's bracketed string is
 written during the recursive draw, and its tokens are the drawn token
-list. A judgment line is formatted around one ``json.dumps`` of its
+list. Every tree is binary over POS preterminals under an S root, so a
+sentence of n > 1 tokens scores exactly frazier = 1 + 0.5/n and tnodes =
+2 - 1/n: the two predictors' collinearity is built into the generator,
+not a finding about them. A judgment line is formatted around one ``json.dumps`` of its
 worker's scores and holds the bytes ``json.dumps`` gives for the whole
 record, as its other fields are ASCII that needs no escape.
 """

@@ -313,40 +313,40 @@ def naive_tnodes(tree: ParseTree) -> float:
 
 def naive_leapfrog(q, p, grad, eps, n_steps, logpost):
     """Leapfrog integration that evaluates the full log density on every
-    step. Column j of (k, W) arrays, or the one trajectory of (k,) arrays,
+    step. Row j of (W, k) arrays, or the one trajectory of (k,) arrays,
     takes ``n_steps[j]`` steps of ``eps[j]``: its interior kicks use the
     gradient-only force ``logpost(q, value=False)``, its last half-kick the
     full call's gradient at its end. It stops at its end or at its first
     non-finite value, gradient or interior force, with density -inf; a
-    stopped column keeps its place, unchanged, in every later evaluation."""
+    stopped row keeps its place, unchanged, in every later evaluation."""
     q, p = np.array(q, dtype=float), np.array(p, dtype=float)
-    k = q.shape[0]
-    qs, ps = q.reshape(k, -1), p.reshape(k, -1)  # views: one column each
-    width = qs.shape[1]
+    k = q.shape[-1]
+    qs, ps = q.reshape(-1, k), p.reshape(-1, k)  # views: one row each
+    width = qs.shape[0]
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (width,))
     n_steps = np.broadcast_to(np.asarray(n_steps), (width,))
-    grads = np.array(grad, dtype=float).reshape(k, -1)
+    grads = np.array(grad, dtype=float).reshape(-1, k)
     lps = np.full(width, -math.inf)
     for j in range(width):
-        ps[:, j] += 0.5 * eps[j] * grads[:, j]
+        ps[j] += 0.5 * eps[j] * grads[j]
     running = {j for j in range(width) if n_steps[j] > 0}
     for step in range(1, max(n_steps) + 1):
         for j in running:
-            qs[:, j] += eps[j] * ps[:, j]
+            qs[j] += eps[j] * ps[j]
         lp, g = logpost(q)
         _, force = logpost(q, value=False)
-        lp, g, force = np.atleast_1d(lp), g.reshape(k, -1), force.reshape(k, -1)
+        lp, g, force = np.atleast_1d(lp), g.reshape(-1, k), force.reshape(-1, k)
         for j in sorted(running):
             interior = step < n_steps[j]
-            finite = np.isfinite(g[:, j]).all() and math.isfinite(lp[j])
-            if not finite or interior and not np.isfinite(force[:, j]).all():
-                grads[:, j] = g[:, j]
+            finite = np.isfinite(g[j]).all() and math.isfinite(lp[j])
+            if not finite or interior and not np.isfinite(force[j]).all():
+                grads[j] = g[j]
                 running.discard(j)
             elif interior:
-                ps[:, j] += eps[j] * force[:, j]
+                ps[j] += eps[j] * force[j]
             else:
-                ps[:, j] += 0.5 * eps[j] * g[:, j]
-                lps[j], grads[:, j] = lp[j], g[:, j]
+                ps[j] += 0.5 * eps[j] * g[j]
+                lps[j], grads[j] = lp[j], g[j]
                 running.discard(j)
     grad = grads.reshape(q.shape)
     return q, p, (lps if q.ndim == 2 else lps[0]), grad

@@ -1051,6 +1051,11 @@ _INPUT_CHECKS = {
         ["extract", "--triples", "none.jsonl"], {},
         "triples file not found: none.jsonl", False,
     ),
+    # A directory passes for a file until it is opened: after the triples,
+    # for the word list.
+    "triples-directory": (
+        ["extract", "--triples", "."], {}, "triples path is a directory: .", False,
+    ),
     # An empty output path would write the artifacts into the working directory.
     "no-out": (
         ["extract", "--config", "c.json", *_BOTH], _with_config(out=""),
@@ -1081,6 +1086,10 @@ _INPUT_CHECKS = {
     "no-word-list": (
         ["extract", "--config", "c.json", *_BOTH], _with_config(word_list=""),
         "no word list path configured", False,
+    ),
+    "word-list-directory": (
+        ["extract", "--config", "c.json", *_BOTH], _with_config(word_list="."),
+        "word list path is a directory: .", False,
     ),
     "triple-not-an-object": (
         ["extract", "--triples", "t.jsonl"], {"t.jsonl": "[1]\n"},

@@ -427,17 +427,17 @@ class TestSampler:
         assert np.array_equal(d1.draws, d2.draws)
 
 
-def _boxed(logpost, bound, column=None):
-    """``logpost`` with a NaN gradient in each column whose coefficients
+def _boxed(logpost, bound, row=None):
+    """``logpost`` with a NaN gradient in each row whose coefficients
     leave the box max|beta| <= ``bound``: in every call, or, given
-    ``column``, in that column of a pair's calls alone."""
+    ``row``, in that row of a pair's calls alone."""
 
     def boxed(beta, *args, value=True):
         lp, grad = logpost(beta, *args, value=value)
-        outside = np.abs(beta).max(axis=0) > bound
-        if column is not None:
-            outside = beta.ndim == 2 and outside & (np.arange(beta.shape[1]) == column)
-        return lp, np.where(outside, math.nan, grad)
+        outside = np.abs(beta).max(axis=-1) > bound
+        if row is not None:
+            outside = beta.ndim == 2 and outside & (np.arange(beta.shape[0]) == row)
+        return lp, np.where(np.expand_dims(outside, -1), math.nan, grad)
 
     return boxed
 
@@ -494,7 +494,7 @@ class TestLeapfrog:
             assert len(flags) == max(lengths)
             density_steps = {step for step, value in enumerate(flags, 1) if value}
             assert density_steps == {max(lengths)} <= set(lengths)
-        # Starts and epsilon searches: single columns, each with its density.
+        # Starts and epsilon searches: single chains, each with its density.
         assert single[False] == 0 and single[True] > config.chains
 
     @settings(max_examples=50, deadline=None)
@@ -509,7 +509,7 @@ class TestLeapfrog:
         matrix = make_logit_matrix(60, [0.3, 1.0, -0.5], seed=4)
         A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
         prior_sd = np.full(3, 2.5)
-        for b in (np.asarray(beta[:3]), np.reshape(beta, (3, 2))):
+        for b in (np.asarray(beta[:3]), np.reshape(beta, (2, 3))):
             with np.errstate(over="ignore"):
                 _, grad = inference._logpost_arrays(b, A, prior_sd)
                 lp, grad_only = inference._logpost_arrays(b, A, prior_sd, value=False)
@@ -517,14 +517,14 @@ class TestLeapfrog:
             assert np.array_equal(grad_only, grad)
 
     def test_non_finite_interior_gradient_stops_trajectory(self):
-        # Column 0's gradient is NaN from the second call on; column 1 runs
-        # on with the bits it has in a NaN-free pair, the twin's bits.
+        # Row 0's gradient is NaN from the second call on; row 1 runs on
+        # with the bits it has in a NaN-free pair, the twin's bits.
         def logpost(q, *, value=True):
             calls.append(value)
             grad = np.cos(q) - 0.1 * q
             if poisoned and len(calls) >= 2:
-                grad[:, 0] = math.nan
-            return (-(q * q).sum(axis=0) if value else math.nan), grad
+                grad[0] = math.nan
+            return (-(q * q).sum(axis=-1) if value else math.nan), grad
 
         start = (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
         paths = (np.array([0.1, 0.2]), np.array([5, 7]))
@@ -535,30 +535,30 @@ class TestLeapfrog:
         assert naive_leapfrog(*start, *paths, logpost)[2][0] == -math.inf
         poisoned, calls = False, []
         q2, p2, lp2, _ = inference._leapfrog(*start, *paths, logpost)
-        assert np.array_equal(q1[:, 1], q2[:, 1])
-        assert np.array_equal(p1[:, 1], p2[:, 1])
+        assert np.array_equal(q1[1], q2[1])
+        assert np.array_equal(p1[1], p2[1])
         assert lp1[1] == lp2[1]
         for got, want in zip((q2, p2, lp2), naive_leapfrog(*start, *paths, logpost)):
             assert np.array_equal(got, want)
 
     def test_last_half_kick_uses_endpoint_gradient(self):
         # The gradient-only force is 1% off the full call's gradient, so a
-        # last half-kick taken from it would show in column 0's bits.
+        # last half-kick taken from it would show in row 0's bits.
         def logpost(q, *, value=True):
             grad = np.cos(q) - 0.1 * q
-            return (-(q * q).sum(axis=0), grad) if value else (math.nan, 1.01 * grad)
+            return (-(q * q).sum(axis=-1), grad) if value else (math.nan, 1.01 * grad)
 
         start = (np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
         eps = np.array([0.1, 0.2])
         short = inference._leapfrog(*start, eps, np.array([5, 5]), logpost)
         beside_long = inference._leapfrog(*start, eps, np.array([5, 9]), logpost)
         for got, want in zip(beside_long, short):
-            assert np.array_equal(got[..., 0], want[..., 0])
+            assert np.array_equal(got[0], want[0])
 
     def test_trajectory_reverses(self):
         # Leapfrog is reversible under any force that depends on position
         # alone, so a trajectory run back from its end with the momentum
-        # negated returns to its start, whichever step each column ends at.
+        # negated returns to its start, whichever step each row ends at.
         # The gradient-only force is 1% off the full call's gradient: a
         # last half-kick taken from it would break the symmetry.
         matrix = make_logit_matrix(400, [0.3, 1.0, -0.5, 0.2], seed=5)
@@ -570,7 +570,7 @@ class TestLeapfrog:
             return (lp, grad) if value else (math.nan, 1.01 * grad)
 
         paths = (np.array([0.05, 0.07]), np.array([7, 11]))
-        q0 = np.random.default_rng(5).normal(0.0, 0.5, (A.shape[1], 2))
+        q0 = np.random.default_rng(5).normal(0.0, 0.5, (2, A.shape[1]))
         p0 = np.random.default_rng(6).standard_normal(q0.shape)
         q1, p1, _, grad1 = inference._leapfrog(q0, p0, logpost(q0)[1], *paths, logpost)
         q2, p2, _, _ = inference._leapfrog(q1, -p1, grad1, *paths, logpost)
@@ -640,7 +640,7 @@ class TestFloat32Forces:
         A = inference._signed_design(paper_matrix.X, paper_matrix.y)
         prior_sd = np.full(A.shape[1], 2.5)
         k = A.shape[1]
-        for beta in (0.1 * rng.standard_normal(k), rng.standard_normal((k, 2))):
+        for beta in (0.1 * rng.standard_normal(k), rng.standard_normal((2, k))):
             with np.errstate(over="ignore"):
                 _, grad = inference._logpost_arrays(beta, A, prior_sd, value=False)
                 _, force = inference._logpost_arrays(
@@ -650,7 +650,7 @@ class TestFloat32Forces:
             assert np.linalg.norm(force - grad) <= 1e-5 * np.linalg.norm(grad)
 
     def test_position_beyond_float32_range_rejected(self, paper_matrix, monkeypatch):
-        # Column 0 of the first pair trajectory starts at 1e39, past
+        # Row 0 of the first pair trajectory starts at 1e39, past
         # float32's range though not float64's.
         ends = []
         real_leapfrog = inference._leapfrog
@@ -658,7 +658,7 @@ class TestFloat32Forces:
         def far_leapfrog(q, p, grad, eps, n_steps, logpost):
             if q.ndim == 2 and not ends:
                 q = q.copy()
-                q[:, 0] = 1e39
+                q[0] = 1e39
                 ends.append(real_leapfrog(q, p, grad, eps, n_steps, logpost))
                 return ends[0]
             return real_leapfrog(q, p, grad, eps, n_steps, logpost)
@@ -772,12 +772,12 @@ class TestLanes:
         monkeypatch.setattr(inference, "_logpost_arrays", counting_logpost)
         monkeypatch.setattr(inference, "_leapfrog", recording_leapfrog)
         draws = sample_posterior(matrix, spec, config)
-        # A pair's call evaluates the columns of the chains still on their
+        # A pair's call evaluates the rows of the chains still on their
         # path: a chain's own path length, summed over its trajectories.
         for _, lengths, calls in trajectories:
-            assert calls == [(3, inference.PAIR)] * max(lengths)
-        columns = sum(sum(lengths) for _, lengths, _ in trajectories)
-        assert draws.grad_evals.sum() == single_calls + columns
+            assert calls == [(inference.PAIR, 3)] * max(lengths)
+        rows = sum(sum(lengths) for _, lengths, _ in trajectories)
+        assert draws.grad_evals.sum() == single_calls + rows
         per_chain = config.warmup + config.draws
         assert len(trajectories) == per_chain
         for c in range(config.chains):
@@ -785,9 +785,9 @@ class TestLanes:
             assert kept == {draws.step_size[c]}
 
 class TestPairs:
-    """Chains 2u and 2u + 1 run as the two columns of one pair. A column's
-    bits depend on neither its partner nor on the other pairs, and each
-    chain draws its random stream as one chain running alone did."""
+    """Chains 2u and 2u + 1 run as the two rows of one pair. A row's bits
+    depend on neither its partner nor on the other pairs, and each chain
+    draws its random stream as one chain running alone did."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -797,17 +797,17 @@ class TestPairs:
             max_size=6,
         )
     )
-    def test_column_bits_independent_of_partner_and_position(self, values):
+    def test_row_bits_independent_of_partner_and_position(self, values):
         matrix = make_logit_matrix(300, [0.3, 1.0, -0.5], seed=4)
         A = inference._signed_design(matrix.predictor_matrix(matrix.columns), matrix.y)
         prior_sd = np.full(3, 2.5)
         beta, other = np.array(values[:3]), np.array(values[3:])
         with np.errstate(over="ignore"):
-            lp, grad = inference._logpost_arrays(np.c_[beta, other], A, prior_sd)
-            for pair, j in ((np.c_[beta, -other], 0), (np.c_[other, beta], 1)):
+            lp, grad = inference._logpost_arrays(np.r_[[beta], [other]], A, prior_sd)
+            for pair, j in ((np.r_[[beta], [-other]], 0), (np.r_[[other], [beta]], 1)):
                 lp_j, grad_j = inference._logpost_arrays(pair, A, prior_sd)
                 assert lp_j[j] == lp[0]
-                assert np.array_equal(grad_j[:, j], grad[:, 0])
+                assert np.array_equal(grad_j[j], grad[0])
 
     def test_chains_independent_of_chain_count(self, lane_matrix):
         matrix, spec = lane_matrix
@@ -825,18 +825,18 @@ class TestPairs:
                 assert np.array_equal(fits[chains].logp[c], fits[2].logp[c])
             assert np.array_equal(fits[chains].step_size[:2], fits[2].step_size)
             assert np.array_equal(fits[chains].grad_evals[:2], fits[2].grad_evals)
-        # Chain 2 alone (beside a padding column) and beside chain 3.
+        # Chain 2 alone (beside a padding row) and beside chain 3.
         assert np.array_equal(fits[3].draws[2], fits[4].draws[2])
         assert np.array_equal(fits[3].logp[2], fits[4].logp[2])
 
     def test_nan_trajectory_leaves_partner_bits(self, monkeypatch):
-        # Chain 0's gradient is NaN outside a box, in its own column alone;
+        # Chain 0's gradient is NaN outside a box, in its own row alone;
         # chain 1, its partner, must draw exactly as in a NaN-free run.
         matrix = make_logit_matrix(400, [0.3, 0.5, -0.4], seed=5)
         spec = ModelSpec(predictors=matrix.columns)
         config = SamplerConfig(chains=2, warmup=150, draws=150, seed=7, num_steps=12)
         clean = sample_posterior(matrix, spec, config)
-        boxed = _boxed(inference._logpost_arrays, 0.6, column=0)
+        boxed = _boxed(inference._logpost_arrays, 0.6, row=0)
         monkeypatch.setattr(inference, "_logpost_arrays", boxed)
         poisoned = sample_posterior(matrix, spec, config)
         assert poisoned.divergences > 0

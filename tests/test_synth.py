@@ -4,11 +4,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from helpers import to_bracketed
 
 from splitread import dataset
-from splitread.synth import make_demo_dataset
+from splitread.complexity import frazier_score, tnodes
+from splitread.synth import make_demo_dataset, random_sentence_tree
 from splitread.trees import parse_conllu, parse_ptb
 
 # sha256 of (triples.jsonl, judgments.jsonl) per make_demo_dataset call.
@@ -136,3 +138,21 @@ class TestMakeDemoDataset:
                     for block in conllu.rstrip("\n").split("\n\n")
                 ]
                 assert forms == tokens
+
+
+class TestBinaryTrees:
+    def test_frazier_and_tnodes_fixed_by_length(self):
+        # Every drawn tree is binary over POS preterminals under an S root,
+        # so a sentence of n > 1 tokens has 2n - 1 nonterminals, and its
+        # Frazier costs sum to n + 1/2 whatever the cuts: both predictors
+        # are functions of n alone, and frazier = 2 - tnodes / 2 exactly.
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(3000):
+            n = int(rng.integers(1, 41))
+            (tree,) = parse_ptb(random_sentence_tree(rng, n)[0])
+            if n > 1:
+                assert frazier_score(tree) == 1 + 0.5 / n
+                assert tnodes(tree) == 2 - 1 / n
+                checked += 1
+        assert checked > 2800
